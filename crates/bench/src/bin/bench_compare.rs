@@ -1,14 +1,17 @@
-//! CI perf gate: diff two `BENCH_*.json` files from the criterion
-//! harness and fail on regression.
+//! CI perf gate: diff `BENCH_*.json` files from the criterion harness
+//! against a baseline and fail on regression.
 //!
 //! ```sh
 //! cargo run -p radio-bench --bin bench_compare -- \
-//!     BENCH_baseline.json BENCH_pr.json --max-regress 0.30 --only engine
+//!     BENCH_baseline.json BENCH_pr.json BENCH_gen.json --max-regress 0.30
 //! ```
 //!
-//! Compares `mean_s` for every `(group, id)` key (optionally filtered to
-//! groups whose name starts with `--only`'s prefix). The gating rules
-//! live — unit-tested — in [`radio_bench::bench_diff`]; in short:
+//! The first file is the baseline; the rest are one run's results from
+//! several bench binaries, compared as one set (their `host_threads`
+//! must agree). Compares `mean_s` for every `(group, id)` key
+//! (optionally filtered to groups whose name starts with `--only`'s
+//! prefix). The gating rules live — unit-tested — in
+//! [`radio_bench::bench_diff`]; in short:
 //!
 //! * a shared bench whose mean exceeds `baseline · (1 + max_regress)`
 //!   **fails**;
@@ -148,19 +151,27 @@ fn main() -> ExitCode {
             other => paths.push(other.to_string()),
         }
     }
-    let [baseline_path, current_path] = match <[String; 2]>::try_from(paths) {
-        Ok(p) => p,
-        Err(_) => {
-            usage();
-            return die("expected exactly two JSON files");
+    if paths.len() < 2 {
+        usage();
+        return die("expected a baseline and at least one current JSON file");
+    }
+    let baseline = match load(&paths[0]) {
+        Ok(b) => b,
+        Err(e) => return die(&e),
+    };
+    let mut current_threads = None;
+    let mut current_entries = Vec::new();
+    for (k, path) in paths[1..].iter().enumerate() {
+        let file = match load(path) {
+            Ok(c) => c.top,
+            Err(e) => return die(&e),
+        };
+        if k > 0 && file.host_threads != current_threads {
+            return die(&format!("{path}: host_threads differ from {}", paths[1]));
         }
-    };
-
-    let (baseline, current) = match (load(&baseline_path), load(&current_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => return die(&e),
-    };
-    let current_threads = current.top.host_threads;
+        current_threads = file.host_threads;
+        current_entries.extend(file.entries);
+    }
 
     // A multi-profile baseline carries per-host-class numbers; gate
     // against the profile recorded on hardware like ours, else the top
@@ -204,7 +215,7 @@ fn main() -> ExitCode {
             .is_none_or(|prefix| e.key.starts_with(prefix))
     };
     let baseline_kept: Vec<Entry> = baseline.entries.into_iter().filter(keep).collect();
-    let current_kept: Vec<Entry> = current.top.entries.into_iter().filter(keep).collect();
+    let current_kept: Vec<Entry> = current_entries.into_iter().filter(keep).collect();
     let cfg = DiffConfig {
         max_regress,
         warn_improve: max_regress,
@@ -309,11 +320,12 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: bench_compare <baseline.json> <current.json> [--max-regress FRAC] [--only GROUP_PREFIX]\n\
-         Compares criterion-shim JSON results; exits 1 when a shared bench's mean\n\
-         regresses beyond the budget (default 0.30 = +30%) or a baseline bench is\n\
-         missing from the current run. Improvements beyond the same fraction warn\n\
-         (the bench may have stopped measuring the hot path)."
+        "usage: bench_compare <baseline.json> <current.json>... [--max-regress FRAC] [--only GROUP_PREFIX]\n\
+         Compares criterion-shim JSON results (several current files are merged as\n\
+         one run); exits 1 when a shared bench's mean regresses beyond the budget\n\
+         (default 0.30 = +30%) or a baseline bench is missing from the current run.\n\
+         Improvements beyond the same fraction warn (the bench may have stopped\n\
+         measuring the hot path)."
     );
 }
 

@@ -90,16 +90,22 @@ pub struct DegreeStats {
 }
 
 /// Compute [`DegreeStats`] for `g`.
+///
+/// In-degrees are counted in one pass over the out-CSR's flat neighbour
+/// array, so this never forces the lazily built in-view.
 pub fn degree_stats(g: &DiGraph) -> DegreeStats {
     let n = g.n().max(1);
+    let mut in_deg = vec![0u32; g.n()];
+    for &v in g.out_csr().flat_neighbors() {
+        in_deg[v as usize] += 1;
+    }
     let (mut omin, mut omax, mut imin, mut imax) = (usize::MAX, 0usize, usize::MAX, 0usize);
-    for v in 0..g.n() as NodeId {
-        let od = g.out_degree(v);
-        let id = g.in_degree(v);
+    for (v, &id) in in_deg.iter().enumerate() {
+        let od = g.out_degree(v as NodeId);
         omin = omin.min(od);
         omax = omax.max(od);
-        imin = imin.min(id);
-        imax = imax.max(id);
+        imin = imin.min(id as usize);
+        imax = imax.max(id as usize);
     }
     if g.n() == 0 {
         (omin, imin) = (0, 0);
@@ -189,6 +195,24 @@ mod tests {
         assert_eq!(s.out_min, 1);
         assert!((s.out_mean - 8.0 / 5.0).abs() < 1e-12);
         assert_eq!(s.in_max, 4);
+    }
+
+    #[test]
+    fn degree_stats_on_gnp_match_the_in_view() {
+        let g = gnp_directed(500, 0.02, &mut derive_rng(9, b"degree-stats", 0));
+        let s = degree_stats(&g);
+        assert!(
+            !g.in_view_built(),
+            "degree_stats must not build the in-view"
+        );
+        let in_degs: Vec<usize> = (0..g.n() as NodeId).map(|v| g.in_csr().degree(v)).collect();
+        assert_eq!(s.in_min, *in_degs.iter().min().unwrap());
+        assert_eq!(s.in_max, *in_degs.iter().max().unwrap());
+        assert!(s.in_min < s.in_max, "a G(n,p) sample has spread in-degrees");
+        let out_degs = (0..g.n() as NodeId).map(|u| g.out_degree(u));
+        assert_eq!(s.out_min, out_degs.clone().min().unwrap());
+        assert_eq!(s.out_max, out_degs.max().unwrap());
+        assert!((s.in_mean - in_degs.iter().sum::<usize>() as f64 / 500.0).abs() < 1e-12);
     }
 
     #[test]

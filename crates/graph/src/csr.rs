@@ -7,8 +7,9 @@
 //! streams `neighbors` linearly — the cache-friendly layout that the
 //! engine's hot scatter loop iterates directly.
 //!
-//! [`DiGraph`](crate::DiGraph) owns two `Csr`s (out- and in-views) built
-//! once by the graph builder; everything downstream borrows slices.
+//! [`DiGraph`](crate::DiGraph) owns the out-view `Csr`, built by the
+//! generator or graph builder, and its [`Csr::transpose`], the in-view,
+//! built on first use; everything downstream borrows slices.
 
 use crate::NodeId;
 

@@ -21,13 +21,15 @@ pub mod gnp;
 pub mod lower_bound;
 pub mod structured;
 
-/// Hard ceiling on any single generator pre-allocation, in edge entries
-/// (64 Mi pairs = 512 MiB). Past this an estimate buys nothing: `Vec`'s
-/// geometric growth costs at most one extra copy, which is noise next to
-/// actually generating that many edges — while an over-estimate turned
-/// straight into `with_capacity` aborts the process before generation
-/// even starts (the `n²`-flavored geometric estimate requested terabytes
-/// at `n = 2²⁰`).
+/// Hard ceiling on any single generator pre-allocation, in edge entries:
+/// 64 Mi entries = 256 MiB as 4-byte CSR neighbour entries (what
+/// `gnp_directed` streams into), 512 MiB as the 8-byte `(u, v)` pairs
+/// that `GraphBuilder`-based generators stage. Past this an estimate
+/// buys nothing: `Vec`'s geometric growth costs at most one extra copy,
+/// which is noise next to actually generating that many edges — while
+/// an over-estimate turned straight into `with_capacity` aborts the
+/// process before generation even starts (the `n²`-flavored geometric
+/// estimate requested terabytes at `n = 2²⁰`).
 const MAX_PREALLOC_EDGES: usize = 1 << 26;
 
 /// Clamp a (possibly wildly over-estimated) expected-edge count into a
@@ -71,11 +73,11 @@ pub fn edge_capacity_planned(n: usize, expected_edges: f64) -> (usize, Option<u1
 pub fn edge_capacity(n: usize, expected_edges: f64) -> usize {
     let (cap, clamped_from) = edge_capacity_planned(n, expected_edges);
     if let Some(planned) = clamped_from {
-        let mib = planned.saturating_mul(8) / (1 << 20);
+        let mib = planned.saturating_mul(4) / (1 << 20);
         eprintln!(
             "note: generator pre-allocation clamped: planned ≈{planned} edge entries \
-             (≈{mib} MiB) exceeds the {MAX_PREALLOC_EDGES}-entry prealloc budget; \
-             reserving {cap} and growing on demand"
+             (≈{mib} MiB as CSR, twice that as an edge-pair list) exceeds the \
+             {MAX_PREALLOC_EDGES}-entry prealloc budget; reserving {cap} and growing on demand"
         );
     }
     cap

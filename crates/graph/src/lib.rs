@@ -7,9 +7,10 @@
 //! then reads: `v` receives a message in a round iff *exactly one*
 //! in-neighbour of `v` transmits in that round.
 //!
-//! * [`DiGraph`] — compressed-sparse-row digraph with both out- and
-//!   in-adjacency (the engine needs out-edges to scatter transmissions and
-//!   in-edges only for analysis/validation).
+//! * [`DiGraph`] — compressed-sparse-row digraph. The out-adjacency is
+//!   built eagerly (the engine scatters transmissions along it); the
+//!   in-adjacency, which only analysis and the `reference` oracle read,
+//!   is transposed from it on first use.
 //! * [`builder::GraphBuilder`] — edge-list accumulation with dedup.
 //! * [`generate`] — every topology the paper uses or suggests:
 //!   `G(n,p)` (directed/undirected), classic shapes, the Observation 4.3
@@ -35,22 +36,40 @@ pub use csr::Csr;
 pub use generate::GraphFamily;
 pub use topology::{GridIndex, ImplicitGnp, ImplicitGrid, RangeQueryCost, Topology};
 
+use std::sync::OnceLock;
+
 /// Node identifier. `u32` keeps adjacency arrays compact (the perf guides'
 /// "smaller integers" advice); 4 × 10⁹ nodes is far beyond any simulation
 /// here.
 pub type NodeId = u32;
 
-/// A directed graph in CSR form with both orientations materialised.
+/// A directed graph in CSR form.
+///
+/// The out-view is built at construction. The in-view is a function of
+/// it, so it is transposed on the first call to [`in_csr`](Self::in_csr),
+/// [`in_neighbors`](Self::in_neighbors), [`in_degree`](Self::in_degree)
+/// or [`reverse`](Self::reverse) and cached: a graph that is only ever
+/// simulated on never pays the transpose or its 4 B/edge. Equality
+/// compares the out-views alone.
 ///
 /// Immutable after construction; cloning is cheap relative to simulation
 /// cost but rarely needed (the engine borrows it).
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct DiGraph {
     /// Out-adjacency: `out.row(u)` = nodes that hear `u`.
     out: Csr,
-    /// In-adjacency: `inn.row(v)` = nodes that `v` hears.
-    inn: Csr,
+    /// In-adjacency, `out` transposed on first use: `row(v)` = nodes
+    /// that `v` hears.
+    inn: OnceLock<Csr>,
 }
+
+impl PartialEq for DiGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.out == other.out
+    }
+}
+
+impl Eq for DiGraph {}
 
 impl std::fmt::Debug for DiGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -75,14 +94,18 @@ impl DiGraph {
         b.build()
     }
 
+    /// Internal: assemble from a pre-validated out-view (sorted rows, no
+    /// duplicates, no self-loops).
+    pub(crate) fn from_out_csr(out: Csr) -> Self {
+        DiGraph {
+            out,
+            inn: OnceLock::new(),
+        }
+    }
+
     /// Internal: assemble from pre-validated, sorted, deduped edge list.
-    /// The in-view is the transpose of the out-view; the counting sort in
-    /// [`Csr::transpose`] keeps sources sorted within each bucket because
-    /// the edge list is sorted by `(u, v)`.
     pub(crate) fn from_sorted_unique_edges(n: usize, edges: Vec<(NodeId, NodeId)>) -> Self {
-        let out = Csr::from_sorted_pairs(n, edges.into_iter());
-        let inn = out.transpose();
-        DiGraph { out, inn }
+        Self::from_out_csr(Csr::from_sorted_pairs(n, edges.into_iter()))
     }
 
     /// Number of nodes.
@@ -104,10 +127,18 @@ impl DiGraph {
         &self.out
     }
 
-    /// The in-adjacency CSR view (`row(v)` = nodes that `v` hears).
+    /// The in-adjacency CSR view (`row(v)` = nodes that `v` hears),
+    /// transposed from the out-view by the first caller. The counting
+    /// sort in [`Csr::transpose`] keeps every row sorted.
     #[inline]
     pub fn in_csr(&self) -> &Csr {
-        &self.inn
+        self.inn.get_or_init(|| self.out.transpose())
+    }
+
+    /// Whether the in-view has been built yet.
+    #[cfg(test)]
+    pub(crate) fn in_view_built(&self) -> bool {
+        self.inn.get().is_some()
     }
 
     /// Nodes whose radios can hear `u` (sorted).
@@ -119,7 +150,7 @@ impl DiGraph {
     /// Nodes that `v` can hear (sorted).
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.inn.row(v)
+        self.in_csr().row(v)
     }
 
     /// Out-degree of `u`.
@@ -131,7 +162,7 @@ impl DiGraph {
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.inn.degree(v)
+        self.in_csr().degree(v)
     }
 
     /// Edge membership test (binary search on the sorted out-list).
@@ -139,11 +170,12 @@ impl DiGraph {
         self.out_neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// The transpose graph (every edge reversed).
+    /// The transpose graph (every edge reversed). Its in-view is this
+    /// graph's out-view, so it comes already built.
     pub fn reverse(&self) -> DiGraph {
         DiGraph {
-            out: self.inn.clone(),
-            inn: self.out.clone(),
+            out: self.in_csr().clone(),
+            inn: OnceLock::from(self.out.clone()),
         }
     }
 
@@ -240,6 +272,45 @@ mod tests {
         assert_eq!(g.out_csr().nnz(), g.m());
         assert_eq!(g.in_csr().nnz(), g.m());
         assert_eq!(g.out_csr().offsets().len(), g.n() + 1);
+    }
+
+    #[test]
+    fn in_view_is_built_lazily_and_equals_the_transpose() {
+        use crate::generate::gnp_directed;
+        use radio_util::derive_rng;
+        use std::sync::Barrier;
+
+        let g = gnp_directed(400, 0.03, &mut derive_rng(3, b"lazy-in-view", 0));
+        let unbuilt = g.clone();
+        let fresh = g.clone();
+        assert!(!g.in_view_built() && !unbuilt.in_view_built());
+        assert_eq!(g.in_csr(), &g.out_csr().transpose());
+        assert!(g.in_view_built());
+        // Equality reads the out-view only, built in-view or not.
+        assert_eq!(g, unbuilt);
+        assert!(!unbuilt.in_view_built());
+        let built_clone = g.clone();
+        assert!(built_clone.in_view_built());
+        assert_eq!(built_clone.in_csr(), g.in_csr());
+        assert_eq!(g.reverse().reverse(), unbuilt);
+        assert_eq!(unbuilt.reverse().out_csr(), g.in_csr());
+
+        // Two threads racing for the first access see one identical view.
+        assert!(!fresh.in_view_built());
+        let barrier = Barrier::new(2);
+        let views: Vec<&Csr> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        fresh.in_csr()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(std::ptr::eq(views[0], views[1]));
+        assert_eq!(views[0], g.in_csr());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`ImplicitGnp::materialize`], not `gnp_directed`.
 
 use crate::generate::edge_capacity;
-use crate::generate::gnp::geometric_skip;
+use crate::generate::gnp::{geometric_skip, ln_1mp};
 use crate::topology::{RangeQueryCost, Topology};
 use crate::{DiGraph, NodeId};
 use radio_util::{split_seed_indexed, split_seed_prefix};
@@ -58,7 +58,7 @@ impl ImplicitGnp {
             n,
             p,
             graph_seed,
-            log1mp: (1.0 - p).ln(),
+            log1mp: ln_1mp(p),
             row_key_prefix: split_seed_prefix(graph_seed, b"gnp-row"),
         }
     }
@@ -125,7 +125,9 @@ impl ImplicitGnp {
                 s as NodeId + 1
             };
             f(v);
-            s = s.saturating_add(1 + geometric_skip(rng, self.log1mp));
+            s = s
+                .saturating_add(1)
+                .saturating_add(geometric_skip(rng, self.log1mp));
         }
     }
 
@@ -274,6 +276,17 @@ mod tests {
     }
 
     #[test]
+    fn tiny_p_rows_are_empty_not_complete() {
+        // Below p = 2⁻⁵⁴ the naive ln(1 − p) is 0, which made every row
+        // the complete row.
+        for p in [5e-17, 1e-300] {
+            let t = ImplicitGnp::new(64, p, 1);
+            assert!((0..64).all(|u| row(&t, u).is_empty()), "p {p}");
+            assert_eq!(t.materialize().m(), 0, "p {p}");
+        }
+    }
+
+    #[test]
     fn materialize_matches_queries() {
         let t = ImplicitGnp::new(400, 0.05, 5);
         let g = t.materialize();
@@ -350,7 +363,11 @@ mod tests {
                     u64::from(u),
                 ));
                 for _ in 0..32 {
-                    assert_eq!(fast.next_u32(), slow.next_u32(), "seed {graph_seed} row {u}");
+                    assert_eq!(
+                        fast.next_u32(),
+                        slow.next_u32(),
+                        "seed {graph_seed} row {u}"
+                    );
                 }
             }
         }

@@ -52,7 +52,9 @@ pub fn write_varint(out: &mut Vec<u8>, mut x: u64) {
     }
 }
 
-/// Read a LEB128 varint at `*pos`, advancing it.
+/// Read a LEB128 varint at `*pos`, advancing it. A value wider than 64
+/// bits is an error: an 11th byte, or a 10th byte carrying more than the
+/// top bit.
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
     let mut x = 0u64;
     let mut shift = 0u32;
@@ -61,10 +63,11 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
             .get(*pos)
             .ok_or_else(|| format!("truncated varint at byte {pos}", pos = *pos))?;
         *pos += 1;
-        if shift >= 64 {
+        let payload = u64::from(byte & 0x7f);
+        if shift >= 64 || (payload << shift) >> shift != payload {
             return Err(format!("varint overflow at byte {pos}", pos = *pos));
         }
-        x |= u64::from(byte & 0x7f) << shift;
+        x |= payload << shift;
         if byte & 0x80 == 0 {
             return Ok(x);
         }
@@ -478,6 +481,22 @@ mod tests {
         assert!(read_varint(&[0x80], &mut pos).is_err());
         let mut pos = 0;
         assert!(read_varint(&[0x80; 11], &mut pos).is_err());
+        // u64::MAX is nine 0xff bytes and a final 0x01; a final 0x02
+        // would be bit 64, which used to be dropped silently.
+        let mut max = vec![0xffu8; 9];
+        max.push(0x01);
+        let mut pos = 0;
+        assert_eq!(read_varint(&max, &mut pos), Ok(u64::MAX));
+        let mut wide = vec![0xffu8; 9];
+        wide.push(0x02);
+        let mut pos = 0;
+        let err = read_varint(&wide, &mut pos).unwrap_err();
+        assert!(err.contains("varint overflow"), "{err}");
+        let mut eleven = vec![0x80u8; 10];
+        eleven.push(0x00);
+        let mut pos = 0;
+        let err = read_varint(&eleven, &mut pos).unwrap_err();
+        assert!(err.contains("varint overflow"), "{err}");
     }
 
     #[test]

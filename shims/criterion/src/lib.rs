@@ -23,6 +23,12 @@
 //!   `BENCH_JSON` environment variable) makes `criterion_main!` write
 //!   every result as a JSON document — the format `bench_compare` in
 //!   `crates/bench` diffs against a committed baseline.
+//! * **Filter**: under `cargo bench` (which passes `--bench`), a
+//!   positional argument (`cargo bench --bench generators --
+//!   gen_gnp_directed`) runs only the benchmarks whose `group/id`
+//!   contains it. The real harness takes a regex; a plain group name
+//!   selects the same benchmarks in both. Flags the shim does not know
+//!   are skipped alone, so their values would read as a filter.
 
 use std::fmt::Display;
 use std::hint::black_box as std_black_box;
@@ -117,17 +123,21 @@ impl Default for Timing {
 pub struct Criterion {
     timing: Timing,
     save_json: Option<String>,
+    /// Only benchmarks whose `group/id` contains this run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     /// Reads harness flags from the process arguments (`--warm-up-time`,
-    /// `--measurement-time`, `--save-json`) and `BENCH_JSON` from the
-    /// environment; everything else keeps the built-in quick defaults.
+    /// `--measurement-time`, `--save-json`, and a positional filter when
+    /// `--bench` is present) and `BENCH_JSON` from the environment;
+    /// everything else keeps the built-in quick defaults.
     fn default() -> Self {
         let mut timing = Timing::default();
         let mut save_json = std::env::var("BENCH_JSON").ok().filter(|s| !s.is_empty());
+        let mut filter = None;
         let args: Vec<String> = std::env::args().collect();
-        let mut i = 0;
+        let mut i = 1;
         while i < args.len() {
             let value = args.get(i + 1);
             match (args[i].as_str(), value) {
@@ -147,11 +157,19 @@ impl Default for Criterion {
                     save_json = Some(v.clone());
                     i += 1;
                 }
+                (arg, _) if !arg.starts_with('-') => filter = Some(arg.to_owned()),
                 _ => {}
             }
             i += 1;
         }
-        Criterion { timing, save_json }
+        // Without `--bench` this is a test harness run, whose positional
+        // arguments are test-name filters.
+        let filter = filter.filter(|_| args.iter().any(|a| a == "--bench"));
+        Criterion {
+            timing,
+            save_json,
+            filter,
+        }
     }
 }
 
@@ -160,7 +178,7 @@ impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let timing = self.timing;
         BenchmarkGroup {
-            _criterion: self,
+            criterion: self,
             name: name.into(),
             sample_size: 20,
             throughput: None,
@@ -174,9 +192,11 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut bencher = Bencher::new(20, self.timing);
-        f(&mut bencher);
-        bencher.report("bench", &id.id, None);
+        if self.selects("bench", &id.id) {
+            let mut bencher = Bencher::new(20, self.timing);
+            f(&mut bencher);
+            bencher.report("bench", &id.id, None);
+        }
         self
     }
 
@@ -184,11 +204,18 @@ impl Criterion {
     pub fn json_path(&self) -> Option<&str> {
         self.save_json.as_deref()
     }
+
+    /// Whether the filter (if any) selects `group/id`.
+    fn selects(&self, group: &str, id: &str) -> bool {
+        self.filter
+            .as_deref()
+            .is_none_or(|f| format!("{group}/{id}").contains(f))
+    }
 }
 
 /// A named group of benchmarks sharing configuration.
 pub struct BenchmarkGroup<'a> {
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
     throughput: Option<Throughput>,
@@ -214,9 +241,11 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut bencher = Bencher::new(self.sample_size, self.timing);
-        f(&mut bencher);
-        bencher.report(&self.name, &id.id, self.throughput);
+        if self.criterion.selects(&self.name, &id.id) {
+            let mut bencher = Bencher::new(self.sample_size, self.timing);
+            f(&mut bencher);
+            bencher.report(&self.name, &id.id, self.throughput);
+        }
         self
     }
 
@@ -231,9 +260,11 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let id = id.into();
-        let mut bencher = Bencher::new(self.sample_size, self.timing);
-        f(&mut bencher, input);
-        bencher.report(&self.name, &id.id, self.throughput);
+        if self.criterion.selects(&self.name, &id.id) {
+            let mut bencher = Bencher::new(self.sample_size, self.timing);
+            f(&mut bencher, input);
+            bencher.report(&self.name, &id.id, self.throughput);
+        }
         self
     }
 
@@ -412,7 +443,7 @@ macro_rules! criterion_group {
 /// Emit `main` running the given group functions.
 ///
 /// Accepts standard harness flags (`--warm-up-time`, `--measurement-time`,
-/// `--save-json`; filters and anything unknown are ignored) so
+/// `--save-json`, a positional filter; anything unknown is ignored) so
 /// `cargo bench` invocations pass through cleanly, then writes JSON
 /// results when requested.
 #[macro_export]
@@ -452,6 +483,26 @@ mod tests {
         assert!(json.contains("\"group\": \"shim_selftest\""));
         assert!(json.contains("\"id\": \"named/7\""));
         assert!(json.contains("\"mean_s\": "));
+    }
+
+    #[test]
+    fn filter_runs_only_matching_benches() {
+        let mut c = Criterion {
+            timing: Timing {
+                warm_up: Duration::ZERO,
+                measurement: Duration::from_millis(1),
+            },
+            save_json: None,
+            filter: Some("filter_probe/kept".into()),
+        };
+        let mut group = c.benchmark_group("filter_probe");
+        group.sample_size(1);
+        group.bench_function("kept", |b| b.iter(|| black_box(1)));
+        group.bench_function("dropped", |b| b.iter(|| black_box(2)));
+        group.finish();
+        let json = results_to_json();
+        assert!(json.contains("\"id\": \"kept\""));
+        assert!(!json.contains("\"id\": \"dropped\""));
     }
 
     #[test]
