@@ -52,7 +52,9 @@ fn main() {
         for w in &wanted {
             match reg.iter().find(|(id, _)| id == w) {
                 Some(e) => sel.push(*e),
-                None => die(&format!("unknown experiment `{w}` (try e1..e18, e18i, or all)")),
+                None => die(&format!(
+                    "unknown experiment `{w}` (try e1..e18, e18i, or all)"
+                )),
             }
         }
         sel

@@ -7,6 +7,7 @@ use radio_energy::{Duty, EnergySession};
 use radio_graph::{DiGraph, NodeId, RangeQueryCost, Topology};
 use radio_trace::{NullSink, TraceEvent, TraceSink};
 use rand_chacha::ChaCha8Rng;
+use std::borrow::BorrowMut;
 
 /// Engine knobs.
 #[derive(Debug, Clone, Copy)]
@@ -26,10 +27,15 @@ pub struct EngineConfig {
     /// chosen budget, e.g. a fixed-length schedule that always runs to
     /// its cap).
     pub warn_on_round_cap: bool,
-    /// Worker threads for the *intra-run* scatter/collision phase
-    /// (`1` = fully serial, the default). The partition is by receiver
-    /// id range, so any thread count produces bit-identical runs — see
-    /// [`Engine::run_par`] for the determinism contract.
+    /// Worker threads for the *intra-run* parallel phases (`1` = fully
+    /// serial, the default): the scatter/collision phase, partitioned by
+    /// receiver id range or by transmitter shard as [`scatter_plan`]
+    /// picks per backend, and — on the fused engine
+    /// ([`Engine::run_fused`]) — the decide phase, fanned out over
+    /// awake-list chunks. Every partition reproduces the serial outcome,
+    /// so any thread count produces bit-identical runs — see
+    /// [`Engine::run_par`] and [`Engine::run_fused_par`] for the
+    /// determinism contracts.
     pub threads: usize,
     /// Minimum per-round edge volume (Σ out-degree over the round's
     /// transmitters) before the **receiver-range** scatter fans out;
@@ -376,6 +382,23 @@ enum DecideEvent {
     Dead,
 }
 
+/// Where a node stands in a fused run: on the awake list or not, and
+/// whether its `node_keys` entry was derived for this run's seed. The
+/// key cache rests on one invariant: `state != Unkeyed` ⇒
+/// `node_keys[v] == streams.node_key(v)` for *this* run's streams.
+/// Entries of an `Unkeyed` node are leftovers of earlier runs (the pool
+/// outlives seeds) and are never read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ListState {
+    /// Not woken yet this run.
+    Unkeyed,
+    /// Keyed this run but off the awake list: compacted out, or about
+    /// to be pushed by the delivery that keyed it.
+    Keyed,
+    /// On the awake list: awake, or a stale entry if `!is_awake[v]`.
+    Listed,
+}
+
 /// Evaluate the fused decide phase over one span of the awake list,
 /// generating the nodes' decide blocks in **wide ChaCha batches**
 /// ([`rand_chacha::chacha8_blocks`]) instead of one scalar block per draw.
@@ -485,7 +508,7 @@ fn decide_span<P, E>(
 ///
 /// **Allocation-free steady state:** every piece of per-run scratch —
 /// the stamped `hits` records, the awake bookkeeping (`is_awake`,
-/// `in_list`, `awake_list`), the per-round `transmitters`/`touched`/
+/// `list_state`, `awake_list`), the per-round `transmitters`/`touched`/
 /// decide-event buffers, and the per-worker lists of the parallel
 /// phases — lives in pools owned by the engine and sized to the graph
 /// once, so a trial loop over seeds on a fixed graph performs **zero
@@ -518,10 +541,12 @@ pub struct Engine<'g, T: Topology = DiGraph> {
     shard_hits: Vec<Vec<Vec<(NodeId, NodeId)>>>,
     /// Authoritative awake flags (pooled across runs).
     is_awake: Vec<bool>,
-    /// Membership flags for `awake_list` — `in_list[v] && !is_awake[v]`
-    /// marks a *stale* entry the fused engine carries until the eager
-    /// compaction threshold trips (see `run_fused_core`).
-    in_list: Vec<bool>,
+    /// Per-node [`ListState`] of the fused engine: membership of
+    /// `awake_list` (`Listed && !is_awake[v]` marks a *stale* entry the
+    /// fused engine carries until the eager compaction threshold trips,
+    /// see `run_fused_core`) and validity of the node's `node_keys`
+    /// entry for the current run.
+    list_state: Vec<ListState>,
     /// The poll list; capacity `n` reserved up front so delivery-phase
     /// wakes never reallocate mid-run.
     awake_list: Vec<NodeId>,
@@ -532,10 +557,11 @@ pub struct Engine<'g, T: Topology = DiGraph> {
     /// Per-worker decide events of the fused engine's parallel phase.
     par_events: Vec<Vec<(NodeId, DecideEvent)>>,
     /// Per-node ChaCha key words for the fused engine's v2 streams,
-    /// filled lazily at node-wake time each run (32 B/node; sized on
-    /// the first fused run so v1-only engines never pay for it). Read
-    /// concurrently by the decide workers; written only in the serial
-    /// init/delivery phases.
+    /// derived once per node per run: at the node's first delivery (or
+    /// at init for the initially awake), then reused by every decide and
+    /// receive lane of the run (32 B/node; sized on the first fused run
+    /// so v1-only engines never pay for it). Read concurrently by the
+    /// decide workers; written only in the serial init/delivery phases.
     node_keys: Vec<[u32; 8]>,
 }
 
@@ -552,7 +578,7 @@ impl<'g, T: Topology> Engine<'g, T> {
             par_touched: Vec::new(),
             shard_hits: Vec::new(),
             is_awake: vec![false; n],
-            in_list: vec![false; n],
+            list_state: vec![ListState::Unkeyed; n],
             awake_list: Vec::with_capacity(n),
             transmitters: Vec::with_capacity(n),
             events: Vec::with_capacity(n),
@@ -927,7 +953,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                         round,
                         protocol,
                         hook,
-                        rng,
+                        || &mut *rng,
                         &mut deliveries,
                         &mut first_receptions,
                     );
@@ -1249,7 +1275,7 @@ impl<'g, T: Topology> Engine<'g, T> {
         let mut lo = 0usize;
         std::thread::scope(|scope| {
             for (r, touched_w) in self.par_touched[..t].iter_mut().enumerate() {
-                let hi = (((r as u64 + 1) * nn + tt - 1) / tt) as usize;
+                let hi = ((r as u64 + 1) * nn).div_ceil(tt) as usize;
                 let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
                 rest = tail;
                 touched_w.clear();
@@ -1310,12 +1336,12 @@ impl<'g, T: Topology> Engine<'g, T> {
     /// `threads` workers, each evaluating [`FusedDecide::decide_pure`]
     /// against shared protocol state with the node's own positioned
     /// stream, then replays the non-silent decisions serially in poll
-    /// order ([`FusedDecide::commit_decide`]). The scatter keeps PR 4's
-    /// receiver-range partition, and the delivery sweep stays serial in
-    /// ascending receiver order. Results are therefore **bit-identical
-    /// for every thread count, by construction** — same guarantee as
-    /// [`Engine::run_par`], now covering the decide phase that v1 had to
-    /// keep serial.
+    /// order ([`FusedDecide::commit_decide`]). The scatter fans out in
+    /// the partition [`scatter_plan`] picks, and the delivery sweep stays
+    /// serial in ascending receiver order. Results are therefore
+    /// **bit-identical for every thread count, by construction** — same
+    /// guarantee as [`Engine::run_par`], now covering the decide phase
+    /// that v1 had to keep serial.
     ///
     /// Note that a fused run and a v1 run of the same `(protocol, seed)`
     /// produce *different* (statistically equivalent) trajectories: the
@@ -1491,7 +1517,7 @@ impl<'g, T: Topology> Engine<'g, T> {
 
         // Pooled awake bookkeeping (restored at the end of the run).
         // Unlike the v1 core, `awake_list` here may carry *stale*
-        // entries — `in_list[v] && !is_awake[v]` — between the sparse
+        // entries — `Listed && !is_awake[v]` — between the sparse
         // commit that put a node to sleep and the compaction (or
         // re-wake) that resolves it; `stale` counts them so the
         // compaction threshold and the `len == awake + stale` invariant
@@ -1500,22 +1526,23 @@ impl<'g, T: Topology> Engine<'g, T> {
         // panic-resilience reason as `run_core`: a panicked run leaves
         // the pools taken, and the next run must re-size them.
         let mut is_awake = std::mem::take(&mut self.is_awake);
-        let mut in_list = std::mem::take(&mut self.in_list);
+        let mut list_state = std::mem::take(&mut self.list_state);
         let mut awake_list = std::mem::take(&mut self.awake_list);
         let mut transmitters = std::mem::take(&mut self.transmitters);
         let mut events = std::mem::take(&mut self.events);
         let mut node_keys = std::mem::take(&mut self.node_keys);
         is_awake.clear();
         is_awake.resize(n, false);
-        in_list.clear();
-        in_list.resize(n, false);
+        list_state.clear();
+        list_state.resize(n, ListState::Unkeyed);
         awake_list.clear();
         transmitters.clear();
         events.clear();
-        // The key cache needs sizing, not clearing: every entry is
-        // (re)derived for this run's seed at the node's wake — before
-        // any decide reads it — so stale words from a previous run are
-        // never observable.
+        // The key cache needs sizing, not clearing: resetting every
+        // node to `Unkeyed` above marks all entries as leftovers, and a
+        // node's entry is derived for this run's seed before anything
+        // reads it — here for the initially awake, at its first delivery
+        // for everyone else.
         if node_keys.len() != n {
             node_keys.clear();
             node_keys.resize(n, [0u32; 8]);
@@ -1525,7 +1552,7 @@ impl<'g, T: Topology> Engine<'g, T> {
         for v in protocol.initially_awake() {
             if !is_awake[v as usize] {
                 is_awake[v as usize] = true;
-                in_list[v as usize] = true;
+                list_state[v as usize] = ListState::Listed;
                 awake_count += 1;
                 node_keys[v as usize] = streams.node_key(v);
                 awake_list.push(v);
@@ -1665,7 +1692,8 @@ impl<'g, T: Topology> Engine<'g, T> {
                 awake_list.retain(|&v| {
                     let keep = is_awake[v as usize];
                     if !keep {
-                        in_list[v as usize] = false;
+                        // Off the list, but its key stays this run's.
+                        list_state[v as usize] = ListState::Keyed;
                     }
                     keep
                 });
@@ -1689,9 +1717,11 @@ impl<'g, T: Topology> Engine<'g, T> {
             // --- delivery phase ---------------------------------------------
             // Serial, ascending receiver order (the contract shared with
             // v1/reference/baseline); `on_receive` draws from the
-            // receiver's v2 receive lane — constructing the positioned
-            // stream is lazy state setup, costing nothing unless the
-            // protocol actually draws.
+            // receiver's v2 receive lane. The lane is built only for a
+            // real delivery — after the collision, half-duplex and
+            // battery checks — from the run's key cache, so collisions
+            // and repeat deliveries cost no key derivation: a node's key
+            // is derived at most once per run, at its first delivery.
             let mut deliveries = 0u64;
             let mut first_receptions = 0u64;
             if !transmitters.is_empty() {
@@ -1705,6 +1735,16 @@ impl<'g, T: Topology> Engine<'g, T> {
                     if S::ACTIVE && self.hits[vi].stamp == hit_many {
                         sink.emit(TraceEvent::Collision { node: v });
                     }
+                    let receive_lane = || {
+                        if list_state[vi] == ListState::Unkeyed {
+                            node_keys[vi] = streams.node_key(v);
+                            list_state[vi] = ListState::Keyed;
+                        }
+                        DecideStreams::rng_from_key(
+                            node_keys[vi],
+                            DecideStreams::receive_block(round),
+                        )
+                    };
                     let delivered = deliver_one(
                         &self.hits,
                         &self.sent,
@@ -1715,7 +1755,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                         round,
                         protocol,
                         hook,
-                        &mut streams.receive_rng(v, round),
+                        receive_lane,
                         &mut deliveries,
                         &mut first_receptions,
                     );
@@ -1730,13 +1770,17 @@ impl<'g, T: Topology> Engine<'g, T> {
                     if woke {
                         is_awake[vi] = true;
                         awake_count += 1;
-                        if in_list[vi] {
-                            // Re-woken stale entry: already listed (and
-                            // its key is already cached for this run).
+                        if list_state[vi] == ListState::Listed {
+                            // Re-woken stale entry: already listed.
                             stale -= 1;
                         } else {
-                            in_list[vi] = true;
-                            node_keys[vi] = streams.node_key(v);
+                            // The delivery keyed it (now or at an
+                            // earlier wake this run): reuse that key.
+                            debug_assert!(
+                                node_keys[vi] == streams.node_key(v),
+                                "node {v} joins the awake list without this run's key"
+                            );
+                            list_state[vi] = ListState::Listed;
                             awake_list.push(v);
                         }
                     }
@@ -1785,7 +1829,7 @@ impl<'g, T: Topology> Engine<'g, T> {
 
         // Return the pooled scratch for the next run.
         self.is_awake = is_awake;
-        self.in_list = in_list;
+        self.list_state = list_state;
         self.awake_list = awake_list;
         self.transmitters = transmitters;
         self.events = events;
@@ -1824,8 +1868,13 @@ impl<'g, T: Topology> Engine<'g, T> {
 /// Updates the delivery/first-reception counters and returns whether a
 /// delivery happened — the caller owns the wake bookkeeping, which is
 /// the one part that differs between the two awake-list disciplines.
+///
+/// `rng` yields the stream `on_receive` draws from and is called only
+/// once every check has passed, so a core whose stream costs work to
+/// build (the fused receive lane) pays for real deliveries only; the v1
+/// core hands over its shared stream as is.
 #[allow(clippy::too_many_arguments)]
-fn deliver_one<P: Protocol, E: EnergyHook>(
+fn deliver_one<P: Protocol, E: EnergyHook, R: BorrowMut<ChaCha8Rng>>(
     hits: &[HitRecord],
     sent: &[u32],
     half_duplex: bool,
@@ -1835,7 +1884,7 @@ fn deliver_one<P: Protocol, E: EnergyHook>(
     round: u64,
     protocol: &mut P,
     hook: &mut E,
-    rng: &mut ChaCha8Rng,
+    rng: impl FnOnce() -> R,
     deliveries: &mut u64,
     first_receptions: &mut u64,
 ) -> bool {
@@ -1856,7 +1905,7 @@ fn deliver_one<P: Protocol, E: EnergyHook>(
     if E::ACTIVE {
         hook.charge(v, Duty::Receive, round);
     }
-    protocol.on_receive(v, from, round, &msg, rng);
+    protocol.on_receive(v, from, round, &msg, rng().borrow_mut());
     *deliveries += 1;
     if protocol.informed_count() > informed_before {
         *first_receptions += 1;
@@ -2832,7 +2881,14 @@ mod tests {
         // Auto + full-row-replay range queries: transmitter shard, gated
         // on the lower implicit threshold.
         assert_eq!(
-            scatter_plan(&cfg, FullRowReplay, 8, 10_000, 100, PAR_SCATTER_MIN_EDGES_IMPLICIT),
+            scatter_plan(
+                &cfg,
+                FullRowReplay,
+                8,
+                10_000,
+                100,
+                PAR_SCATTER_MIN_EDGES_IMPLICIT
+            ),
             ScatterPlan::TransmitterShard { threads: 8 }
         );
         assert_eq!(
@@ -2849,19 +2905,23 @@ mod tests {
         // The calibration point of the satellite fix: an edge volume
         // between the two thresholds fans out on implicit backends
         // (every edge carries generation work) but not on CSR.
-        assert!(PAR_SCATTER_MIN_EDGES_IMPLICIT < PAR_SCATTER_MIN_EDGES);
+        const _: () = assert!(PAR_SCATTER_MIN_EDGES_IMPLICIT < PAR_SCATTER_MIN_EDGES);
         let mid = (PAR_SCATTER_MIN_EDGES_IMPLICIT + PAR_SCATTER_MIN_EDGES) / 2;
         assert_eq!(
             scatter_plan(&cfg, FullRowReplay, 8, 10_000, 100, mid),
             ScatterPlan::TransmitterShard { threads: 8 }
         );
-        assert_eq!(scatter_plan(&cfg, Narrowed, 8, 10_000, 100, mid), ScatterPlan::Serial);
+        assert_eq!(
+            scatter_plan(&cfg, Narrowed, 8, 10_000, 100, mid),
+            ScatterPlan::Serial
+        );
     }
 
     #[test]
     fn scatter_plan_honors_overrides_and_caps() {
         use RangeQueryCost::{FullRowReplay, Narrowed};
-        let shard = EngineConfig::default().with_scatter_strategy(ScatterStrategy::TransmitterShard);
+        let shard =
+            EngineConfig::default().with_scatter_strategy(ScatterStrategy::TransmitterShard);
         let range = EngineConfig::default().with_scatter_strategy(ScatterStrategy::ReceiverRange);
         // Overrides beat the backend hint (both directions).
         assert_eq!(

@@ -67,9 +67,11 @@ impl DecideStreams {
     /// `node`'s ChaCha key words — the cacheable identity of its stream
     /// family. Equal to the key `seed_from_u64(split_seed(run_seed,
     /// b"v2-node", node))` installs, exposed so the fused engine can pay
-    /// the SplitMix64 fan-out + expansion **once per node per run**
-    /// instead of once per draw, rebuilding positioned streams from the
-    /// cached words (see [`Self::rng_from_key`]).
+    /// the SplitMix64 fan-out + expansion **once per node per run** (at
+    /// the start for the initially awake nodes, otherwise at the node's
+    /// first delivery) and rebuild every decide and receive lane of the
+    /// run from the cached words (see [`Self::rng_from_key`]); a receive
+    /// lane is built only for a delivery.
     #[inline]
     pub fn node_key(&self, node: NodeId) -> [u32; 8] {
         rand_chacha::key_words_from_u64(split_seed(self.run_seed, b"v2-node", u64::from(node)))

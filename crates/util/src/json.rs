@@ -234,12 +234,14 @@ impl Json {
     ///
     /// Errors are **line-anchored** — `line 3, col 14: expected ':'` —
     /// so a hand-edited scenario file points its author at the offending
-    /// line, not a byte offset into the document.
+    /// line, not a byte offset into the document. Arrays and objects may
+    /// nest at most 128 levels deep; a deeper document is an error, not
+    /// a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         let result = (|| {
-            let value = parse_value(bytes, &mut pos)?;
+            let value = parse_value(bytes, &mut pos, 0)?;
             skip_ws(bytes, &mut pos);
             if pos != bytes.len() {
                 return Err(perr(pos, "trailing content"));
@@ -362,8 +364,21 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseErr> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a document of a few
+/// hundred kilobytes of `[` overflows the stack; the committed scenarios
+/// and reports nest 5 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value whose enclosing arrays/objects are `depth` deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseErr> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(perr(
+            *pos,
+            format!("arrays/objects nested deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(perr(*pos, "unexpected end of input")),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -379,7 +394,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseErr> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -407,7 +422,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseErr> {
                     return Err(perr(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -724,5 +739,28 @@ mod tests {
         // End-of-input anchors to the end, not past it.
         let err = Json::parse("{\"a\":").unwrap_err();
         assert!(err.starts_with("line 1, col 6:"), "got: {err}");
+    }
+
+    #[test]
+    fn parse_bounds_the_nesting_depth() {
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        // The offending bracket is byte MAX_DEPTH of the line.
+        let err = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.starts_with("line 1, col 129: arrays/objects nested deeper than 128 levels"),
+            "got: {err}"
+        );
+        // Objects count the same, mixed in with arrays.
+        let mixed = |d: usize| {
+            let open = "{\"k\": [".repeat(d / 2);
+            let close = "]}".repeat(d / 2);
+            format!("{open}1{close}")
+        };
+        assert!(Json::parse(&mixed(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&mixed(MAX_DEPTH + 2)).is_err());
+        // Far past the limit: an error in-process, not a stack overflow.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nested deeper than"), "got: {err}");
     }
 }

@@ -264,13 +264,19 @@ fn transmitter_shard_boundaries_mid_collision_resolve_serially() {
 
     let (serial_metrics, serial_heard) = run_at(ScatterStrategy::Auto, 1);
     // Semantic ground truth, checked once on the serial oracle.
-    assert!(serial_heard[9].is_empty(), "8-way collision must deliver nothing");
+    assert!(
+        serial_heard[9].is_empty(),
+        "8-way collision must deliver nothing"
+    );
     assert!(serial_heard[12].is_empty(), "cross-shard 2-way collision");
     assert!(serial_heard[13].is_empty(), "intra-shard 2-way collision");
     assert_eq!(serial_heard[10], vec![0], "single hit delivers its source");
     assert_eq!(serial_heard[11], vec![7], "single hit from the last shard");
 
-    for strategy in [ScatterStrategy::TransmitterShard, ScatterStrategy::ReceiverRange] {
+    for strategy in [
+        ScatterStrategy::TransmitterShard,
+        ScatterStrategy::ReceiverRange,
+    ] {
         for threads in [2usize, 4, 8] {
             let got = run_at(strategy, threads);
             assert_eq!(
