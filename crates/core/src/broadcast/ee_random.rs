@@ -114,6 +114,9 @@ pub struct EeRandomBroadcast {
     /// `random_bool` calls it replaces.
     coin2: Bernoulli,
     coin3: Bernoulli,
+    /// [`EeBroadcastConfig::schedule_end`], a run constant computed once
+    /// (it takes a `log2`) instead of on every Phase-3 poll.
+    schedule_end: u64,
 }
 
 impl EeRandomBroadcast {
@@ -131,6 +134,7 @@ impl EeRandomBroadcast {
             sent: vec![false; n],
             coin2: Bernoulli::new(cfg.params.q2),
             coin3: Bernoulli::new(cfg.params.q3),
+            schedule_end: cfg.schedule_end(),
         }
     }
 
@@ -250,7 +254,7 @@ impl radio_sim::FusedDecide for EeRandomBroadcast {
             } else {
                 Action::Silent
             }
-        } else if round <= self.cfg.schedule_end() {
+        } else if round <= self.schedule_end {
             // Phase 3: transmit w.p. q3; only transmitters passivate.
             if self.coin3.sample(rng) {
                 Action::Transmit

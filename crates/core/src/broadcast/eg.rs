@@ -73,11 +73,21 @@ impl EgBroadcastConfig {
 /// The EG protocol.
 #[derive(Debug)]
 pub struct EgBroadcast {
-    cfg: EgBroadcastConfig,
     informed: InformedSet,
     source: NodeId,
     retired: Vec<bool>,
     active: usize,
+    /// The run constants the polls read, taken from the config once at
+    /// construction (each of the derived ones takes `log2`/`powi` work)
+    /// instead of on every poll: [`EgBroadcastConfig::early_stop`],
+    /// [`EgBroadcastConfig::d_hat`], [`EgBroadcastConfig::schedule_end`],
+    /// the Phase-2 probability [`EgBroadcastConfig::q2`] and the Phase-3
+    /// probability `min(q3, 1/d)`.
+    early_stop: bool,
+    d_hat: u64,
+    schedule_end: u64,
+    q2: f64,
+    q3: f64,
 }
 
 impl EgBroadcast {
@@ -85,11 +95,15 @@ impl EgBroadcast {
     pub fn new(n: usize, source: NodeId, cfg: EgBroadcastConfig) -> Self {
         assert_eq!(n, cfg.params.n, "config n must match the graph");
         EgBroadcast {
-            cfg,
             informed: InformedSet::new(n, source),
             source,
             retired: vec![false; n],
             active: 1,
+            early_stop: cfg.early_stop,
+            d_hat: cfg.d_hat(),
+            schedule_end: cfg.schedule_end(),
+            q2: cfg.q2(),
+            q3: cfg.params.q3.min(1.0 / cfg.params.d),
         }
     }
 
@@ -110,8 +124,8 @@ impl Protocol for EgBroadcast {
         if self.retired[node as usize] {
             return Action::Sleep;
         }
-        let d_hat = self.cfg.d_hat();
-        if round > self.cfg.schedule_end() {
+        let d_hat = self.d_hat;
+        if round > self.schedule_end {
             self.retired[node as usize] = true;
             self.active -= 1;
             return Action::Sleep;
@@ -121,7 +135,7 @@ impl Protocol for EgBroadcast {
             Action::Transmit
         } else if round == d_hat {
             // Phase 2.
-            if rng.random_bool(self.cfg.q2()) {
+            if rng.random_bool(self.q2) {
                 Action::Transmit
             } else {
                 Action::Silent
@@ -135,7 +149,7 @@ impl Protocol for EgBroadcast {
                 self.active -= 1;
                 return Action::Sleep;
             }
-            if rng.random_bool(self.cfg.params.q3.min(1.0 / self.cfg.params.d)) {
+            if rng.random_bool(self.q3) {
                 Action::Transmit
             } else {
                 Action::Silent
@@ -159,7 +173,7 @@ impl Protocol for EgBroadcast {
     }
 
     fn is_complete(&self) -> bool {
-        self.cfg.early_stop && self.informed.all()
+        self.early_stop && self.informed.all()
     }
 
     fn informed_count(&self) -> usize {

@@ -90,7 +90,6 @@ impl EpochBroadcastConfig {
 /// The epoch-doubling protocol.
 #[derive(Debug)]
 pub struct EpochBroadcast {
-    cfg: EpochBroadcastConfig,
     informed: InformedSet,
     source: NodeId,
     /// Epoch start rounds (1-based), one per epoch, precomputed.
@@ -98,6 +97,14 @@ pub struct EpochBroadcast {
     /// One shared sequence per epoch.
     sequences: Vec<SharedSequence>,
     active: usize,
+    /// The run constants the polls read, taken from the config once at
+    /// construction instead of on every poll:
+    /// [`EpochBroadcastConfig::early_stop`],
+    /// [`EpochBroadcastConfig::schedule_rounds`] (a sum over every
+    /// epoch's length) and [`EpochBroadcastConfig::window`].
+    early_stop: bool,
+    schedule_rounds: u64,
+    window: u64,
 }
 
 impl EpochBroadcast {
@@ -118,12 +125,14 @@ impl EpochBroadcast {
             ));
         }
         EpochBroadcast {
-            cfg,
             informed: InformedSet::new(n, source),
             source,
             epoch_starts,
             sequences,
             active: 1,
+            early_stop: cfg.early_stop,
+            schedule_rounds: cfg.schedule_rounds(),
+            window: cfg.window(),
         }
     }
 
@@ -134,7 +143,7 @@ impl EpochBroadcast {
 
     /// Epoch index (0-based) containing `round`, or `None` past the end.
     fn epoch_of(&self, round: u64) -> Option<usize> {
-        if round > self.cfg.schedule_rounds() {
+        if round > self.schedule_rounds {
             return None;
         }
         // Few epochs (≤ log n): linear scan backwards is fine.
@@ -160,7 +169,7 @@ impl Protocol for EpochBroadcast {
         // Participation window inside this epoch: β₂ log²n rounds from
         // max(informed round, epoch start).
         let window_start = t_u.max(self.epoch_starts[epoch] - 1);
-        if round > window_start + self.cfg.window() {
+        if round > window_start + self.window {
             // Quiet for the rest of this epoch; the engine will not wake
             // us again unless a duplicate reception arrives, so instead of
             // sleeping (which would miss the next epoch) stay silent.
@@ -190,7 +199,7 @@ impl Protocol for EpochBroadcast {
     }
 
     fn is_complete(&self) -> bool {
-        self.cfg.early_stop && self.informed.all()
+        self.early_stop && self.informed.all()
     }
 
     fn informed_count(&self) -> usize {

@@ -112,11 +112,14 @@ impl EngineConfig {
         self
     }
 
-    /// Set the intra-run scatter thread count (chainable). Every run
-    /// entry point honors it — [`Engine::run`], the `*_energy` variants,
-    /// and the windowed/dynamic wrappers that take an `EngineConfig` —
-    /// and the result is bit-identical for every value, so sweeps can
-    /// trade trial-level for run-level parallelism freely.
+    /// Set the intra-run worker count (chainable): the scatter fan-out
+    /// of every engine and, on the fused engine ([`Engine::run_fused`]),
+    /// the decide fan-out too — see [`EngineConfig::threads`]. Every run
+    /// entry point honors it — [`Engine::run`], [`Engine::run_fused`],
+    /// the `*_energy` variants, and the windowed/dynamic wrappers that
+    /// take an `EngineConfig` — and the result is bit-identical for
+    /// every value, so sweeps can trade trial-level for run-level
+    /// parallelism freely.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
@@ -137,8 +140,9 @@ impl EngineConfig {
 
 /// Which partition the parallel scatter phase uses when a round's edge
 /// volume justifies fanning out. All strategies compute identical
-/// `hits`/`touched` state — see [`Engine::run_par`]'s determinism
-/// contract — so this knob can trade speed but never results.
+/// `hits` records and receiver bitmap — see [`Engine::run_par`]'s
+/// determinism contract — so this knob can trade speed but never
+/// results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScatterStrategy {
     /// Pick per backend from [`Topology::range_query_cost`]:
@@ -291,9 +295,14 @@ const PAR_SCATTER_MIN_EDGES: u64 = 8_192;
 /// quarter of the CSR threshold.
 const PAR_SCATTER_MIN_EDGES_IMPLICIT: u64 = 2_048;
 
-/// Default for [`EngineConfig::par_min_awake`]: a per-node ChaCha
-/// positioning + block costs ~50–100 ns, so a few thousand awake nodes
-/// amortize the per-round scoped-thread spawns comfortably.
+/// Default for [`EngineConfig::par_min_awake`]. The batched decide
+/// costs ~15 ns per awake node in the steady state (`decide_phase/v2_warm`
+/// bench: 10 000 nodes, one Bernoulli coin each) and ~46 ns per awake
+/// node-round on a traced 1-thread `alg1_csr` run at n = 2¹⁷, where node
+/// state misses cache (both on a 2-vCPU Intel Xeon host). A round at
+/// this threshold thus holds ≥ ~30 µs of decide work to set against the
+/// per-round scoped-thread spawns; whether the fan-out wins is
+/// host-dependent, so measure before lowering it.
 const PAR_DECIDE_MIN_AWAKE: usize = 2_048;
 
 /// The resolved decision for one scatter round: which path runs, with
@@ -306,13 +315,15 @@ pub enum ScatterPlan {
     Serial,
     /// Receiver-range partition over `threads` workers.
     ReceiverRange {
-        /// Worker count, capped at the node count.
+        /// Worker count, capped at the receiver bitmap's word count
+        /// ⌈n/64⌉ (ranges are whole words).
         threads: usize,
     },
     /// Transmitter-sharded emit + receiver-keyed merge over `threads`
     /// workers.
     TransmitterShard {
-        /// Worker count, capped at the node and transmitter counts.
+        /// Worker count, capped at the bitmap word and transmitter
+        /// counts.
         threads: usize,
     },
 }
@@ -324,7 +335,11 @@ pub enum ScatterPlan {
 /// backends gate on [`par_min_edges_implicit`] because their
 /// `degree_hint` is an upper-bound estimate and every edge carries
 /// generation work, CSR on [`par_min_edges`]. Never affects results —
-/// every plan computes identical `hits`/`touched` state.
+/// every plan computes identical `hits` records and receiver bitmap.
+///
+/// Parallel partitions cut the node range at whole 64-node bitmap words,
+/// so the worker count is capped at ⌈n/64⌉, and a graph of at most 64
+/// nodes always scatters serially.
 ///
 /// [`Auto`]: ScatterStrategy::Auto
 /// [`par_min_edges`]: EngineConfig::par_min_edges
@@ -337,7 +352,8 @@ pub fn scatter_plan(
     transmitters: usize,
     edges: u64,
 ) -> ScatterPlan {
-    if threads <= 1 || transmitters <= 1 || n == 0 {
+    let words = n.div_ceil(64);
+    if threads <= 1 || transmitters <= 1 || words <= 1 {
         return ScatterPlan::Serial;
     }
     let shard = match cfg.scatter_strategy {
@@ -355,14 +371,13 @@ pub fn scatter_plan(
     }
     if shard {
         // More workers than transmitters would leave some idle with
-        // empty shards; more than n would leave merge ranges empty.
-        // (≥ 2 transmitters implies n ≥ 2, so this stays ≥ 2.)
+        // empty shards; more than words would leave merge ranges empty.
         ScatterPlan::TransmitterShard {
-            threads: threads.min(n).min(transmitters),
+            threads: threads.min(words).min(transmitters),
         }
     } else {
         ScatterPlan::ReceiverRange {
-            threads: threads.min(n),
+            threads: threads.min(words),
         }
     }
 }
@@ -400,19 +415,24 @@ enum ListState {
 }
 
 /// Evaluate the fused decide phase over one span of the awake list,
-/// generating the nodes' decide blocks in **wide ChaCha batches**
-/// ([`rand_chacha::chacha8_blocks`]) instead of one scalar block per draw.
+/// generating the heads of the nodes' decide blocks (their first
+/// [`rand_chacha::HEAD_WORDS`] words) in **wide ChaCha batches**
+/// ([`rand_chacha::chacha8_block_heads`]) instead of one scalar block
+/// per draw.
 ///
-/// Bit-compatibility is by construction: each lane of a wide refill is
-/// exactly the block the node's positioned stream would have generated
-/// lazily, the streams are built from the run's cached per-node keys
-/// (`node_keys[v] == DecideStreams::node_key(v)` for every live entry),
-/// and events are pushed in span order — including `Dead` events, which
-/// flush the queued lanes first so ordering matches a strictly
-/// sequential evaluation. The only observable difference from the
-/// scalar path is speed: a node whose `decide_pure` draws nothing gets
-/// a block generated that the scalar path would have skipped, but an
-/// unread block influences nothing.
+/// Bit-compatibility is by construction: each lane of a wide batch is
+/// exactly the head of the block the node's positioned stream would
+/// have generated lazily, and a stream built from it
+/// ([`ChaCha8Rng::from_block_head`]) computes the rest of that block on
+/// a cold path if `decide_pure` reads past the head — no in-tree
+/// protocol does. The streams are built from the run's cached per-node
+/// keys (`node_keys[v] == DecideStreams::node_key(v)` for every live
+/// entry), and events are pushed in span order — including `Dead`
+/// events, which flush the queued lanes first so ordering matches a
+/// strictly sequential evaluation. The only observable difference from
+/// the scalar path is speed: a node whose `decide_pure` draws nothing
+/// gets a head generated that the scalar path would have skipped, but
+/// unread words influence nothing.
 ///
 /// Shared verbatim by the serial path and every parallel worker (a
 /// chunk boundary can at worst split a batch, never change a draw), so
@@ -434,7 +454,7 @@ fn decide_span<P, E>(
         nodes: &[NodeId],
         keys: &[[u32; 8]],
         counters: &[u64],
-        blocks: &mut [[u32; 16]],
+        heads: &mut [[u32; rand_chacha::HEAD_WORDS]],
         round: u64,
         protocol: &P,
         out: &mut Vec<(NodeId, DecideEvent)>,
@@ -443,13 +463,13 @@ fn decide_span<P, E>(
         // All lanes of a span share one block index (the counter array
         // is a span-wide constant).
         let block = counters[0];
-        rand_chacha::chacha8_blocks(&keys[..k], &counters[..k], &mut blocks[..k]);
+        rand_chacha::chacha8_block_heads(&keys[..k], &counters[..k], &mut heads[..k]);
         for (l, &v) in nodes.iter().enumerate() {
             // The lane's positioned stream, from the batch-computed
-            // block: no scalar ChaCha work, and draws past the block
-            // boundary continue the keystream exactly like a lazily
-            // refilled stream would.
-            let mut rng = ChaCha8Rng::from_generated_block(keys[l], block, blocks[l]);
+            // head: no scalar ChaCha work for the words every in-tree
+            // decide reads, and any further draw continues the keystream
+            // exactly like a lazily refilled stream would.
+            let mut rng = ChaCha8Rng::from_block_head(keys[l], block, heads[l]);
             match protocol.decide_pure(v, round, &mut rng) {
                 Action::Silent => {}
                 Action::Transmit => out.push((v, DecideEvent::Transmit)),
@@ -465,7 +485,7 @@ fn decide_span<P, E>(
     // Every lane of a round reads the same block index of its own
     // keystream, so the counter array is a span-wide constant.
     let counters = [block; MAX];
-    let mut blocks = [[0u32; 16]; MAX];
+    let mut heads = [[0u32; rand_chacha::HEAD_WORDS]; MAX];
     let mut k = 0usize;
     for &v in span {
         if !is_awake[v as usize] {
@@ -474,7 +494,7 @@ fn decide_span<P, E>(
         if E::ACTIVE && hook.is_dead(v, round) {
             if k > 0 {
                 #[rustfmt::skip]
-                flush(&nodes[..k], &keys, &counters, &mut blocks, round, protocol, out);
+                flush(&nodes[..k], &keys, &counters, &mut heads, round, protocol, out);
                 k = 0;
             }
             out.push((v, DecideEvent::Dead));
@@ -485,13 +505,13 @@ fn decide_span<P, E>(
         k += 1;
         if k == lanes {
             #[rustfmt::skip]
-            flush(&nodes[..k], &keys, &counters, &mut blocks, round, protocol, out);
+            flush(&nodes[..k], &keys, &counters, &mut heads, round, protocol, out);
             k = 0;
         }
     }
     if k > 0 {
         #[rustfmt::skip]
-        flush(&nodes[..k], &keys, &counters, &mut blocks, round, protocol, out);
+        flush(&nodes[..k], &keys, &counters, &mut heads, round, protocol, out);
     }
 }
 
@@ -507,10 +527,10 @@ fn decide_span<P, E>(
 /// queries without ever materialising O(m) edge storage.
 ///
 /// **Allocation-free steady state:** every piece of per-run scratch —
-/// the stamped `hits` records, the awake bookkeeping (`is_awake`,
-/// `list_state`, `awake_list`), the per-round `transmitters`/`touched`/
-/// decide-event buffers, and the per-worker lists of the parallel
-/// phases — lives in pools owned by the engine and sized to the graph
+/// the stamped `hits` records, the receiver bitmap, the awake
+/// bookkeeping (`is_awake`, `list_state`, `awake_list`), the per-round
+/// `transmitters`/decide-event buffers, and the per-worker lists of the
+/// parallel phases — lives in pools owned by the engine and sized to the graph
 /// once, so a trial loop over seeds on a fixed graph performs **zero
 /// heap allocations after round 1 of a run** beyond the returned
 /// metrics vector (pinned by the counting-allocator test in
@@ -527,12 +547,12 @@ pub struct Engine<'g, T: Topology = DiGraph> {
     /// half-duplex check; only touched per transmitter/receiver, so it
     /// stays out of the per-edge record.
     sent: Vec<u32>,
-    /// Nodes touched by at least one transmission this round.
-    touched: Vec<NodeId>,
-    /// Per-worker touched lists for the parallel scatter (worker `w`
-    /// collects only receivers from its own id range, kept sorted), so
-    /// rounds allocate nothing after the first parallel round.
-    par_touched: Vec<Vec<NodeId>>,
+    /// This round's receivers: bit `v` of word `v / 64` is set at `v`'s
+    /// first hit (⌈n/64⌉ words, 1/8 B per node). All zero between
+    /// rounds — the delivery sweep clears each word as it walks it, in
+    /// ascending node order. Parallel scatter partitions cut at whole
+    /// words, so each worker owns its words outright.
+    touched_bits: Vec<u64>,
     /// `(receiver, transmitter)` hit buckets of the transmitter-sharded
     /// scatter, indexed `[emit worker][receiver range]` and pooled like
     /// every other scratch: the emit phase fills `shard_hits[w][r]` with
@@ -574,8 +594,7 @@ impl<'g, T: Topology> Engine<'g, T> {
             cfg,
             hits: vec![HIT_NEVER; n],
             sent: vec![0; n],
-            touched: Vec::with_capacity(n),
-            par_touched: Vec::new(),
+            touched_bits: vec![0; n.div_ceil(64)],
             shard_hits: Vec::new(),
             is_awake: vec![false; n],
             list_state: vec![ListState::Unkeyed; n],
@@ -803,10 +822,7 @@ impl<'g, T: Topology> Engine<'g, T> {
             u32::MAX >> 1
         );
         let mut metrics = Metrics::new(n);
-        // Round numbers restart at 1 every run, so stale stamps from a
-        // previous run on this engine would alias; reset them.
-        self.hits.fill(HIT_NEVER);
-        self.sent.fill(0);
+        self.reset_round_state();
         let mut trace = self.cfg.record_trace.then(Trace::default);
 
         // Awake bookkeeping, taken from the engine's pools (restored at
@@ -916,29 +932,16 @@ impl<'g, T: Topology> Engine<'g, T> {
                     hook.charge(u, Duty::Transmit, round);
                 }
             }
-            let touched_sorted =
-                self.scatter_round(graph, &transmitters, hit_once, hit_many, threads);
+            self.scatter_round(graph, &transmitters, hit_once, hit_many, threads);
 
             // --- delivery phase ----------------------------------------------
-            // Payloads are materialised once per transmitter, not per
-            // delivery. For plain broadcast Msg = () this is free.
-            //
-            // Delivery order must be ascending receiver id (the contract
-            // shared with `reference`/`baseline`). Two equivalent ways to
-            // get it: sort the touched list, or scan every node's stamp in
-            // id order. The scan reads `16n` bytes sequentially, which
-            // beats sorting once a decent fraction of the graph was
-            // touched (dense rounds are exactly when the sort is at its
-            // most expensive), so pick per round.
+            // Ascending receiver id (the contract shared with
+            // `reference`/`baseline`): the bitmap walk yields exactly this
+            // round's hit nodes in that order.
             let mut deliveries = 0u64;
             let mut first_receptions = 0u64;
             if !transmitters.is_empty() {
-                let dense = self.touched.len() >= n / 8;
-                let mut deliver_to = |v: NodeId,
-                                      protocol: &mut P,
-                                      rng: &mut ChaCha8Rng,
-                                      hook: &mut E,
-                                      sink: &mut S| {
+                drain_receivers(&mut self.touched_bits, |v| {
                     let vi = v as usize;
                     if S::ACTIVE && self.hits[vi].stamp == hit_many {
                         sink.emit(TraceEvent::Collision { node: v });
@@ -970,24 +973,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                         awake_count += 1;
                         awake_list.push(v);
                     }
-                };
-                if dense {
-                    for v in 0..n as NodeId {
-                        if self.hits[v as usize].stamp | 1 == hit_many {
-                            deliver_to(v, protocol, rng, hook, sink);
-                        }
-                    }
-                } else {
-                    // The serial scatter fills `touched` in
-                    // transmitter-scan order; sort for the ascending
-                    // receiver order (the parallel merge is pre-sorted).
-                    if !touched_sorted {
-                        self.touched.sort_unstable();
-                    }
-                    for i in 0..self.touched.len() {
-                        deliver_to(self.touched[i], protocol, rng, hook, sink);
-                    }
-                }
+                });
             }
 
             // End-of-round energy: nodes not charged above pay idle
@@ -1049,14 +1035,22 @@ impl<'g, T: Topology> Engine<'g, T> {
         )
     }
 
+    /// Reset the round-stamped per-node state at run start. Round numbers
+    /// restart at 1 every run, so stale stamps from a previous run on
+    /// this engine would alias; and a run that panicked mid-delivery
+    /// leaves receiver bits set.
+    fn reset_round_state(&mut self) {
+        self.hits.fill(HIT_NEVER);
+        self.sent.fill(0);
+        self.touched_bits.fill(0);
+    }
+
     /// The transmit-phase scatter shared by the v1 and fused cores:
-    /// clears and refills `touched` (and this round's stamped `hits`
-    /// records) from `transmitters`, fanning out when the round's edge
-    /// volume pays for the scoped-thread spawns — partitioned by
-    /// receiver range or by transmitter shard per [`scatter_plan`].
-    /// Returns whether `touched` ended up in ascending receiver order
-    /// (both parallel paths produce that for free; the serial path
-    /// leaves transmitter-scan order).
+    /// stamps this round's `hits` records from `transmitters` and sets
+    /// each receiver's bit in `touched_bits` at its first hit, fanning
+    /// out when the round's edge volume pays for the scoped-thread
+    /// spawns — partitioned by receiver range or by transmitter shard
+    /// per [`scatter_plan`].
     ///
     /// Scatter through [`Topology`] queries: for the CSR backend
     /// `for_each_out` monomorphizes to streaming one contiguous
@@ -1064,9 +1058,9 @@ impl<'g, T: Topology> Engine<'g, T> {
     /// touches exactly one `HitRecord` line. Duplicate-freedom of the
     /// backend's rows is load-bearing here: a neighbor reported twice
     /// would flip a clean first hit into a phantom collision. All paths
-    /// compute the same `hits`/`touched` state, so the plan heuristic
-    /// cannot influence results (and therefore neither can the thread
-    /// count).
+    /// compute the same `hits` records and receiver bitmap, so the plan
+    /// heuristic cannot influence results (and therefore neither can
+    /// the thread count).
     fn scatter_round(
         &mut self,
         graph: &T,
@@ -1074,9 +1068,8 @@ impl<'g, T: Topology> Engine<'g, T> {
         hit_once: u32,
         hit_many: u32,
         threads: usize,
-    ) -> bool {
+    ) {
         let n = self.hits.len();
-        self.touched.clear();
         let plan = if threads > 1 && transmitters.len() > 1 {
             // Edge-volume heuristic on `degree_hint` — exact for CSR,
             // an upper-bound estimate for implicit backends. Purely a
@@ -1097,98 +1090,63 @@ impl<'g, T: Topology> Engine<'g, T> {
         let t = match plan {
             ScatterPlan::Serial => {
                 let hits = &mut self.hits;
-                let touched = &mut self.touched;
+                let bits = &mut self.touched_bits;
                 for &u in transmitters {
-                    graph.for_each_out(u, |v| {
-                        let h = &mut hits[v as usize];
-                        if h.stamp | 1 != hit_many {
-                            // First hit this round: remember the transmitter.
-                            *h = HitRecord {
-                                stamp: hit_once,
-                                source: u,
-                            };
-                            touched.push(v);
-                        } else {
-                            // Second or later hit: mark collided.
-                            h.stamp = hit_many;
-                        }
-                    });
+                    graph.for_each_out(u, |v| record_hit(hits, bits, 0, v, u, hit_once, hit_many));
                 }
-                return false;
+                return;
             }
             ScatterPlan::TransmitterShard { threads } => {
                 self.scatter_transmitter_shard(graph, transmitters, hit_once, hit_many, threads);
-                return true;
+                return;
             }
             ScatterPlan::ReceiverRange { threads } => threads,
         };
         // Receiver-range partition reformulated as a neighbor-*query*
-        // partition: worker `w` owns node ids `[w·n/t, (w+1)·n/t)` and
-        // is the only writer of that `hits` range. Every worker walks
-        // the full transmitter list in the same (serial) order, asking
-        // the topology only for neighbors inside its range — CSR
-        // narrows the sorted row with two binary searches; implicit
-        // backends regenerate the row and filter (O(t·deg) total, the
-        // price of not storing rows — [`scatter_plan`] steers those to
-        // the transmitter shard instead). For any fixed receiver the
+        // partition: worker `w` owns the bitmap words
+        // `[⌊w·W/t⌋, ⌊(w+1)·W/t⌋)` (`W` = word count) and the nodes they
+        // cover, and is the only writer of that `hits` range and those
+        // words — whole words, so no atomics. Every worker walks the
+        // full transmitter list in the same (serial) order, asking the
+        // topology only for neighbors inside its range — CSR narrows
+        // the sorted row with two binary searches; implicit backends
+        // regenerate the row and filter (O(t·deg) total, the price of
+        // not storing rows — [`scatter_plan`] steers those to the
+        // transmitter shard instead). For any fixed receiver the
         // sequence of first-hit/collision updates is exactly the serial
         // one, because rows are duplicate-free and per-row order is
         // fixed per backend.
-        if self.par_touched.len() < t {
-            self.par_touched.resize_with(t, Vec::new);
-        }
-        let par_touched = &mut self.par_touched[..t];
+        let words = self.touched_bits.len();
         let tx: &[NodeId] = transmitters;
-        let mut rest: &mut [HitRecord] = &mut self.hits;
-        let mut lo = 0usize;
+        let mut hits_rest: &mut [HitRecord] = &mut self.hits;
+        let mut bits_rest: &mut [u64] = &mut self.touched_bits;
+        let mut lo_word = 0usize;
         // One range's worth of work; runs on t − 1 spawned threads plus
         // the calling thread (which takes the last range instead of
         // idling at the join — one fewer spawn per round).
-        let scatter_range =
-            |lo: usize, hi: usize, chunk: &mut [HitRecord], touched_w: &mut Vec<NodeId>| {
-                for &u in tx {
-                    graph.for_each_out_range(u, lo as NodeId, hi as NodeId, |v| {
-                        let h = &mut chunk[v as usize - lo];
-                        if h.stamp | 1 != hit_many {
-                            *h = HitRecord {
-                                stamp: hit_once,
-                                source: u,
-                            };
-                            touched_w.push(v);
-                        } else {
-                            h.stamp = hit_many;
-                        }
-                    });
-                }
-                // Pushes interleave across transmitters; sort within the
-                // range (each worker sorts its own slice, in parallel).
-                touched_w.sort_unstable();
-            };
         std::thread::scope(|scope| {
-            for (w, touched_w) in par_touched.iter_mut().enumerate() {
-                let hi = (w + 1) * n / t;
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-                rest = tail;
-                touched_w.clear();
-                // Reserve the range's worst case once, so steady-state
-                // rounds never grow this list (no-op when already sized).
-                touched_w.reserve(hi - lo);
+            for w in 0..t {
+                let hi_word = (w + 1) * words / t;
+                let (lo, hi) = (lo_word * 64, (hi_word * 64).min(n));
+                let (chunk, tail) = std::mem::take(&mut hits_rest).split_at_mut(hi - lo);
+                hits_rest = tail;
+                let (bits, tail) = std::mem::take(&mut bits_rest).split_at_mut(hi_word - lo_word);
+                bits_rest = tail;
+                let mut scatter_range = move || {
+                    for &u in tx {
+                        graph.for_each_out_range(u, lo as NodeId, hi as NodeId, |v| {
+                            record_hit(chunk, bits, lo, v, u, hit_once, hit_many)
+                        });
+                    }
+                };
                 if w + 1 == t {
-                    scatter_range(lo, hi, chunk, touched_w);
+                    scatter_range();
                 } else {
-                    let scatter_range = &scatter_range;
-                    scope.spawn(move || scatter_range(lo, hi, chunk, touched_w));
+                    scope.spawn(scatter_range);
                 }
-                lo = hi;
+                lo_word = hi_word;
             }
         });
-        // Ranges ascend with the worker index and each list is sorted,
-        // so plain concatenation is the globally ascending receiver
-        // order.
-        for w in &self.par_touched[..t] {
-            self.touched.extend_from_slice(w);
-        }
-        true
     }
 
     /// The transmitter-sharded scatter: generate each row **exactly
@@ -1199,27 +1157,24 @@ impl<'g, T: Topology> Engine<'g, T> {
     /// (O(total edges) across all workers — no per-range row replay,
     /// which is what makes implicit backends scale) and pushes
     /// `(receiver, transmitter)` records into its own bucket for the
-    /// receiver's merge range, `r = ⌊v·t/n⌋`.
+    /// receiver's merge range, `r = ⌊⌊v/64⌋·t/W⌋` (`W` = bitmap word
+    /// count).
     ///
-    /// **Merge** — worker `r` exclusively owns the `hits` slice
-    /// `[⌈r·n/t⌉, ⌈(r+1)·n/t⌉)` — exactly the receivers whose bucket
-    /// index is `r` — and drains buckets `shard_hits[0][r], …,
-    /// shard_hits[t−1][r]` in that order. Shards tile the serial
-    /// transmitter order and a duplicate-free row visits a receiver at
-    /// most once, so for any fixed receiver the merged record sequence
-    /// *is* the serial hit sequence: the first record is the serial
-    /// first hit (the earliest transmitter in poll order), any later
-    /// record marks the same collision the serial loop would. Results
-    /// are bit-identical to serial by construction, independent of
-    /// thread count and of where shard boundaries fall — even mid-
-    /// collision, with two hitters of one receiver in different shards.
-    ///
-    /// Each merge worker sorts its own touched range; ranges ascend
-    /// with `r`, so concatenation yields the globally ascending
-    /// receiver order (same `touched_sorted` contract as the
-    /// receiver-range path). Costs one extra thread-scope barrier per
-    /// round relative to receiver-range — the price of not replaying
-    /// rows per range.
+    /// **Merge** — worker `r` exclusively owns the bitmap words
+    /// `[⌈r·W/t⌉, ⌈(r+1)·W/t⌉)` and the `hits` records of the nodes
+    /// they cover — exactly the receivers whose bucket index is `r` —
+    /// and drains buckets `shard_hits[0][r], …, shard_hits[t−1][r]` in
+    /// that order. Shards tile the serial transmitter order and a
+    /// duplicate-free row visits a receiver at most once, so for any
+    /// fixed receiver the merged record sequence *is* the serial hit
+    /// sequence: the first record is the serial first hit (the earliest
+    /// transmitter in poll order), any later record marks the same
+    /// collision the serial loop would. Results are bit-identical to
+    /// serial by construction, independent of thread count and of where
+    /// shard boundaries fall — even mid-collision, with two hitters of
+    /// one receiver in different shards. Costs one extra thread-scope
+    /// barrier per round relative to receiver-range — the price of not
+    /// replaying rows per range.
     fn scatter_transmitter_shard(
         &mut self,
         graph: &T,
@@ -1229,7 +1184,8 @@ impl<'g, T: Topology> Engine<'g, T> {
         t: usize,
     ) {
         let n = self.hits.len();
-        debug_assert!(t >= 2 && t <= n && t <= transmitters.len());
+        let words = self.touched_bits.len();
+        debug_assert!(t >= 2 && t <= words && t <= transmitters.len());
         if self.shard_hits.len() < t {
             self.shard_hits.resize_with(t, Vec::new);
         }
@@ -1241,10 +1197,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                 bucket.clear();
             }
         }
-        if self.par_touched.len() < t {
-            self.par_touched.resize_with(t, Vec::new);
-        }
-        let (nn, tt) = (n as u64, t as u64);
+        let (ww, tt) = (words as u64, t as u64);
         // Emit phase: t − 1 spawned workers plus the calling thread on
         // the last shard; each worker mutates only its own bucket row.
         std::thread::scope(|scope| {
@@ -1255,7 +1208,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                 let emit = move |buckets: &mut [Vec<(NodeId, NodeId)>]| {
                     for &u in shard {
                         graph.for_each_out(u, |v| {
-                            let r = (u64::from(v) * tt / nn) as usize;
+                            let r = (u64::from(v >> 6) * tt / ww) as usize;
                             buckets[r].push((v, u));
                         });
                     }
@@ -1269,47 +1222,35 @@ impl<'g, T: Topology> Engine<'g, T> {
             }
         });
         // Merge phase: buckets are read-only now; the hits ranges and
-        // touched lists are disjoint per worker.
+        // bitmap words are disjoint per worker.
         let shard_hits = &self.shard_hits;
-        let mut rest: &mut [HitRecord] = &mut self.hits;
-        let mut lo = 0usize;
+        let mut hits_rest: &mut [HitRecord] = &mut self.hits;
+        let mut bits_rest: &mut [u64] = &mut self.touched_bits;
+        let mut lo_word = 0usize;
         std::thread::scope(|scope| {
-            for (r, touched_w) in self.par_touched[..t].iter_mut().enumerate() {
-                let hi = ((r as u64 + 1) * nn).div_ceil(tt) as usize;
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-                rest = tail;
-                touched_w.clear();
-                touched_w.reserve(hi - lo);
-                let merge = move |chunk: &mut [HitRecord], touched_w: &mut Vec<NodeId>| {
+            for r in 0..t {
+                let hi_word = ((r as u64 + 1) * ww).div_ceil(tt) as usize;
+                let (lo, hi) = (lo_word * 64, (hi_word * 64).min(n));
+                let (chunk, tail) = std::mem::take(&mut hits_rest).split_at_mut(hi - lo);
+                hits_rest = tail;
+                let (bits, tail) = std::mem::take(&mut bits_rest).split_at_mut(hi_word - lo_word);
+                bits_rest = tail;
+                let mut merge = move || {
                     for row in &shard_hits[..t] {
                         for &(v, u) in &row[r] {
-                            let h = &mut chunk[v as usize - lo];
-                            if h.stamp | 1 != hit_many {
-                                // Serial-order first hit for v.
-                                *h = HitRecord {
-                                    stamp: hit_once,
-                                    source: u,
-                                };
-                                touched_w.push(v);
-                            } else {
-                                h.stamp = hit_many;
-                            }
+                            record_hit(chunk, bits, lo, v, u, hit_once, hit_many);
                         }
                     }
-                    touched_w.sort_unstable();
                 };
                 if r + 1 == t {
-                    merge(chunk, touched_w);
+                    merge();
                 } else {
-                    scope.spawn(move || merge(chunk, touched_w));
+                    scope.spawn(merge);
                 }
-                lo = hi;
+                lo_word = hi_word;
             }
         });
-        debug_assert_eq!(lo, n, "merge ranges must tile the hits array");
-        for w in &self.par_touched[..t] {
-            self.touched.extend_from_slice(w);
-        }
+        debug_assert_eq!(lo_word, words, "merge ranges must tile the bitmap");
     }
 
     /// Run `protocol` to completion (or the round cap) under the **v2
@@ -1511,8 +1452,7 @@ impl<'g, T: Topology> Engine<'g, T> {
             u32::MAX >> 1
         );
         let mut metrics = Metrics::new(n);
-        self.hits.fill(HIT_NEVER);
-        self.sent.fill(0);
+        self.reset_round_state();
         let mut trace = self.cfg.record_trace.then(Trace::default);
 
         // Pooled awake bookkeeping (restored at the end of the run).
@@ -1711,8 +1651,7 @@ impl<'g, T: Topology> Engine<'g, T> {
             );
 
             // --- transmit phase ---------------------------------------------
-            let touched_sorted =
-                self.scatter_round(graph, &transmitters, hit_once, hit_many, threads);
+            self.scatter_round(graph, &transmitters, hit_once, hit_many, threads);
 
             // --- delivery phase ---------------------------------------------
             // Serial, ascending receiver order (the contract shared with
@@ -1725,8 +1664,7 @@ impl<'g, T: Topology> Engine<'g, T> {
             let mut deliveries = 0u64;
             let mut first_receptions = 0u64;
             if !transmitters.is_empty() {
-                let dense = self.touched.len() >= n / 8;
-                let mut deliver_to = |v: NodeId, protocol: &mut P, hook: &mut E, sink: &mut S| {
+                drain_receivers(&mut self.touched_bits, |v| {
                     // Same semantics as the v1 core, via the shared
                     // `deliver_one`; only the rng source (the
                     // receiver's v2 receive lane) and the stale-aware
@@ -1784,21 +1722,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                             awake_list.push(v);
                         }
                     }
-                };
-                if dense {
-                    for v in 0..n as NodeId {
-                        if self.hits[v as usize].stamp | 1 == hit_many {
-                            deliver_to(v, protocol, hook, sink);
-                        }
-                    }
-                } else {
-                    if !touched_sorted {
-                        self.touched.sort_unstable();
-                    }
-                    for i in 0..self.touched.len() {
-                        deliver_to(self.touched[i], protocol, hook, sink);
-                    }
-                }
+                });
             }
 
             if E::ACTIVE && hook.end_round(round, protocol) {
@@ -1858,6 +1782,50 @@ impl<'g, T: Topology> Engine<'g, T> {
             },
             halted,
         )
+    }
+}
+
+/// Record a hit of `v` by transmitter `u` in a scatter worker's slices:
+/// `hits` holds the records of nodes `base..`, `bits` the bitmap words
+/// covering them (`base` is a multiple of 64, so node `base + i` is bit
+/// `i % 64` of `bits[i / 64]`). The round's first hit stores the source
+/// and sets the node's receiver bit; any later hit marks the collision.
+#[inline(always)]
+fn record_hit(
+    hits: &mut [HitRecord],
+    bits: &mut [u64],
+    base: usize,
+    v: NodeId,
+    u: NodeId,
+    hit_once: u32,
+    hit_many: u32,
+) {
+    let i = v as usize - base;
+    let h = &mut hits[i];
+    if h.stamp | 1 != hit_many {
+        *h = HitRecord {
+            stamp: hit_once,
+            source: u,
+        };
+        bits[i / 64] |= 1 << (i % 64);
+    } else {
+        h.stamp = hit_many;
+    }
+}
+
+/// Walk the round's receiver bitmap in ascending node order, calling
+/// `deliver` for every node hit this round, and clear each word as it
+/// is read — so the bitmap is all zero again for the next round. The
+/// delivery sweep of both cores.
+#[inline]
+fn drain_receivers(bits: &mut [u64], mut deliver: impl FnMut(NodeId)) {
+    for (i, word) in bits.iter_mut().enumerate() {
+        let mut w = std::mem::take(word);
+        let base = (i * 64) as NodeId;
+        while w != 0 {
+            deliver(base + w.trailing_zeros());
+            w &= w - 1;
+        }
     }
 }
 
@@ -2789,7 +2757,7 @@ mod tests {
     fn run_par_matches_serial_bit_for_bit() {
         // Coin-flip transmitters on a dense-ish Gnp: the RNG stream is
         // consumed in decide/delivery order, so any divergence in the
-        // parallel scatter (ordering, collision marking, touched merge)
+        // parallel scatter (ordering, collision marking, receiver bitmap)
         // would cascade into different rounds/metrics/traces.
         let g = radio_graph::generate::gnp_directed(500, 0.08, &mut derive_rng(30, b"parg", 0));
 
@@ -2933,15 +2901,28 @@ mod tests {
             ScatterPlan::ReceiverRange { threads: 4 }
         );
         // Worker caps: shards never outnumber transmitters, ranges never
-        // outnumber nodes.
+        // outnumber the 64-node bitmap words (⌈300/64⌉ = 5), and a graph
+        // of one word has nothing to partition.
         assert_eq!(
             scatter_plan(&shard, FullRowReplay, 16, 1_000, 3, 1 << 20),
             ScatterPlan::TransmitterShard { threads: 3 }
         );
         assert_eq!(
-            scatter_plan(&range, Narrowed, 16, 5, 4, 1 << 20),
+            scatter_plan(&range, Narrowed, 16, 300, 4, 1 << 20),
             ScatterPlan::ReceiverRange { threads: 5 }
         );
+        assert_eq!(
+            scatter_plan(&shard, FullRowReplay, 16, 300, 40, 1 << 20),
+            ScatterPlan::TransmitterShard { threads: 5 }
+        );
+        for cfg in [shard, range] {
+            for n in [5, 64] {
+                assert_eq!(
+                    scatter_plan(&cfg, Narrowed, 16, n, 4, 1 << 20),
+                    ScatterPlan::Serial
+                );
+            }
+        }
         // Degenerate rounds stay serial under every strategy.
         for cfg in [shard, range] {
             assert_eq!(

@@ -92,8 +92,8 @@ impl DecideStreams {
     /// A stream for a cached [`node_key`](Self::node_key), positioned at
     /// `block` — bit-identical to deriving the node's stream from
     /// scratch and seeking there, minus the key derivation. Lazy like
-    /// every other construction: no block is computed until a draw (or a
-    /// batched [`rand_chacha::refill_wide`]) forces it.
+    /// every other construction: no block is computed until a draw
+    /// forces it.
     #[inline]
     pub fn rng_from_key(key: [u32; 8], block: u64) -> ChaCha8Rng {
         let mut rng = ChaCha8Rng::from_key_words(key);

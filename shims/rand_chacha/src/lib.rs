@@ -40,8 +40,9 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 
 /// One ChaCha8 output block for `key` at block counter `counter` (zero
 /// nonce, the layout documented in the crate docs). The single source of
-/// truth for the block function — the sequential [`ChaCha8Rng`] and the
-/// wide kernel both produce exactly these words.
+/// truth for the block function — the sequential [`ChaCha8Rng`] produces
+/// exactly these words, and the wide kernel their first
+/// [`HEAD_WORDS`].
 pub fn chacha8_block(key: &[u32; 8], counter: u64) -> [u32; 16] {
     let mut state: [u32; 16] = [
         SIGMA[0],
@@ -103,17 +104,27 @@ pub fn key_words_from_u64(mut state: u64) -> [u32; 8] {
 // state into structure-of-arrays form — `state[i][lane]` — turns every
 // quarter-round op into W-wide element-wise adds/xors/rotates that the
 // compiler auto-vectorizes (AVX2 on x86-64 via the runtime-dispatched
-// 8-lane path below, 128-bit SSE2/NEON for the 4-lane path). Lane `l` of
-// a wide call produces bit-exactly `chacha8_block(keys[l], counters[l])`
-// at every width — pinned by `tests/wide_chacha.rs` — so callers may
-// batch draws in any grouping without changing a single output word.
+// 8-lane path below, 128-bit SSE2/NEON for the 4-lane path).
+//
+// The kernel outputs only the first `HEAD_WORDS` words of each block:
+// its one caller (the fused engine's decide phase) reads at most that
+// many per lane, and a stream built from a head (`from_block_head`)
+// computes the rest of its block on demand. Lane `l` of a wide call is
+// bit-exactly the head of `chacha8_block(keys[l], counters[l])` at every
+// width — pinned by `tests/wide_chacha.rs` — so callers may batch draws
+// in any grouping without changing a single output word.
+
+/// Words per lane the wide kernel outputs: the head of each block. Four
+/// words cover every in-tree decide (a Bernoulli coin reads two, a
+/// windowed `f64` plus coin reads four).
+pub const HEAD_WORDS: usize = 4;
 
 /// Widest batch the wide kernel handles in one SoA pass (the AVX-512
 /// path; scratch arrays in callers can be sized to this).
 pub const MAX_WIDE_LANES: usize = 16;
 
 /// Every lane width the wide kernel can be forced to run at (see
-/// [`chacha8_blocks_at_width`]); `wide_lanes()` picks one of these.
+/// [`chacha8_block_heads_at_width`]); `wide_lanes()` picks one of these.
 pub const WIDE_LANE_WIDTHS: [usize; 5] = [1, 2, 4, 8, 16];
 
 // Index-form loops throughout the kernel: each `for l in 0..W` over a
@@ -156,10 +167,10 @@ fn soa_quarter_round<const W: usize>(
     }
 }
 
-/// `W` blocks in one SoA pass; all slices must have length `W`.
+/// `W` block heads in one SoA pass; all slices must have length `W`.
 #[allow(clippy::needless_range_loop)] // see `soa_quarter_round`
 #[inline(always)]
-fn blocks_soa<const W: usize>(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; 16]]) {
+fn heads_soa<const W: usize>(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; HEAD_WORDS]]) {
     assert!(keys.len() == W && counters.len() == W && out.len() == W);
     let mut state = [[0u32; W]; 16];
     for (i, s) in SIGMA.iter().enumerate() {
@@ -174,13 +185,9 @@ fn blocks_soa<const W: usize>(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u
         state[12][l] = counters[l] as u32;
         state[13][l] = (counters[l] >> 32) as u32;
     }
-    // The feed-forward add only needs the *initial* key and counter rows;
-    // rows 0–3 are compile-time constants and rows 14–15 are zero. Saving
-    // just rows 4–13 (instead of `let input = state`) keeps the round
-    // loop's live set at 16 vectors + temps, which is what lets the
-    // 16-lane path stay inside the 32-register ZMM file without spills.
-    let mut input_mid = [[0u32; W]; 10];
-    input_mid.copy_from_slice(&state[4..14]);
+    // The head rows 0–3 start as the compile-time constants, so their
+    // feed-forward needs no saved copy of the input: the round loop's
+    // live set is just the 16 state vectors plus temps.
     for _ in 0..CHACHA8_DOUBLE_ROUNDS {
         soa_quarter_round(&mut state, 0, 4, 8, 12);
         soa_quarter_round(&mut state, 1, 5, 9, 13);
@@ -192,21 +199,15 @@ fn blocks_soa<const W: usize>(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u
         soa_quarter_round(&mut state, 3, 4, 9, 14);
     }
     // Feed-forward row-wise (W-wide vector adds), then transpose out; a
-    // fused `out[l][i] = state[i][l] + input[i][l]` reads column-wise and
-    // defeats vectorization of the adds.
-    for i in 0..4 {
+    // fused `out[l][i] = state[i][l] + SIGMA[i]` reads column-wise and
+    // defeats vectorization of the adds. Rows 4–15 are not output.
+    for i in 0..HEAD_WORDS {
         for l in 0..W {
             state[i][l] = state[i][l].wrapping_add(SIGMA[i]);
         }
     }
-    for i in 0..10 {
-        for l in 0..W {
-            state[4 + i][l] = state[4 + i][l].wrapping_add(input_mid[i][l]);
-        }
-    }
-    // Rows 14–15 (nonce) were zero in the input: nothing to add.
     for l in 0..W {
-        for i in 0..16 {
+        for i in 0..HEAD_WORDS {
             out[l][i] = state[i][l];
         }
     }
@@ -217,8 +218,8 @@ fn blocks_soa<const W: usize>(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u
 /// file). Safety: caller must have verified `avx2` is available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn blocks_soa_8_avx2(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; 16]]) {
-    blocks_soa::<8>(keys, counters, out);
+fn heads_soa_8_avx2(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; HEAD_WORDS]]) {
+    heads_soa::<8>(keys, counters, out);
 }
 
 /// The 8-lane pass compiled with AVX-512VL codegen: still 256-bit
@@ -228,19 +229,18 @@ fn blocks_soa_8_avx2(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; 16]])
 /// have it. Safety: caller must have verified `avx512f` + `avx512vl`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-fn blocks_soa_8_avx512(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; 16]]) {
-    blocks_soa::<8>(keys, counters, out);
+fn heads_soa_8_avx512(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; HEAD_WORDS]]) {
+    heads_soa::<8>(keys, counters, out);
 }
 
 /// The 16-lane pass compiled with AVX-512F codegen: one full ZMM
 /// register per state row (16 × u32), single-instruction `vprold`
-/// rotates, and the 16-row working state plus the input copy fit the
-/// 32-register ZMM file without spilling. Safety: caller must have
-/// verified `avx512f`.
+/// rotates, and the 16-row working state fits the 32-register ZMM file
+/// without spilling. Safety: caller must have verified `avx512f`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn blocks_soa_16_avx512(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; 16]]) {
-    blocks_soa::<16>(keys, counters, out);
+fn heads_soa_16_avx512(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; HEAD_WORDS]]) {
+    heads_soa::<16>(keys, counters, out);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -284,52 +284,54 @@ pub fn wide_lanes() -> usize {
 
 /// One exact-width batch (`keys.len()` ∈ [`WIDE_LANE_WIDTHS`]), routed
 /// through the feature-specific codegen where one exists.
-fn blocks_exact(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; 16]]) {
+fn heads_exact(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; HEAD_WORDS]]) {
     match keys.len() {
         16 => {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx512f") {
-                // Safety: feature presence just checked.
-                return unsafe { blocks_soa_16_avx512(keys, counters, out) };
+                // SAFETY: the target feature was detected just above.
+                return unsafe { heads_soa_16_avx512(keys, counters, out) };
             }
-            blocks_soa::<16>(keys, counters, out)
+            heads_soa::<16>(keys, counters, out)
         }
         8 => {
             #[cfg(target_arch = "x86_64")]
             {
-                // Safety: feature presence checked right before each call.
+                // SAFETY: each call follows the detection of its target features.
                 if has_avx512_rotates() {
-                    return unsafe { blocks_soa_8_avx512(keys, counters, out) };
+                    return unsafe { heads_soa_8_avx512(keys, counters, out) };
                 }
                 if std::arch::is_x86_feature_detected!("avx2") {
-                    return unsafe { blocks_soa_8_avx2(keys, counters, out) };
+                    return unsafe { heads_soa_8_avx2(keys, counters, out) };
                 }
             }
-            blocks_soa::<8>(keys, counters, out)
+            heads_soa::<8>(keys, counters, out)
         }
-        4 => blocks_soa::<4>(keys, counters, out),
-        2 => blocks_soa::<2>(keys, counters, out),
-        1 => out[0] = chacha8_block(&keys[0], counters[0]),
+        4 => heads_soa::<4>(keys, counters, out),
+        2 => heads_soa::<2>(keys, counters, out),
+        1 => heads_soa::<1>(keys, counters, out),
         w => unreachable!("unsupported lane width {w}"),
     }
 }
 
-/// Generate `out.len()` ChaCha8 blocks — `out[l] = chacha8_block(keys[l],
-/// counters[l])` — in runtime-dispatched wide batches. Any length is
-/// accepted: full [`wide_lanes`]-wide groups run the SIMD path, the tail
-/// cascades down the supported widths.
-pub fn chacha8_blocks(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; 16]]) {
-    chacha8_blocks_at_width(wide_lanes(), keys, counters, out)
+/// Generate the heads of `out.len()` ChaCha8 blocks — `out[l]` = the
+/// first [`HEAD_WORDS`] words of `chacha8_block(keys[l], counters[l])` —
+/// in runtime-dispatched wide batches. Any length is accepted: full
+/// [`wide_lanes`]-wide groups run the SIMD path, the tail cascades down
+/// the supported widths. Turn a head into a positioned stream with
+/// [`ChaCha8Rng::from_block_head`].
+pub fn chacha8_block_heads(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u32; HEAD_WORDS]]) {
+    chacha8_block_heads_at_width(wide_lanes(), keys, counters, out)
 }
 
-/// [`chacha8_blocks`] with the lane width forced (test hook for pinning
-/// every width against the scalar stream; `width` must be one of
-/// [`WIDE_LANE_WIDTHS`]).
-pub fn chacha8_blocks_at_width(
+/// [`chacha8_block_heads`] with the lane width forced (test hook for
+/// pinning every width against the scalar stream; `width` must be one
+/// of [`WIDE_LANE_WIDTHS`]).
+pub fn chacha8_block_heads_at_width(
     width: usize,
     keys: &[[u32; 8]],
     counters: &[u64],
-    out: &mut [[u32; 16]],
+    out: &mut [[u32; HEAD_WORDS]],
 ) {
     assert!(
         WIDE_LANE_WIDTHS.contains(&width),
@@ -341,7 +343,7 @@ pub fn chacha8_blocks_at_width(
     );
     let mut done = 0;
     while keys.len() - done >= width {
-        blocks_exact(
+        heads_exact(
             &keys[done..done + width],
             &counters[done..done + width],
             &mut out[done..done + width],
@@ -352,7 +354,7 @@ pub fn chacha8_blocks_at_width(
     let mut w = width / 2;
     while w > 0 {
         if keys.len() - done >= w {
-            blocks_exact(
+            heads_exact(
                 &keys[done..done + w],
                 &counters[done..done + w],
                 &mut out[done..done + w],
@@ -364,61 +366,19 @@ pub fn chacha8_blocks_at_width(
     debug_assert_eq!(done, keys.len());
 }
 
-/// Refill every *pending* stream in `rngs` — one whose buffer is
-/// exhausted, e.g. freshly positioned by
-/// [`set_block_pos`](ChaCha8Rng::set_block_pos) — through the wide
-/// kernel, leaving streams with unread buffered words untouched. After
-/// the call each refilled stream is bit-exactly where a sequential draw
-/// would have put it: buffer loaded, counter advanced past the block.
-///
-/// This is the batched form of the lazy refill the sequential API does
-/// one stream at a time; position W streams, `refill_wide` them, and the
-/// per-stream draws cost no block computation at all.
-pub fn refill_wide(rngs: &mut [ChaCha8Rng]) {
-    let width = wide_lanes();
-    let mut pending = [0usize; MAX_WIDE_LANES];
-    let mut keys = [[0u32; 8]; MAX_WIDE_LANES];
-    let mut counters = [0u64; MAX_WIDE_LANES];
-    let mut blocks = [[0u32; 16]; MAX_WIDE_LANES];
-    let mut k = 0;
-    let flush = |rngs: &mut [ChaCha8Rng],
-                 pending: &[usize],
-                 keys: &mut [[u32; 8]],
-                 counters: &mut [u64],
-                 blocks: &mut [[u32; 16]]| {
-        let k = pending.len();
-        for (l, &i) in pending.iter().enumerate() {
-            keys[l] = rngs[i].key;
-            counters[l] = rngs[i].counter;
-        }
-        chacha8_blocks(&keys[..k], &counters[..k], &mut blocks[..k]);
-        for (l, &i) in pending.iter().enumerate() {
-            rngs[i].buf = blocks[l];
-            rngs[i].index = 0;
-            rngs[i].counter = rngs[i].counter.wrapping_add(1);
-        }
-    };
-    for i in 0..rngs.len() {
-        if rngs[i].index == 16 {
-            pending[k] = i;
-            k += 1;
-            if k == width {
-                flush(rngs, &pending[..k], &mut keys, &mut counters, &mut blocks);
-                k = 0;
-            }
-        }
-    }
-    if k > 0 {
-        flush(rngs, &pending[..k], &mut keys, &mut counters, &mut blocks);
-    }
-}
-
 /// The ChaCha8 random number generator.
 ///
 /// Construct via [`SeedableRng::from_seed`] (32-byte key) or
 /// [`SeedableRng::seed_from_u64`] (SplitMix64-expanded, matching the
 /// `rand` shim's documented expansion). Equal seeds give bit-identical
 /// streams forever; `Clone` snapshots the exact stream position.
+///
+/// `PartialEq` compares the internal state structurally — key, counter,
+/// buffer, read position and whether the buffer holds only a block
+/// head — not the words still to come. A stream built by
+/// [`from_block_head`](Self::from_block_head) draws exactly the words of
+/// a lazily positioned one, yet the two compare unequal while their
+/// buffers differ.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaCha8Rng {
     /// Key + counter state; constants are re-applied per block.
@@ -429,13 +389,36 @@ pub struct ChaCha8Rng {
     buf: [u32; 16],
     /// Next unread word in `buf`; 16 ⇒ refill.
     index: usize,
+    /// `buf` holds only the head of block `counter − 1`, in its last
+    /// [`HEAD_WORDS`] slots (see [`from_block_head`](Self::from_block_head)),
+    /// so the draw that exhausts the head computes the rest of the block
+    /// instead of refilling.
+    head_only: bool,
 }
+
+/// Where a head-only buffer keeps its head: the last [`HEAD_WORDS`]
+/// slots, so the draw path's one `index == 16` check also ends the head.
+const HEAD_AT: usize = 16 - HEAD_WORDS;
 
 impl ChaCha8Rng {
     fn refill(&mut self) {
+        if self.head_only {
+            return self.complete_head();
+        }
         self.buf = chacha8_block(&self.key, self.counter);
         self.index = 0;
         self.counter = self.counter.wrapping_add(1);
+    }
+
+    /// A head-built stream read past its head: compute the whole current
+    /// block (`counter` already points past it), once, and continue at
+    /// its first word after the head.
+    #[cold]
+    #[inline(never)]
+    fn complete_head(&mut self) {
+        self.buf = chacha8_block(&self.key, self.counter.wrapping_sub(1));
+        self.index = HEAD_WORDS;
+        self.head_only = false;
     }
 
     /// The stream's key words (the 32-byte key, little-endian words) —
@@ -457,33 +440,40 @@ impl ChaCha8Rng {
             counter: 0,
             buf: [0; 16],
             index: 16,
+            head_only: false,
         }
     }
 
-    /// A stream whose current buffer is `block`'s already-computed words
-    /// (`buf == chacha8_block(&key, block)`, e.g. one lane of a
-    /// [`chacha8_blocks`] batch), with nothing read yet. Bit-exactly the
-    /// state [`from_key_words`](Self::from_key_words) +
-    /// [`set_block_pos`](Self::set_block_pos)`(block)` reaches after its
-    /// first lazy refill — the next draw reads word 0 of `block`, and
-    /// draws past word 15 continue into block `block + 1` — but without
-    /// recomputing the block. The batched callers' way of turning wide
-    /// kernel output into positioned streams with zero scalar ChaCha
-    /// work.
+    /// A stream positioned at the start of `block` whose first
+    /// [`HEAD_WORDS`] words are already computed (`head` = the start of
+    /// `chacha8_block(&key, block)`, e.g. one lane of a
+    /// [`chacha8_block_heads`] batch), with nothing read yet. It draws
+    /// exactly the words of [`from_key_words`](Self::from_key_words) +
+    /// [`set_block_pos`](Self::set_block_pos)`(block)`, for any number of
+    /// draws: the head costs no scalar ChaCha work, a draw past it
+    /// computes the rest of `block` once (a cold path), and draws past
+    /// word 15 continue into block `block + 1`. The batched callers' way
+    /// of turning wide kernel output into positioned streams.
     #[inline]
-    pub fn from_generated_block(key: [u32; 8], block: u64, buf: [u32; 16]) -> Self {
+    pub fn from_block_head(key: [u32; 8], block: u64, head: [u32; HEAD_WORDS]) -> Self {
+        let mut buf = [0; 16];
+        buf[HEAD_AT..].copy_from_slice(&head);
         ChaCha8Rng {
             key,
             counter: block.wrapping_add(1),
             buf,
-            index: 0,
+            index: HEAD_AT,
+            head_only: true,
         }
     }
 
     /// Number of 32-bit words drawn so far (diagnostics / tests).
     pub fn words_consumed(&self) -> u64 {
-        // counter blocks fully generated, minus the unread tail of `buf`.
-        self.counter * 16 - (16 - self.index) as u64
+        // counter blocks fully generated, minus the unread tail of `buf`
+        // and the slots in front of a head-only buffer's head (modulo
+        // 2⁶⁴, like the keystream position itself).
+        let unread = 16 - self.index + if self.head_only { HEAD_AT } else { 0 };
+        self.counter.wrapping_mul(16).wrapping_sub(unread as u64)
     }
 
     /// Jump the keystream to the start of 64-byte `block` — ChaCha's
@@ -499,15 +489,16 @@ impl ChaCha8Rng {
     pub fn set_block_pos(&mut self, block: u64) {
         self.counter = block;
         self.index = 16; // force a (lazy) refill at the next draw
+        self.head_only = false;
     }
 
     /// The block index the next draw will read from (the inverse of
     /// [`set_block_pos`](Self::set_block_pos) at block granularity).
     pub fn block_pos(&self) -> u64 {
-        if self.index == 16 {
+        if self.index == 16 && !self.head_only {
             self.counter
         } else {
-            self.counter - 1
+            self.counter.wrapping_sub(1)
         }
     }
 }
@@ -524,12 +515,7 @@ impl SeedableRng for ChaCha8Rng {
         // costs only the key copy — important for the per-node decide
         // streams, which construct + position a stream per decision and
         // often draw a single word from it.
-        ChaCha8Rng {
-            key,
-            counter: 0,
-            buf: [0; 16],
-            index: 16,
-        }
+        ChaCha8Rng::from_key_words(key)
     }
 }
 
@@ -714,52 +700,66 @@ mod tests {
             .collect();
         let mut counters = counters;
         counters[7] = u64::MAX;
-        let expect: Vec<[u32; 16]> = keys
+        let expect: Vec<[u32; HEAD_WORDS]> = keys
             .iter()
             .zip(&counters)
-            .map(|(k, &c)| chacha8_block(k, c))
+            .map(|(k, &c)| chacha8_block(k, c)[..HEAD_WORDS].try_into().unwrap())
             .collect();
         for width in WIDE_LANE_WIDTHS {
-            let mut out = vec![[0u32; 16]; keys.len()];
-            chacha8_blocks_at_width(width, &keys, &counters, &mut out);
+            let mut out = vec![[0u32; HEAD_WORDS]; keys.len()];
+            chacha8_block_heads_at_width(width, &keys, &counters, &mut out);
             assert_eq!(out, expect, "width {width}");
         }
-        let mut out = vec![[0u32; 16]; keys.len()];
-        chacha8_blocks(&keys, &counters, &mut out);
+        let mut out = vec![[0u32; HEAD_WORDS]; keys.len()];
+        chacha8_block_heads(&keys, &counters, &mut out);
         assert_eq!(out, expect, "dispatched width {}", wide_lanes());
     }
 
     #[test]
-    fn refill_wide_matches_sequential_refills() {
-        // A mixed slice: pending streams (freshly positioned), streams
-        // mid-buffer, and a stream exactly at a block boundary by
-        // consumption. Only the pending ones may change.
-        let make = |seed: u64, pos: u64, drawn: usize| {
-            let mut r = ChaCha8Rng::seed_from_u64(seed);
-            r.set_block_pos(pos);
-            for _ in 0..drawn {
-                r.next_u32();
-            }
-            r
-        };
-        let mut wide: Vec<ChaCha8Rng> = vec![
-            make(1, 3, 0),        // pending
-            make(2, 0, 5),        // mid-buffer: untouched
-            make(3, 9, 16),       // consumed to the boundary: pending again
-            make(4, 0, 0),        // pending at block 0
-            make(5, 7, 1),        // barely started: untouched
-            make(6, u64::MAX, 0), // counter wrap edge
-        ];
-        let mut seq = wide.clone();
-        let before_untouched = [wide[1].clone(), wide[4].clone()];
-        refill_wide(&mut wide);
-        assert_eq!(wide[1], before_untouched[0]);
-        assert_eq!(wide[4], before_untouched[1]);
-        for (w, s) in wide.iter_mut().zip(seq.iter_mut()) {
+    fn head_built_streams_match_sequential_streams() {
+        // Streams built from a kernel-computed head must draw the words
+        // of a lazily positioned stream — through the head, across the
+        // cold completion of the block, and on into the next blocks —
+        // including at the counter wrap edge.
+        for (seed, pos) in [(1u64, 3u64), (2, 0), (3, 9), (6, u64::MAX)] {
+            let key = key_words_from_u64(seed);
+            let mut head = [[0u32; HEAD_WORDS]];
+            chacha8_block_heads(&[key], &[pos], &mut head);
+            let mut lazy = ChaCha8Rng::from_key_words(key);
+            lazy.set_block_pos(pos);
+            let mut built = ChaCha8Rng::from_block_head(key, pos, head[0]);
+            assert_eq!(built.block_pos(), pos, "seed {seed}");
             for i in 0..48 {
-                assert_eq!(w.next_u32(), s.next_u32(), "word {i}");
+                assert_eq!(built.next_u32(), lazy.next_u32(), "seed {seed} word {i}");
+                assert_eq!(built.words_consumed(), lazy.words_consumed());
+                assert_eq!(built.block_pos(), lazy.block_pos(), "seed {seed} word {i}");
             }
         }
+    }
+
+    #[test]
+    fn head_built_streams_clone_and_reposition_exactly() {
+        let key = key_words_from_u64(11);
+        let head: [u32; HEAD_WORDS] = chacha8_block(&key, 4)[..HEAD_WORDS].try_into().unwrap();
+        let mut rng = ChaCha8Rng::from_block_head(key, 4, head);
+        rng.next_u32();
+        // A snapshot taken inside the head completes its block on its
+        // own, independently of the original.
+        let mut snap = rng.clone();
+        for _ in 0..20 {
+            assert_eq!(rng.next_u32(), snap.next_u32());
+        }
+        // Repositioning drops the head state: the next draw is word 0 of
+        // the target block, not a leftover head word.
+        let mut rng = ChaCha8Rng::from_block_head(key, 4, head);
+        rng.set_block_pos(2);
+        let mut fresh = ChaCha8Rng::from_key_words(key);
+        fresh.set_block_pos(2);
+        for _ in 0..20 {
+            assert_eq!(rng.next_u32(), fresh.next_u32());
+        }
+        // Both refilled the same block: now equal in state, too.
+        assert_eq!(rng, fresh);
     }
 
     #[test]

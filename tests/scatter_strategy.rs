@@ -12,15 +12,17 @@
 //! shards.
 
 use adhoc_radio::prelude::*;
-use adhoc_radio::sim::{run_protocol_par, ScatterStrategy};
+use adhoc_radio::sim::reference::run_reference;
+use adhoc_radio::sim::{run_protocol_fused, run_protocol_par, FusedDecide, ScatterStrategy};
 use adhoc_radio::util::split_seed;
 use proptest::prelude::*;
 
 /// Coin-flip transmitters with a small send budget (copied from the
 /// determinism suite's idiom): consumes the shared serial RNG in
 /// decide/delivery order, so any scatter divergence — ordering,
-/// collision marking, touched-list merge — cascades into different
-/// rounds, metrics, and traces.
+/// collision marking, receiver-set merge — cascades into different
+/// rounds, metrics, and traces. Split into [`FusedDecide`] halves so the
+/// same protocol also runs on the fused engine.
 struct CoinProto {
     informed: Vec<bool>,
     n_informed: usize,
@@ -47,20 +49,10 @@ impl adhoc_radio::sim::Protocol for CoinProto {
     fn decide(
         &mut self,
         node: u32,
-        _round: u64,
+        round: u64,
         rng: &mut rand_chacha::ChaCha8Rng,
     ) -> adhoc_radio::sim::Action {
-        use adhoc_radio::sim::Action;
-        use rand::RngExt;
-        if self.sent[node as usize] >= 3 {
-            return Action::Sleep;
-        }
-        if self.informed[node as usize] && rng.random_bool(0.4) {
-            self.sent[node as usize] += 1;
-            Action::Transmit
-        } else {
-            Action::Silent
-        }
+        FusedDecide::decide_and_commit(self, node, round, rng)
     }
     fn payload(&self, _node: u32, _round: u64) -> Self::Msg {}
     fn on_receive(
@@ -84,6 +76,30 @@ impl adhoc_radio::sim::Protocol for CoinProto {
     }
     fn active_count(&self) -> usize {
         self.n_informed
+    }
+}
+
+impl FusedDecide for CoinProto {
+    fn decide_pure(
+        &self,
+        node: u32,
+        _round: u64,
+        rng: &mut rand_chacha::ChaCha8Rng,
+    ) -> adhoc_radio::sim::Action {
+        use adhoc_radio::sim::Action;
+        use rand::RngExt;
+        if self.sent[node as usize] >= 3 {
+            Action::Sleep
+        } else if self.informed[node as usize] && rng.random_bool(0.4) {
+            Action::Transmit
+        } else {
+            Action::Silent
+        }
+    }
+    fn commit_decide(&mut self, node: u32, _round: u64, action: adhoc_radio::sim::Action) {
+        if action == adhoc_radio::sim::Action::Transmit {
+            self.sent[node as usize] += 1;
+        }
     }
 }
 
@@ -171,6 +187,68 @@ proptest! {
     }
 }
 
+/// Fixed partition edge cases the random sizes above may miss. The
+/// parallel partitions cut the node range at multiples of 64, so tiny
+/// graphs and sizes just off a multiple of 64 give single-word, partial
+/// last-word and uneven ranges. For every size × thread count ×
+/// strategy, with every parallel threshold zeroed:
+///
+/// * the v1 engine on CSR equals the naive `reference` oracle, which
+///   shares no scatter or delivery code with the engine;
+/// * the fused engine equals its own 1-thread run.
+#[test]
+fn partition_edge_sizes_match_reference_and_serial() {
+    for n in [1usize, 2, 63, 64, 65, 127, 129] {
+        let g = gnp_directed(
+            n,
+            (8.0 / n as f64).min(0.9),
+            &mut derive_rng(n as u64, b"edge", 0),
+        );
+        let seed = 1_000 + n as u64;
+        let oracle = {
+            let mut proto = CoinProto::new(n);
+            let mut rng = derive_rng(seed, b"scatter-run", 0);
+            let cfg = EngineConfig::with_max_rounds(200);
+            let res = run_reference(&g, &mut proto, cfg, &mut rng);
+            (res, proto.informed, proto.sent)
+        };
+        let fused_at = |cfg: EngineConfig| {
+            let mut proto = CoinProto::new(n);
+            let res = run_protocol_fused(&g, &mut proto, cfg, seed);
+            (res, proto.informed, proto.sent)
+        };
+        let fused_serial = fused_at(EngineConfig::with_max_rounds(200));
+        for strategy in [
+            ScatterStrategy::ReceiverRange,
+            ScatterStrategy::TransmitterShard,
+        ] {
+            for threads in [2usize, 3, 8] {
+                let cfg = EngineConfig {
+                    par_min_edges: 0,
+                    par_min_edges_implicit: 0,
+                    par_min_awake: 0,
+                    ..EngineConfig::with_max_rounds(200)
+                }
+                .with_scatter_strategy(strategy);
+                let label = format!("n={n} {strategy:?} x {threads} threads");
+                let mut proto = CoinProto::new(n);
+                let mut rng = derive_rng(seed, b"scatter-run", 0);
+                let res = run_protocol_par(&g, &mut proto, cfg, &mut rng, threads);
+                assert_eq!(
+                    oracle,
+                    (res, proto.informed, proto.sent),
+                    "v1 vs reference: {label}"
+                );
+                assert_eq!(
+                    fused_serial,
+                    fused_at(cfg.with_threads(threads)),
+                    "fused vs 1 thread: {label}"
+                );
+            }
+        }
+    }
+}
+
 /// One-round storm that records exactly who delivered to whom.
 struct ListedStorm {
     is_tx: Vec<bool>,
@@ -217,48 +295,64 @@ impl adhoc_radio::sim::Protocol for ListedStorm {
 }
 
 /// Adversarial shard boundaries: transmitters 0..8 all transmit in one
-/// round, so with 2/4/8 shard workers the shard cuts land *inside*
-/// every multi-hit receiver's transmitter set. The merge must still
-/// resolve each receiver to the serial outcome: collision where ≥ 2
-/// transmitters hit (even from different shards), delivery from the
-/// earliest transmitter where exactly one hit.
+/// round, so with 2/4/8 shard workers the shard cuts land *inside* the
+/// multi-hit receivers' transmitter sets. The merge must still resolve
+/// each receiver to the serial outcome: collision where ≥ 2 transmitters
+/// hit (even from different shards), delivery from the earliest
+/// transmitter where exactly one hit.
+///
+/// Parallel partitions cut the node range at whole 64-node bitmap
+/// words and a one-word graph scatters serially, so the graph is padded
+/// with isolated nodes to 600 (ten words, the last one partial) and the
+/// receivers are spread over six of those words. Every merge range and
+/// receiver range at t = 8 then resolves its own receivers, and each
+/// run asserts its plan so the test cannot fall back to serial.
 #[test]
 fn transmitter_shard_boundaries_mid_collision_resolve_serially() {
+    use adhoc_radio::sim::{scatter_plan, ScatterPlan};
     let n_tx = 8u32;
-    let n = 14usize;
+    let n = 600usize;
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    // Receiver 9: hit by ALL eight transmitters — every shard cut at
-    // t ∈ {2, 4, 8} splits this collision across shards.
+    // Receiver 9 (word 0): hit by ALL eight transmitters — every shard
+    // cut at t ∈ {2, 4, 8} splits this collision across shards.
     for u in 0..n_tx {
         edges.push((u, 9));
     }
-    // Receiver 10: exactly one hit (transmitter 0) — clean delivery.
-    edges.push((0, 10));
-    // Receiver 11: exactly one hit from the *last* shard.
-    edges.push((7, 11));
-    // Receiver 12: two hits from the first and last shard — a
+    // Receiver 70 (word 1): exactly one hit (transmitter 0) — clean
+    // delivery.
+    edges.push((0, 70));
+    // Receiver 200 (word 3): exactly one hit from the *last* shard.
+    edges.push((7, 200));
+    // Receiver 400 (word 6): two hits from the first and last shard — a
     // collision whose members never share a worker.
-    edges.push((0, 12));
-    edges.push((7, 12));
-    // Receiver 13: two hits from within one shard at t = 4.
-    edges.push((6, 13));
-    edges.push((7, 13));
+    edges.push((0, 400));
+    edges.push((7, 400));
+    // Receiver 520 (word 8): two hits from within one shard at t = 4.
+    edges.push((6, 520));
+    edges.push((7, 520));
+    // Receiver 599 (the partial last word): two hits straddling the
+    // middle shard cut at every t.
+    edges.push((3, 599));
+    edges.push((4, 599));
     edges.sort_unstable();
     let g = DiGraph::from_edges(n, &edges);
+    let tx_edges: u64 = (0..n_tx).map(|u| g.degree_hint(u)).sum();
 
+    let cfg_for = |strategy: ScatterStrategy| {
+        EngineConfig {
+            par_min_edges: 0,
+            par_min_edges_implicit: 0,
+            ..EngineConfig::with_max_rounds(1)
+        }
+        .with_scatter_strategy(strategy)
+    };
     let run_at = |strategy: ScatterStrategy, threads: usize| {
         let mut proto = ListedStorm {
             is_tx: (0..n).map(|u| (u as u32) < n_tx).collect(),
             heard: vec![Vec::new(); n],
         };
         let mut rng = derive_rng(77, b"storm", 0);
-        let cfg = EngineConfig {
-            par_min_edges: 0,
-            par_min_edges_implicit: 0,
-            ..EngineConfig::with_max_rounds(1)
-        }
-        .with_scatter_strategy(strategy);
-        let res = run_protocol_par(&g, &mut proto, cfg, &mut rng, threads);
+        let res = run_protocol_par(&g, &mut proto, cfg_for(strategy), &mut rng, threads);
         (res.metrics, proto.heard)
     };
 
@@ -268,16 +362,33 @@ fn transmitter_shard_boundaries_mid_collision_resolve_serially() {
         serial_heard[9].is_empty(),
         "8-way collision must deliver nothing"
     );
-    assert!(serial_heard[12].is_empty(), "cross-shard 2-way collision");
-    assert!(serial_heard[13].is_empty(), "intra-shard 2-way collision");
-    assert_eq!(serial_heard[10], vec![0], "single hit delivers its source");
-    assert_eq!(serial_heard[11], vec![7], "single hit from the last shard");
+    assert!(serial_heard[400].is_empty(), "cross-shard 2-way collision");
+    assert!(serial_heard[520].is_empty(), "intra-shard 2-way collision");
+    assert!(serial_heard[599].is_empty(), "mid-cut 2-way collision");
+    assert_eq!(serial_heard[70], vec![0], "single hit delivers its source");
+    assert_eq!(serial_heard[200], vec![7], "single hit from the last shard");
 
     for strategy in [
         ScatterStrategy::TransmitterShard,
         ScatterStrategy::ReceiverRange,
     ] {
         for threads in [2usize, 4, 8] {
+            let want = match strategy {
+                ScatterStrategy::TransmitterShard => ScatterPlan::TransmitterShard { threads },
+                _ => ScatterPlan::ReceiverRange { threads },
+            };
+            assert_eq!(
+                scatter_plan(
+                    &cfg_for(strategy),
+                    g.range_query_cost(),
+                    threads,
+                    n,
+                    n_tx as usize,
+                    tx_edges
+                ),
+                want,
+                "{strategy:?} x {threads} threads must take its parallel path"
+            );
             let got = run_at(strategy, threads);
             assert_eq!(
                 (&serial_metrics, &serial_heard),
