@@ -16,12 +16,13 @@
 //! per-round duty charging — so the CI gate also pins the overlay's
 //! overhead on the CSR hot path. The `engine_par` group runs it through
 //! the intra-run parallel scatter at 2 and 8 receiver-range workers
-//! (`run_protocol_par`), gating the parallel path's cost the same way.
+//! (`EngineConfig::with_threads`), gating the parallel path's cost the
+//! same way.
 //!
-//! Two groups cover the **fused v2 engine**: `decide_phase/{v1,v2}`
+//! Two groups cover the **v2 contract**: `decide_phase/{v1,v2}`
 //! isolates the per-round decision loop on an edgeless graph (v1 shared
 //! serial stream vs v2 per-node counter-based streams), and
-//! `engine_fused/{1t,8t}` runs the fused engine end to end on the storm
+//! `engine_fused/{1t,8t}` runs a v2 run end to end on the storm
 //! graph. The `scatter_phase/{csr,grid,gnp}/{1t,8t}` group pins the
 //! scatter partition strategies per backend: receiver-range on CSR,
 //! transmitter-sharded on the implicit topologies (the `Auto` plan's
@@ -33,10 +34,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use radio_energy::{EnergySession, LinearRadio, TxOnly};
 use radio_graph::generate::gnp_directed;
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::engine::{
-    run_protocol, run_protocol_energy, run_protocol_fused, run_protocol_fused_traced,
-    run_protocol_par,
-};
+use radio_sim::engine::{run_protocol_fused, run_protocol_fused_traced};
 use radio_sim::trace::{RecordingSink, RunHeader};
 use radio_sim::{run_adjlist, Action, AdjListGraph, Engine, EngineConfig, FusedDecide, Protocol};
 use radio_util::derive_rng;
@@ -163,7 +161,7 @@ fn bench_engine_csr(c: &mut Criterion) {
         b.iter(|| {
             let mut p = Storm { n: N };
             let mut rng = derive_rng(1, b"csr-bench", 0);
-            black_box(run_protocol(g, &mut p, cfg(), &mut rng))
+            black_box(Engine::new(g, cfg()).run(&mut p).v1(&mut rng))
         });
     });
     group.finish();
@@ -203,7 +201,11 @@ fn bench_engine_par(c: &mut Criterion) {
             b.iter(|| {
                 let mut p = Storm { n: N };
                 let mut rng = derive_rng(1, b"csr-bench", 0);
-                black_box(run_protocol_par(g, &mut p, cfg(), &mut rng, threads))
+                black_box(
+                    Engine::new(g, cfg().with_threads(threads))
+                        .run(&mut p)
+                        .v1(&mut rng),
+                )
             });
         });
     }
@@ -213,7 +215,7 @@ fn bench_engine_par(c: &mut Criterion) {
 fn bench_decide_phase(c: &mut Criterion) {
     // The decide loop in isolation: an edgeless graph (no scatter, no
     // delivery) with every node coin-flipping each round. `v1` consumes
-    // the shared serial stream; the v2 entries run the fused engine's
+    // the shared serial stream; the v2 entries run the v2 decide's
     // serial path over batched per-node counter-based streams (the wide
     // ChaCha kernel). `v2_cold` builds a fresh engine per run — scratch
     // allocation plus the per-node key derivation are on the clock, as
@@ -229,7 +231,7 @@ fn bench_decide_phase(c: &mut Criterion) {
         b.iter(|| {
             let mut p = CoinStorm::new(N, 0.05);
             let mut rng = derive_rng(2, b"decide-bench", 0);
-            black_box(run_protocol(g, &mut p, cfg(), &mut rng))
+            black_box(Engine::new(g, cfg()).run(&mut p).v1(&mut rng))
         });
     });
     group.bench_with_input(BenchmarkId::new("v2_cold", N), &g, |b, g| {
@@ -242,10 +244,10 @@ fn bench_decide_phase(c: &mut Criterion) {
         let mut eng = Engine::new(g, cfg());
         // Prime the pools + key cache so every timed run is steady-state.
         let mut warm = CoinStorm::new(N, 0.05);
-        black_box(eng.run_fused(&mut warm, 2));
+        black_box(eng.run(&mut warm).v2(2));
         b.iter(|| {
             let mut p = CoinStorm::new(N, 0.05);
-            black_box(eng.run_fused(&mut p, 2))
+            black_box(eng.run(&mut p).v2(2))
         });
     });
     group.finish();
@@ -328,13 +330,12 @@ fn bench_engine_energy(c: &mut Criterion) {
             let mut p = Storm { n: N };
             let mut rng = derive_rng(1, b"csr-bench", 0);
             let mut session = EnergySession::new(N, TxOnly, 1);
-            black_box(run_protocol_energy(
-                g,
-                &mut p,
-                cfg(),
-                &mut rng,
-                &mut session,
-            ))
+            black_box(
+                Engine::new(g, cfg())
+                    .run(&mut p)
+                    .energy(&mut session)
+                    .v1(&mut rng),
+            )
         });
     });
     // Full overlay: per-transmitter charges plus the end-of-round sweep.
@@ -343,13 +344,12 @@ fn bench_engine_energy(c: &mut Criterion) {
             let mut p = Storm { n: N };
             let mut rng = derive_rng(1, b"csr-bench", 0);
             let mut session = EnergySession::new(N, LinearRadio::with_listen_ratio(0.5), 1);
-            black_box(run_protocol_energy(
-                g,
-                &mut p,
-                cfg(),
-                &mut rng,
-                &mut session,
-            ))
+            black_box(
+                Engine::new(g, cfg())
+                    .run(&mut p)
+                    .energy(&mut session)
+                    .v1(&mut rng),
+            )
         });
     });
     group.finish();
@@ -357,7 +357,7 @@ fn bench_engine_energy(c: &mut Criterion) {
 
 fn bench_scatter_phase(c: &mut Criterion) {
     // The scatter/collision phase per partition strategy: the same
-    // always-transmit storm driven through `run_protocol_par` at 1 and 8
+    // always-transmit storm driven through the v1 engine at 1 and 8
     // workers, per backend. On `csr` the engine's `Auto` plan picks the
     // receiver-range partition (rows are O(1) to narrow to a receiver
     // range); on the implicit backends (`grid`, `gnp`) a range query
@@ -386,7 +386,11 @@ fn bench_scatter_phase(c: &mut Criterion) {
                     b.iter(|| {
                         let mut p = Storm { n: N };
                         let mut rng = derive_rng(1, b"scatter-bench", 0);
-                        black_box(run_protocol_par(t, &mut p, cfg(), &mut rng, threads))
+                        black_box(
+                            Engine::new(t, cfg().with_threads(threads))
+                                .run(&mut p)
+                                .v1(&mut rng),
+                        )
                     });
                 },
             );

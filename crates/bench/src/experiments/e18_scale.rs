@@ -6,8 +6,8 @@
 //! `n = 2¹⁸ … 2²⁰` (raise `ADHOC_RADIO_E18_MAX_EXP` to 21+ for the full
 //! million-node column; the default keeps the committed JSON
 //! regenerable in reasonable wall-clock on one core) on both `G(n,p)`
-//! and geometric topologies, driving the **fused v2 engine**
-//! ([`radio_sim::Engine::run_fused`]) instead of trial-level fan-out: at
+//! and geometric topologies, driving the engine under the **v2
+//! contract** ([`radio_sim::Run::v2`]) instead of trial-level fan-out: at
 //! these sizes a single run saturates memory bandwidth, so the sweep is
 //! built `with_threads_per_run` and each trial hands the engine
 //! `EngineConfig::with_threads`. Under the v2 counter-based per-node
@@ -105,8 +105,18 @@ fn p_equiv(cell: &SweepCell, graph: &DiGraph) -> f64 {
     }
 }
 
-/// One trial: run `alg` through the **fused v2 engine**
-/// ([`radio_sim::Engine::run_fused`]) with `threads` intra-run workers —
+/// The engine config of one trial: the algorithm's round cap, with
+/// `threads` intra-run workers. Recordings stamp it into their header.
+fn engine_cfg(alg: &str, n: usize, p_eq: f64, threads: usize) -> EngineConfig {
+    let max_rounds = match alg {
+        "alg1" => EeBroadcastConfig::for_gnp(n, p_eq).schedule_end() + 2,
+        _ => DecayConfig::new(n, D_HINT).max_rounds(),
+    };
+    EngineConfig::with_max_rounds(max_rounds).with_threads(threads)
+}
+
+/// One trial: run `alg` under the **v2 contract**
+/// ([`radio_sim::Run::v2`]) with `threads` intra-run workers —
 /// under the v2 contract the decide phase fans out with the scatter, so
 /// run-level parallelism covers the whole round, not just the
 /// collision count. Pure in `(alg, graph, p_eq, seed)` — the thread
@@ -137,30 +147,21 @@ fn trial_body_traced<T: Topology, S: TraceSink>(
     sink: &mut S,
 ) -> TrialResult {
     let n = Topology::n(graph);
-    let cfg = |max_rounds: u64| EngineConfig::with_max_rounds(max_rounds).with_threads(threads);
+    let cfg = engine_cfg(alg, n, p_eq, threads);
     let trial = match alg {
         "alg1" => {
-            let acfg = EeBroadcastConfig::for_gnp(n, p_eq);
-            let mut protocol = EeRandomBroadcast::new(n, 0, acfg);
-            let run = run_protocol_fused_traced(
-                graph,
-                &mut protocol,
-                cfg(acfg.schedule_end() + 2),
-                seed,
-                sink,
-            );
+            let mut protocol = EeRandomBroadcast::new(n, 0, EeBroadcastConfig::for_gnp(n, p_eq));
+            let run = run_protocol_fused_traced(graph, &mut protocol, cfg, seed, sink);
             let informed = protocol.informed_count();
             TrialResult::from_run(&run, informed == n, informed)
         }
         "flood" => {
-            let fcfg = FloodConfig::with_prob(flood_q(n), DecayConfig::new(n, D_HINT).max_rounds());
-            run_windowed_fused_traced(graph, 0, fcfg.spec(), cfg(fcfg.max_rounds), seed, sink)
-                .to_trial()
+            let fcfg = FloodConfig::with_prob(flood_q(n), cfg.max_rounds);
+            run_windowed_fused_traced(graph, 0, fcfg.spec(), cfg, seed, sink).to_trial()
         }
         "decay" => {
             let dcfg = DecayConfig::new(n, D_HINT);
-            run_windowed_fused_traced(graph, 0, dcfg.spec(), cfg(dcfg.max_rounds()), seed, sink)
-                .to_trial()
+            run_windowed_fused_traced(graph, 0, dcfg.spec(), cfg, seed, sink).to_trial()
         }
         other => unreachable!("unknown algorithm {other}"),
     };
@@ -245,7 +246,8 @@ pub fn run_scaled(
     let plan_ref = plan.as_ref();
     let runner = |cell: &SweepCell, graph: &DiGraph, seed: u64| -> TrialResult {
         let threads = sweep_ref.run_threads();
-        match plan_ref.and_then(|p| p.open(cell, seed, "v2")) {
+        let cfg = || engine_cfg(&cell.algorithm, cell.n, p_equiv(cell, graph), threads);
+        match plan_ref.and_then(|p| p.open(cell, seed, "v2", &cfg())) {
             Some(mut sink) => {
                 let trial = scale_trial_traced(cell, graph, seed, threads, &mut sink);
                 if let Err(e) = sink.finish(trial.success) {
@@ -432,11 +434,11 @@ impl ImplicitBackend {
 }
 
 /// The implicit-backend scaling section: the same three algorithms and
-/// the same [`trial_body`], but the graph is never materialized — the
+/// the same `trial_body`, but the graph is never materialized — the
 /// engine queries neighbors through the [`Topology`] trait, so the
 /// per-run footprint is O(n) state instead of O(m) CSR. This is what
 /// breaks the CSR memory wall: the materializing sweep is hard-capped at
-/// `n = 2²⁴` ([`MAX_EXP_BOUND`]); here `n = 2²⁶` at degree `8 ln n`
+/// `n = 2²⁴` (`MAX_EXP_BOUND`); here `n = 2²⁶` at degree `8 ln n`
 /// (~10¹⁰ virtual edges) fits because those edges are re-derived on
 /// demand.
 ///

@@ -10,7 +10,7 @@ use radio_bench::experiments::e18_scale;
 use radio_bench::Ctx;
 use radio_util::Json;
 
-/// The PR's acceptance bar, verbatim: a single `run_par` at `n = 2²⁰` on
+/// The acceptance bar: a single parallel v1 run at `n = 2²⁰` on
 /// a `G(n,p)` graph completes and is bit-identical between 1 and 8
 /// threads. Ignored by default — it builds a ~10⁸-edge graph and is
 /// meant for release mode
@@ -23,7 +23,7 @@ use radio_util::Json;
 fn run_par_at_2_pow_20_completes_and_is_thread_count_independent() {
     use radio_core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadcast};
     use radio_graph::generate::gnp_directed;
-    use radio_sim::engine::run_protocol_par;
+    use radio_sim::Engine;
     use radio_sim::{EngineConfig, Protocol};
     use radio_util::derive_rng;
 
@@ -36,7 +36,9 @@ fn run_par_at_2_pow_20_completes_and_is_thread_count_independent() {
         let mut rng = derive_rng(0xE18, b"accept-run", 0);
         // The explicit `threads` argument overrides `cfg.threads`.
         let cfg = EngineConfig::with_max_rounds(acfg.schedule_end() + 2);
-        let res = run_protocol_par(&g, &mut protocol, cfg, &mut rng, threads);
+        let res = Engine::new(&g, cfg.with_threads(threads))
+            .run(&mut protocol)
+            .v1(&mut rng);
         (res.rounds, res.metrics, protocol.informed_count())
     };
     let serial = run_at(1);
@@ -75,14 +77,14 @@ fn fused_8t_beats_1t_wall_clock_at_2_pow_16() {
         window: None,
         early_stop: false,
     };
-    let mut eng = Engine::new(&g, EngineConfig::with_max_rounds(60));
-    let mut time_at = |threads: usize| {
+    let time_at = |threads: usize| {
+        let mut eng = Engine::new(&g, EngineConfig::with_max_rounds(60).with_threads(threads));
         let mut best = f64::INFINITY;
         let mut reference = None;
         for _ in 0..3 {
             let mut proto = WindowedBroadcast::new(n, 0, spec());
             let start = std::time::Instant::now();
-            let res = eng.run_fused_par(&mut proto, 0xF16, threads);
+            let res = eng.run(&mut proto).v2(0xF16);
             best = best.min(start.elapsed().as_secs_f64());
             // Bit-identity rides along: every repetition and every
             // thread count must agree exactly.
@@ -110,7 +112,7 @@ fn fused_8t_beats_1t_wall_clock_at_2_pow_16() {
 
 /// The transmitter-sharded scatter's acceptance bar: on an *implicit*
 /// backend — where the receiver-range partition would replay every row
-/// per worker and lose to serial — the fused engine at 8 threads must
+/// per worker and lose to serial — a v2 run at 8 threads must
 /// beat 1 thread wall-clock at `n = 2²⁰` on a multi-core host. The
 /// `Auto` scatter plan routes `ImplicitGnp` to the shard path via its
 /// `RangeQueryCost::FullRowReplay` hint, so this drives exactly the
@@ -141,14 +143,14 @@ fn implicit_shard_8t_beats_1t_wall_clock_at_2_pow_20() {
         window: None,
         early_stop: false,
     };
-    let mut eng = Engine::new(&t, EngineConfig::with_max_rounds(40));
-    let mut time_at = |threads: usize| {
+    let time_at = |threads: usize| {
+        let mut eng = Engine::new(&t, EngineConfig::with_max_rounds(40).with_threads(threads));
         let mut best = f64::INFINITY;
         let mut reference = None;
         for _ in 0..3 {
             let mut proto = WindowedBroadcast::new(n, 0, spec());
             let start = std::time::Instant::now();
-            let res = eng.run_fused_par(&mut proto, 0xF20, threads);
+            let res = eng.run(&mut proto).v2(0xF20);
             best = best.min(start.elapsed().as_secs_f64());
             let fp = (res.rounds, res.metrics.total_transmissions());
             match &reference {

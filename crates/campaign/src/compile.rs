@@ -22,7 +22,7 @@ use crate::kernels::{
     CrossoverCfg, FaultyBroadcastCfg, LifetimeCfg, MobileGossipCfg, TraceHandle,
 };
 use radio_graph::ImplicitGrid;
-use radio_sim::{CellResults, Sweep, SweepCell, SweepReport, TracePlan, TrialResult};
+use radio_sim::{CellResults, EngineConfig, Sweep, SweepCell, SweepReport, TracePlan, TrialResult};
 use radio_util::derive_rng;
 
 /// A scenario lowered onto the sweep API.
@@ -114,9 +114,10 @@ impl Compiled {
             .resolve_protocol(&cell.algorithm)
             .expect("validated: every cell label resolves");
         let implicit = self.scenario.sweep.backend == Backend::ImplicitGrid;
-        // All kernels drive v1 engine runs.
-        let mut open = || {
-            plan.and_then(|p| p.open(cell, seed, "v1"))
+        // All kernels drive v1 engine runs; each hands over the engine
+        // config it runs with, stamped into the recording's header.
+        let mut open = |cfg: &EngineConfig| {
+            plan.and_then(|p| p.open(cell, seed, "v1", cfg))
                 .map(|sink| TraceHandle { sink })
         };
         // The machinery-equivalent graph stream: CSR and implicit arms

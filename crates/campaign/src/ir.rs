@@ -165,7 +165,11 @@ impl ProtocolSpec {
 }
 
 /// Optional `trace` block: capped per-cell `.rtrc` capture, spec hash
-/// stamped into every recording's `code_version`.
+/// stamped into every recording's `code_version` and the trial's engine
+/// config into its `max_rounds` / `half_duplex`. Only the Algorithm-1
+/// kernel variants record: `faulty_broadcast`'s `alg1` and
+/// `alg1_battery` cells and the `alg1` cells of `energy_crossover` and
+/// `energy_lifetime`. Every other cell runs untraced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Directory the recordings land in.

@@ -32,8 +32,7 @@ use radio_core::seq::SharedSequence;
 use radio_energy::{Battery, EnergySession, LinearRadio};
 use radio_graph::generate::mobile_geometric_sequence;
 use radio_graph::{DiGraph, GraphFamily, NodeId, Topology};
-use radio_sim::engine::{run_protocol, run_protocol_energy};
-use radio_sim::{CrashPlan, EngineConfig, Faulty, Protocol, SweepCell, TrialResult};
+use radio_sim::{CrashPlan, Engine, EngineConfig, Faulty, Protocol, SweepCell, TrialResult};
 use radio_util::{derive_rng, split_seed};
 
 /// `"alg1:f=0.3"` → `("alg1", 0.3)` — the label convention every
@@ -95,13 +94,13 @@ pub fn mobile_gossip_trial(cfg: &MobileGossipCfg, cell: &SweepCell, seed: u64) -
     let refs: Vec<&DiGraph> = graphs.iter().collect();
     let mut protocol = EeGossip::new(gossip_cfg);
     let mut rng = derive_rng(seed, b"engine", 0);
-    let run = radio_sim::run_dynamic(
-        &refs,
-        cfg.switch_every,
-        &mut protocol,
+    let run = Engine::new(
+        refs[0],
         EngineConfig::with_max_rounds(gossip_cfg.schedule_rounds() + 1),
-        &mut rng,
-    );
+    )
+    .run(&mut protocol)
+    .schedule(&refs, cfg.switch_every)
+    .v1(&mut rng);
     let time = protocol.gossip_time();
     let mut t = TrialResult::from_run(&run, time.is_some(), protocol.informed_count()).extra(
         "mean_msgs_per_node",
@@ -134,7 +133,7 @@ pub fn faulty_broadcast_trial<T: Topology>(
     cell: &SweepCell,
     graph: &T,
     seed: u64,
-    mut trace: Option<&mut dyn FnMut() -> Option<TraceHandle>>,
+    mut trace: Option<OpenTrace<'_>>,
 ) -> TrialResult {
     let n = cell.n;
     let (variant, frac) = parse_label(&cell.algorithm, ":f=");
@@ -181,7 +180,7 @@ pub fn faulty_broadcast_trial<T: Topology>(
             .count();
         known as f64 / survivors.len().max(1) as f64
     };
-    let mut open_trace = || trace.as_mut().and_then(|f| f());
+    let mut open_trace = || trace.as_mut().and_then(|f| f(&engine_cfg));
 
     let (trial, frac_informed, failed) = match variant {
         "alg1" => {
@@ -189,17 +188,14 @@ pub fn faulty_broadcast_trial<T: Topology>(
             let mut rng = derive_rng(seed, b"engine", 0);
             let run = match open_trace() {
                 Some(mut sink) => {
-                    let run = radio_sim::engine::run_protocol_traced(
-                        graph,
-                        &mut p,
-                        engine_cfg,
-                        &mut rng,
-                        &mut sink.sink,
-                    );
+                    let run = Engine::new(graph, engine_cfg)
+                        .run(&mut p)
+                        .sink(&mut sink.sink)
+                        .v1(&mut rng);
                     sink.finish(run.completed);
                     run
                 }
-                None => run_protocol(graph, &mut p, engine_cfg, &mut rng),
+                None => Engine::new(graph, engine_cfg).run(&mut p).v1(&mut rng),
             };
             let fi = survivor_frac(p.inner());
             let failed = plan.failed_by(run.rounds, &[]);
@@ -216,18 +212,18 @@ pub fn faulty_broadcast_trial<T: Topology>(
             let mut s = session();
             let run = match open_trace() {
                 Some(mut sink) => {
-                    let run = radio_sim::engine::run_protocol_energy_traced(
-                        graph,
-                        &mut p,
-                        engine_cfg,
-                        &mut rng,
-                        &mut s,
-                        &mut sink.sink,
-                    );
+                    let run = Engine::new(graph, engine_cfg)
+                        .run(&mut p)
+                        .energy(&mut s)
+                        .sink(&mut sink.sink)
+                        .v1(&mut rng);
                     sink.finish(run.run.completed);
                     run
                 }
-                None => run_protocol_energy(graph, &mut p, engine_cfg, &mut rng, &mut s),
+                None => Engine::new(graph, engine_cfg)
+                    .run(&mut p)
+                    .energy(&mut s)
+                    .v1(&mut rng),
             };
             let fi = survivor_frac(&p);
             let failed = CrashPlan::none(n).failed_by(run.run.rounds, &run.energy.depleted_at);
@@ -245,7 +241,10 @@ pub fn faulty_broadcast_trial<T: Topology>(
             let mut p = Faulty::new(EeRandomBroadcast::new(n, 0, a_cfg), plan.clone());
             let mut rng = derive_rng(seed, b"engine", 0);
             let mut s = session();
-            let run = run_protocol_energy(graph, &mut p, engine_cfg, &mut rng, &mut s);
+            let run = Engine::new(graph, engine_cfg)
+                .run(&mut p)
+                .energy(&mut s)
+                .v1(&mut rng);
             let fi = survivor_frac(p.inner());
             let failed = plan.failed_by(run.run.rounds, &run.energy.depleted_at);
             assert!(
@@ -273,12 +272,9 @@ pub fn faulty_broadcast_trial<T: Topology>(
             };
             let mut p = Faulty::new(WindowedBroadcast::new(n, 0, spec), plan.clone());
             let mut rng = derive_rng(seed, b"engine3", 0);
-            let run = run_protocol(
-                graph,
-                &mut p,
-                EngineConfig::with_max_rounds(g_cfg.max_rounds()),
-                &mut rng,
-            );
+            let run = Engine::new(graph, EngineConfig::with_max_rounds(g_cfg.max_rounds()))
+                .run(&mut p)
+                .v1(&mut rng);
             let fi = survivors
                 .iter()
                 .filter(|&&v| p.inner().informed_round(v) != u64::MAX)
@@ -326,7 +322,7 @@ pub fn energy_crossover_trial(
     cell: &SweepCell,
     graph: &DiGraph,
     seed: u64,
-    mut trace: Option<&mut dyn FnMut() -> Option<TraceHandle>>,
+    mut trace: Option<OpenTrace<'_>>,
 ) -> TrialResult {
     let n = cell.n;
     let (alg, ratio) = parse_label(&cell.algorithm, ":r=");
@@ -345,22 +341,20 @@ pub fn energy_crossover_trial(
             let mut protocol = EeRandomBroadcast::new(n, 0, cfg1);
             let mut rng = derive_rng(seed, b"engine", 0);
             let engine_cfg = EngineConfig::with_max_rounds(cfg1.schedule_end() + 2);
-            let run = match trace.as_mut().and_then(|f| f()) {
+            let run = match trace.as_mut().and_then(|f| f(&engine_cfg)) {
                 Some(mut sink) => {
-                    let run = radio_sim::engine::run_protocol_energy_traced(
-                        graph,
-                        &mut protocol,
-                        engine_cfg,
-                        &mut rng,
-                        &mut session,
-                        &mut sink.sink,
-                    );
+                    let run = Engine::new(graph, engine_cfg)
+                        .run(&mut protocol)
+                        .energy(&mut session)
+                        .sink(&mut sink.sink)
+                        .v1(&mut rng);
                     sink.finish(run.run.completed);
                     run
                 }
-                None => {
-                    run_protocol_energy(graph, &mut protocol, engine_cfg, &mut rng, &mut session)
-                }
+                None => Engine::new(graph, engine_cfg)
+                    .run(&mut protocol)
+                    .energy(&mut session)
+                    .v1(&mut rng),
             };
             let informed = protocol.informed_count();
             return TrialResult::from_energy_run(&run, informed == n, informed)
@@ -423,7 +417,7 @@ pub fn energy_lifetime_trial<T: Topology>(
     cell: &SweepCell,
     graph: &T,
     seed: u64,
-    mut trace: Option<&mut dyn FnMut() -> Option<TraceHandle>>,
+    mut trace: Option<OpenTrace<'_>>,
 ) -> TrialResult {
     let n = cell.n;
     let battery = Battery::jittered(
@@ -447,22 +441,20 @@ pub fn energy_lifetime_trial<T: Topology>(
             let cfg1 = EeBroadcastConfig::for_gnp(n, p_gnp(cell));
             let mut protocol = EeRandomBroadcast::new(n, 0, cfg1);
             let mut rng = derive_rng(seed, b"engine", 0);
-            let run = match trace.as_mut().and_then(|f| f()) {
+            let run = match trace.as_mut().and_then(|f| f(&engine_cfg)) {
                 Some(mut sink) => {
-                    let run = radio_sim::engine::run_protocol_energy_traced(
-                        graph,
-                        &mut protocol,
-                        engine_cfg,
-                        &mut rng,
-                        &mut session,
-                        &mut sink.sink,
-                    );
+                    let run = Engine::new(graph, engine_cfg)
+                        .run(&mut protocol)
+                        .energy(&mut session)
+                        .sink(&mut sink.sink)
+                        .v1(&mut rng);
                     sink.finish(run.run.completed);
                     run
                 }
-                None => {
-                    run_protocol_energy(graph, &mut protocol, engine_cfg, &mut rng, &mut session)
-                }
+                None => Engine::new(graph, engine_cfg)
+                    .run(&mut protocol)
+                    .energy(&mut session)
+                    .v1(&mut rng),
             };
             let informed = protocol.informed_count();
             TrialResult::from_energy_run(&run, informed == n, informed)
@@ -491,6 +483,11 @@ pub fn energy_lifetime_trial<T: Topology>(
         .map_or(0.0, |e| e.depleted as f64 / n as f64);
     trial.extra("depleted_frac", depleted_frac)
 }
+
+/// A kernel's recording hook: opens the trial's `.rtrc` for the engine
+/// config the kernel runs with (stamped into the header), or yields
+/// `None` — no slot left under the cell cap, or an I/O failure.
+pub type OpenTrace<'a> = &'a mut dyn FnMut(&EngineConfig) -> Option<TraceHandle>;
 
 /// An opened per-trial recording: the sink plus a finisher that
 /// surfaces footer-write failures as a stderr warning instead of

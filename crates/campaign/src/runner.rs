@@ -4,7 +4,7 @@
 //! A [`Campaign`] pairs a [`Compiled`] scenario with a checkpoint
 //! directory. [`Campaign::step`] runs the lowest-index incomplete cell
 //! and commits it (cell file first, manifest second — see the
-//! [`checkpoint`](crate::checkpoint) module for why that order is
+//! [`checkpoint`] module for why that order is
 //! crash-safe); [`Campaign::report`] aggregates checkpointed cells into
 //! the same [`SweepReport`] an uninterrupted in-memory run produces,
 //! byte for byte.

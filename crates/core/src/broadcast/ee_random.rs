@@ -306,7 +306,7 @@ pub fn run_ee_broadcast_traced<T: Topology>(
 }
 
 /// Run Algorithm 1 under the **v2 determinism contract**
-/// ([`radio_sim::Engine::run_fused`]): per-node counter-based decide
+/// ([`radio_sim::Run::v2`]): per-node counter-based decide
 /// streams, bit-identical for every `engine` thread count (set via
 /// `EngineConfig::with_threads` inside — here the default serial
 /// config; use [`radio_sim::engine::run_protocol_fused`] directly for
@@ -340,7 +340,9 @@ fn run_ee_broadcast_with<T: Topology>(
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
     let mut engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
     engine_cfg.record_trace = traced;
-    let run = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let run = radio_sim::Engine::new(graph, engine_cfg)
+        .run(&mut protocol)
+        .v1(&mut rng);
     BroadcastOutcome::from_run(
         graph.n(),
         protocol.informed_count(),

@@ -195,7 +195,9 @@ pub fn run_eg_broadcast(
     let mut protocol = EgBroadcast::new(graph.n(), source, *cfg);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
     let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
-    let run = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let run = radio_sim::Engine::new(graph, engine_cfg)
+        .run(&mut protocol)
+        .v1(&mut rng);
     BroadcastOutcome::from_run(
         graph.n(),
         protocol.informed_count(),

@@ -291,7 +291,9 @@ pub fn run_windowed<T: Topology>(
 ) -> BroadcastOutcome {
     let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let run = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let run = radio_sim::Engine::new(graph, engine_cfg)
+        .run(&mut protocol)
+        .v1(&mut rng);
     BroadcastOutcome::from_run(
         graph.n(),
         protocol.informed_count(),
@@ -315,8 +317,10 @@ pub fn run_windowed_energy<T: Topology>(
 ) -> BroadcastOutcome {
     let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let run =
-        radio_sim::engine::run_protocol_energy(graph, &mut protocol, engine_cfg, &mut rng, session);
+    let run = radio_sim::Engine::new(graph, engine_cfg)
+        .run(&mut protocol)
+        .energy(session)
+        .v1(&mut rng);
     BroadcastOutcome::from_energy_run(
         graph.n(),
         protocol.informed_count(),
@@ -326,7 +330,7 @@ pub fn run_windowed_energy<T: Topology>(
 }
 
 /// [`run_windowed`] under the **v2 determinism contract**
-/// ([`radio_sim::Engine::run_fused`]): every node's coin flips come from
+/// ([`radio_sim::Run::v2`]): every node's coin flips come from
 /// its own counter-based stream derived from `(run_seed, node)`, so the
 /// run is bit-identical for every engine thread count — including
 /// `engine_cfg.threads > 1`, where the decide phase itself fans out.

@@ -219,7 +219,9 @@ pub fn run_dynamic_gossip(
     let mut protocol = DynamicGossip::new(cfg);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
     let engine_cfg = EngineConfig::with_max_rounds(rounds + 1);
-    let _ = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let _ = radio_sim::Engine::new(graph, engine_cfg)
+        .run(&mut protocol)
+        .v1(&mut rng);
     protocol.coverage()
 }
 

@@ -216,7 +216,9 @@ pub fn run_ee_gossip(graph: &DiGraph, cfg: &EeGossipConfig, seed: u64) -> Gossip
     let mut protocol = EeGossip::new(*cfg);
     let mut rng = radio_util::derive_rng(seed, b"engine", 0);
     let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_rounds() + 2);
-    let run = radio_sim::engine::run_protocol(graph, &mut protocol, engine_cfg, &mut rng);
+    let run = radio_sim::Engine::new(graph, engine_cfg)
+        .run(&mut protocol)
+        .v1(&mut rng);
     GossipOutcome {
         n: graph.n(),
         completed: protocol.nodes_complete == graph.n(),
@@ -298,7 +300,9 @@ mod tests {
         let mut protocol = EeGossip::new(cfg);
         let mut rng = derive_rng(4, b"engine", 0);
         let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_rounds());
-        let _ = radio_sim::engine::run_protocol(&g, &mut protocol, engine_cfg, &mut rng);
+        let _ = radio_sim::Engine::new(&g, engine_cfg)
+            .run(&mut protocol)
+            .v1(&mut rng);
         for v in 0..128 {
             assert!(
                 protocol.rumors[v].contains(v),

@@ -45,7 +45,7 @@ impl SharedSequence {
     }
 
     /// Expand the sequence through `round` without returning anything —
-    /// the fused engine's serial per-round preamble, after which
+    /// the v2 decide phase's serial per-round preamble, after which
     /// [`q_cached`](Self::q_cached) can serve any number of read-only
     /// consumers (decide workers) concurrently.
     pub fn ensure(&mut self, round: u64) {

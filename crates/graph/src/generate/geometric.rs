@@ -174,9 +174,9 @@ fn graph_for_positions(pos: &[(f64, f64)], r: f64) -> DiGraph {
 /// of standard deviation `sigma` per snapshot (a Brownian / random-walk
 /// mobility model). All snapshots share the radius `r`.
 ///
-/// Pair with `radio_sim::engine::run_dynamic`-style round-segmented
-/// execution to study the paper's motivating scenario, protocols on a
-/// topology that changes underneath them.
+/// Pair with a topology schedule on the engine's run builder
+/// (`radio_sim::Run::schedule`) to study the paper's motivating
+/// scenario, protocols on a topology that changes underneath them.
 ///
 /// # Panics
 /// Panics unless `snapshots ≥ 1`, `0 < r ≤ 0.5` and `sigma ≥ 0`.

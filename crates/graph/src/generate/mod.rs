@@ -39,7 +39,7 @@ const MAX_PREALLOC_EDGES: usize = 1 << 26;
 /// Returns `(capacity, clamped_from)`: `clamped_from` is
 /// `Some(graph_feasible_estimate)` exactly when the estimate survived
 /// the graph-theoretic `n·(n−1)` cap but exceeded
-/// [`MAX_PREALLOC_EDGES`] — i.e. the generator genuinely planned more
+/// `MAX_PREALLOC_EDGES` (2²⁶) — i.e. the generator genuinely planned more
 /// edges than the budget pre-sizes for and the edge vec will re-grow by
 /// doubling from 2²⁶. Pure (no I/O) so the clamp decision is testable;
 /// [`edge_capacity`] wraps it with the stderr note.
@@ -58,7 +58,7 @@ pub fn edge_capacity_planned(n: usize, expected_edges: f64) -> (usize, Option<u1
 
 /// Clamp a (possibly wildly over-estimated) expected-edge count into a
 /// safe `Vec::with_capacity` argument: never beyond the graph-theoretic
-/// maximum `n·(n−1)` and never beyond [`MAX_PREALLOC_EDGES`]. All
+/// maximum `n·(n−1)` and never beyond `MAX_PREALLOC_EDGES` (2²⁶). All
 /// generator pre-sizing funnels through here so no parameter corner —
 /// huge `n`, radius near the torus bound, `p` near 1 — can turn a hint
 /// into a multi-terabyte allocation request. Capacity is a hint only; it

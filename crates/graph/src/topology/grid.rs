@@ -19,7 +19,7 @@
 //! duplicate edges that only `GraphBuilder::build`'s sort+dedup hid.
 //! An implicit backend replaying that scan per query would have
 //! double-counted transmitters and turned clean single deliveries into
-//! phantom collisions. [`wrapped_axis`] enumerates the *distinct*
+//! phantom collisions. `wrapped_axis` enumerates the *distinct*
 //! wrapped coordinates instead, so each bucket is visited exactly once
 //! for every `cells`.
 

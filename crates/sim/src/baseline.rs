@@ -1,6 +1,6 @@
 //! The pre-CSR engine: identical semantics over `Vec<Vec<NodeId>>`.
 //!
-//! [`run_adjlist`] replicates [`crate::engine::Engine::run`] *exactly* —
+//! [`run_adjlist`] replicates a v1 run ([`Run::v1`](crate::Run::v1)) *exactly* —
 //! same polling order, same RNG consumption, same delivery order — but
 //! walks an [`AdjListGraph`], the pointer-chasing per-node `Vec` layout
 //! that the flat CSR backend replaced. It exists for two reasons:
@@ -173,7 +173,7 @@ pub fn run_adjlist<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_protocol;
+    use crate::engine::Engine;
     use radio_graph::generate::gnp_directed;
     use radio_util::derive_rng;
     use rand::RngExt;
@@ -253,7 +253,7 @@ mod tests {
 
             let mut p1 = CoinFlood::new(140, 0.3);
             let mut rng1 = derive_rng(seed, b"adj-run", 0);
-            let fast = run_protocol(&g, &mut p1, cfg, &mut rng1);
+            let fast = Engine::new(&g, cfg).run(&mut p1).v1(&mut rng1);
 
             let mut p2 = CoinFlood::new(140, 0.3);
             let mut rng2 = derive_rng(seed, b"adj-run", 0);

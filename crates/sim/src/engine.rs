@@ -1,13 +1,21 @@
-//! The optimised simulation engine.
+//! The optimised simulation engine: one round loop behind one run
+//! builder.
+//!
+//! [`Engine::run`] starts a [`Run`]; the optional hooks [`Run::energy`],
+//! [`Run::sink`] and [`Run::schedule`] attach an energy overlay, a trace
+//! sink and a changing topology; the terminal [`Run::v1`] or [`Run::v2`]
+//! picks the determinism contract and executes the run. Both contracts
+//! drive the same round loop (`Engine::run_loop`); they differ only in
+//! where the coin flips come from (the private `StreamContract`).
 
 use crate::metrics::{EnergyMetrics, Metrics, RoundRecord, Trace};
 use crate::streams::DecideStreams;
 use crate::{Action, FusedDecide, Protocol};
+use hook::EnergyHook;
 use radio_energy::{Duty, EnergySession};
 use radio_graph::{DiGraph, NodeId, RangeQueryCost, Topology};
 use radio_trace::{NullSink, TraceEvent, TraceSink};
 use rand_chacha::ChaCha8Rng;
-use std::borrow::BorrowMut;
 
 /// Engine knobs.
 #[derive(Debug, Clone, Copy)]
@@ -28,14 +36,13 @@ pub struct EngineConfig {
     /// its cap).
     pub warn_on_round_cap: bool,
     /// Worker threads for the *intra-run* parallel phases (`1` = fully
-    /// serial, the default): the scatter/collision phase, partitioned by
-    /// receiver id range or by transmitter shard as [`scatter_plan`]
-    /// picks per backend, and — on the fused engine
-    /// ([`Engine::run_fused`]) — the decide phase, fanned out over
-    /// awake-list chunks. Every partition reproduces the serial outcome,
-    /// so any thread count produces bit-identical runs — see
-    /// [`Engine::run_par`] and [`Engine::run_fused_par`] for the
-    /// determinism contracts.
+    /// serial, the default), and the only way to set a run's worker
+    /// count: the scatter/collision phase, partitioned by receiver id
+    /// range or by transmitter shard as [`scatter_plan`] picks per
+    /// backend, and — under the v2 contract ([`Run::v2`]) — the decide
+    /// phase, fanned out over awake-list chunks. Every partition
+    /// reproduces the serial outcome, so any thread count produces
+    /// bit-identical runs — see [`Run`] for the determinism contracts.
     pub threads: usize,
     /// Minimum per-round edge volume (Σ out-degree over the round's
     /// transmitters) before the **receiver-range** scatter fans out;
@@ -61,8 +68,8 @@ pub struct EngineConfig {
     /// bit-identical results — the overrides exist for tests and
     /// benchmarks that pin one path.
     pub scatter_strategy: ScatterStrategy,
-    /// Minimum awake-list length before the **fused** engine's decide
-    /// phase ([`Engine::run_fused`]) fans out; below it the round's
+    /// Minimum awake-list length before the v2 decide phase
+    /// ([`Run::v2`]) fans out; below it the round's
     /// decisions are evaluated serially. Like [`par_min_edges`] this is
     /// purely a performance threshold — the per-node v2 streams make the
     /// decisions order-independent, so it can never affect results.
@@ -113,13 +120,11 @@ impl EngineConfig {
     }
 
     /// Set the intra-run worker count (chainable): the scatter fan-out
-    /// of every engine and, on the fused engine ([`Engine::run_fused`]),
-    /// the decide fan-out too — see [`EngineConfig::threads`]. Every run
-    /// entry point honors it — [`Engine::run`], [`Engine::run_fused`],
-    /// the `*_energy` variants, and the windowed/dynamic wrappers that
-    /// take an `EngineConfig` — and the result is bit-identical for
-    /// every value, so sweeps can trade trial-level for run-level
-    /// parallelism freely.
+    /// under both contracts and, under v2 ([`Run::v2`]), the decide
+    /// fan-out too — see [`EngineConfig::threads`]. Every run honors it,
+    /// including the wrappers that take an `EngineConfig`, and the
+    /// result is bit-identical for every value, so sweeps can trade
+    /// trial-level for run-level parallelism freely.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
@@ -140,9 +145,8 @@ impl EngineConfig {
 
 /// Which partition the parallel scatter phase uses when a round's edge
 /// volume justifies fanning out. All strategies compute identical
-/// `hits` records and receiver bitmap — see [`Engine::run_par`]'s
-/// determinism contract — so this knob can trade speed but never
-/// results.
+/// `hits` records and receiver bitmap — see [`Run`]'s determinism
+/// contracts — so this knob can trade speed but never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScatterStrategy {
     /// Pick per backend from [`Topology::range_query_cost`]:
@@ -183,8 +187,8 @@ pub struct RunResult {
 }
 
 /// Result of one simulation run under an energy overlay
-/// ([`Engine::run_energy`] and friends): the plain [`RunResult`] plus the
-/// model-based energy report.
+/// ([`Run::energy`]): the plain [`RunResult`] plus the model-based
+/// energy report.
 #[derive(Debug, Clone)]
 pub struct EnergyRunResult {
     /// The underlying run. With no battery attached it is bit-identical
@@ -200,62 +204,103 @@ pub struct EnergyRunResult {
     pub stopped_on_depletion: bool,
 }
 
-/// Per-round energy integration point of the core loop. Monomorphized:
-/// the [`NoEnergy`] instantiation compiles to exactly the pre-energy
-/// engine (every call site is gated on the `ACTIVE` const).
-trait EnergyHook {
-    /// Whether this hook does anything at all.
-    const ACTIVE: bool;
-    /// Is `node` fail-stop dead (battery depleted before `round`)?
-    fn is_dead(&self, node: NodeId, round: u64) -> bool;
-    /// Charge `node` for `duty` in `round`.
-    fn charge(&mut self, node: NodeId, duty: Duty, round: u64);
-    /// End-of-round accounting (idle/sleep sweep); `true` requests an
-    /// engine stop (network-lifetime halt).
-    fn end_round<P: Protocol>(&mut self, round: u64, protocol: &P) -> bool;
-    /// Keep ticking (charging idle/sleep rounds) past protocol
-    /// quiescence, up to the round cap.
-    fn charge_to_cap(&self) -> bool;
-}
+/// The energy hook, sealed: a public trait in a private module, so the
+/// run builder's bounds can name it while no type outside this module
+/// implements it.
+mod hook {
+    use super::{EnergyRunResult, RunResult};
+    use crate::Protocol;
+    use radio_energy::{Duty, EnergySession};
+    use radio_graph::NodeId;
 
-/// The zero-cost hook used by the plain entry points.
-struct NoEnergy;
+    /// Per-round energy integration point of the round loop, and the
+    /// shape of the run's result. Monomorphized: the `()` instantiation
+    /// (no overlay) compiles to the plain loop, because every call site
+    /// is gated on the `ACTIVE` const.
+    pub trait EnergyHook: Sync {
+        /// Whether this hook does anything at all.
+        const ACTIVE: bool;
+        /// What the run returns.
+        type Output;
+        /// Run start: check the node count and reset the accounting.
+        fn begin(&mut self, n: usize);
+        /// Run end: package the result; `halted` is whether the hook
+        /// stopped the run.
+        fn finish(self, run: RunResult, halted: bool) -> Self::Output;
+        /// Is `node` fail-stop dead (battery depleted before `round`)?
+        fn is_dead(&self, node: NodeId, round: u64) -> bool;
+        /// Charge `node` for `duty` in `round`.
+        fn charge(&mut self, node: NodeId, duty: Duty, round: u64);
+        /// End-of-round accounting (idle/sleep sweep); `true` requests an
+        /// engine stop (network-lifetime halt).
+        fn end_round<P: Protocol>(&mut self, round: u64, protocol: &P) -> bool;
+        /// Keep ticking (charging idle/sleep rounds) past protocol
+        /// quiescence, up to the round cap.
+        fn charge_to_cap(&self) -> bool;
+    }
 
-impl EnergyHook for NoEnergy {
-    const ACTIVE: bool = false;
-    #[inline(always)]
-    fn is_dead(&self, _node: NodeId, _round: u64) -> bool {
-        false
+    /// No overlay: the run returns its plain [`RunResult`].
+    impl EnergyHook for () {
+        const ACTIVE: bool = false;
+        type Output = RunResult;
+        #[inline(always)]
+        fn begin(&mut self, _n: usize) {}
+        #[inline(always)]
+        fn finish(self, run: RunResult, _halted: bool) -> RunResult {
+            run
+        }
+        #[inline(always)]
+        fn is_dead(&self, _node: NodeId, _round: u64) -> bool {
+            false
+        }
+        #[inline(always)]
+        fn charge(&mut self, _node: NodeId, _duty: Duty, _round: u64) {}
+        #[inline(always)]
+        fn end_round<P: Protocol>(&mut self, _round: u64, _protocol: &P) -> bool {
+            false
+        }
+        #[inline(always)]
+        fn charge_to_cap(&self) -> bool {
+            false
+        }
     }
-    #[inline(always)]
-    fn charge(&mut self, _node: NodeId, _duty: Duty, _round: u64) {}
-    #[inline(always)]
-    fn end_round<P: Protocol>(&mut self, _round: u64, _protocol: &P) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn charge_to_cap(&self) -> bool {
-        false
-    }
-}
 
-impl EnergyHook for EnergySession {
-    const ACTIVE: bool = true;
-    #[inline]
-    fn is_dead(&self, node: NodeId, round: u64) -> bool {
-        EnergySession::is_dead(self, node, round)
-    }
-    #[inline]
-    fn charge(&mut self, node: NodeId, duty: Duty, round: u64) {
-        EnergySession::charge(self, node, duty, round);
-    }
-    fn end_round<P: Protocol>(&mut self, round: u64, protocol: &P) -> bool {
-        self.sweep_round(round, |v| protocol.radio_off(v, round));
-        self.should_halt()
-    }
-    #[inline]
-    fn charge_to_cap(&self) -> bool {
-        EnergySession::charge_to_cap(self)
+    /// The overlay: the run returns an [`EnergyRunResult`].
+    impl EnergyHook for &mut EnergySession {
+        const ACTIVE: bool = true;
+        type Output = EnergyRunResult;
+        fn begin(&mut self, n: usize) {
+            assert_eq!(
+                self.n(),
+                n,
+                "energy session node count must match the graph"
+            );
+            EnergySession::begin(self);
+        }
+        fn finish(self, run: RunResult, stopped_on_depletion: bool) -> EnergyRunResult {
+            let energy = self.finalize(run.metrics.per_node());
+            EnergyRunResult {
+                run,
+                energy,
+                stopped_on_depletion,
+            }
+        }
+        #[inline]
+        fn is_dead(&self, node: NodeId, round: u64) -> bool {
+            EnergySession::is_dead(self, node, round)
+        }
+        #[inline]
+        fn charge(&mut self, node: NodeId, duty: Duty, round: u64) {
+            EnergySession::charge(self, node, duty, round);
+        }
+        fn end_round<P: Protocol>(&mut self, round: u64, protocol: &P) -> bool {
+            self.sweep_round(round, |v| protocol.radio_off(v, round));
+            self.should_halt()
+        }
+        #[inline]
+        fn charge_to_cap(&self) -> bool {
+            EnergySession::charge_to_cap(self)
+        }
     }
 }
 
@@ -269,8 +314,7 @@ impl EnergyHook for EnergySession {
 /// The collision rule only needs "exactly one transmitter in range", so
 /// the paper-faithful count collapses to one *collided* bit folded into
 /// the stamp word. Stamps are `u32` round numbers (`0` = never; rounds
-/// are 1-based); [`Engine::run_with`] asserts the round cap fits 31
-/// bits.
+/// are 1-based); the round loop asserts the round cap fits 31 bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 struct HitRecord {
@@ -382,8 +426,8 @@ pub fn scatter_plan(
     }
 }
 
-/// A non-silent outcome of the fused decide phase, tagged onto the node
-/// it belongs to. Workers emit `(node, event)` pairs in awake-list order;
+/// A non-silent outcome of the decide phase, tagged onto the node it
+/// belongs to. Both contracts emit `(node, event)` pairs in poll order;
 /// silent nodes emit nothing, which is what keeps the serial commit sweep
 /// sparse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -397,7 +441,7 @@ enum DecideEvent {
     Dead,
 }
 
-/// Where a node stands in a fused run: on the awake list or not, and
+/// Where a node stands in a v2 run: on the awake list or not, and
 /// whether its `node_keys` entry was derived for this run's seed. The
 /// key cache rests on one invariant: `state != Unkeyed` ⇒
 /// `node_keys[v] == streams.node_key(v)` for *this* run's streams.
@@ -414,7 +458,7 @@ enum ListState {
     Listed,
 }
 
-/// Evaluate the fused decide phase over one span of the awake list,
+/// Evaluate the v2 decide phase over one span of the awake list,
 /// generating the heads of the nodes' decide blocks (their first
 /// [`rand_chacha::HEAD_WORDS`] words) in **wide ChaCha batches**
 /// ([`rand_chacha::chacha8_block_heads`]) instead of one scalar block
@@ -515,6 +559,38 @@ fn decide_span<P, E>(
     }
 }
 
+/// The per-run pools of the round loop, owned by the engine and sized to
+/// the graph once, so repeated runs allocate nothing here. The loop
+/// takes them out at run start and puts them back at run end.
+#[derive(Default)]
+struct Pools {
+    /// Authoritative awake flags.
+    is_awake: Vec<bool>,
+    /// The poll list; capacity `n` reserved up front so delivery-phase
+    /// wakes never reallocate mid-run. Under v1 it holds exactly the
+    /// awake nodes; under v2 it may also carry stale entries (see
+    /// [`ListState`]).
+    awake_list: Vec<NodeId>,
+    /// This round's transmitters, in poll order.
+    transmitters: Vec<NodeId>,
+    /// This round's non-silent decisions, in poll order.
+    events: Vec<(NodeId, DecideEvent)>,
+    /// Per-worker decide events of v2's parallel decide phase.
+    par_events: Vec<Vec<(NodeId, DecideEvent)>>,
+    /// v2: each node's [`ListState`] — membership of `awake_list`
+    /// (`Listed && !is_awake[v]` marks a *stale* entry carried until the
+    /// eager compaction threshold trips) and validity of its `node_keys`
+    /// entry for the current run.
+    list_state: Vec<ListState>,
+    /// v2: per-node ChaCha key words, derived once per node per run: at
+    /// the node's first delivery (or at init for the initially awake),
+    /// then reused by every decide and receive lane of the run (32 B per
+    /// node; sized on the first v2 run, so v1-only engines never pay for
+    /// it). Read concurrently by the decide workers; written only in the
+    /// serial init and delivery phases.
+    node_keys: Vec<[u32; 8]>,
+}
+
 /// Reusable simulation engine for one graph.
 ///
 /// Generic over the [`Topology`] backend, with the CSR [`DiGraph`] as
@@ -528,16 +604,16 @@ fn decide_span<P, E>(
 ///
 /// **Allocation-free steady state:** every piece of per-run scratch —
 /// the stamped `hits` records, the receiver bitmap, the awake
-/// bookkeeping (`is_awake`, `list_state`, `awake_list`), the per-round
-/// `transmitters`/decide-event buffers, and the per-worker lists of the
-/// parallel phases — lives in pools owned by the engine and sized to the graph
-/// once, so a trial loop over seeds on a fixed graph performs **zero
-/// heap allocations after round 1 of a run** beyond the returned
-/// metrics vector (pinned by the counting-allocator test in
-/// `crates/sim/tests/alloc_free.rs`; parallel rounds additionally pay
-/// the OS-level scoped-thread spawns, which is why that test runs the
-/// serial path). At `n = 2²⁰` this saves a multi-MB alloc + zero per
-/// trial that the pre-pool engine paid on every run.
+/// bookkeeping, the per-round transmitter and decide-event buffers, and
+/// the per-worker lists of the parallel phases — lives in pools owned
+/// by the engine and sized to the graph once, so a trial loop over seeds
+/// on a fixed graph performs **zero heap allocations after round 1 of a
+/// run** beyond the returned metrics vector (pinned by the
+/// counting-allocator test in `crates/sim/tests/alloc_free.rs`; parallel
+/// rounds additionally pay the OS-level scoped-thread spawns, which is
+/// why that test runs the serial path). At `n = 2²⁰` this saves a
+/// multi-MB alloc + zero per trial that the pre-pool engine paid on
+/// every run.
 pub struct Engine<'g, T: Topology = DiGraph> {
     graph: &'g T,
     cfg: EngineConfig,
@@ -559,30 +635,8 @@ pub struct Engine<'g, T: Topology = DiGraph> {
     /// worker `w`'s hits landing in receiver range `r`, the merge phase
     /// drains column `r` in worker order (= serial transmitter order).
     shard_hits: Vec<Vec<Vec<(NodeId, NodeId)>>>,
-    /// Authoritative awake flags (pooled across runs).
-    is_awake: Vec<bool>,
-    /// Per-node [`ListState`] of the fused engine: membership of
-    /// `awake_list` (`Listed && !is_awake[v]` marks a *stale* entry the
-    /// fused engine carries until the eager compaction threshold trips,
-    /// see `run_fused_core`) and validity of the node's `node_keys`
-    /// entry for the current run.
-    list_state: Vec<ListState>,
-    /// The poll list; capacity `n` reserved up front so delivery-phase
-    /// wakes never reallocate mid-run.
-    awake_list: Vec<NodeId>,
-    /// This round's transmitters, in poll order.
-    transmitters: Vec<NodeId>,
-    /// Serial-path decide events of the fused engine.
-    events: Vec<(NodeId, DecideEvent)>,
-    /// Per-worker decide events of the fused engine's parallel phase.
-    par_events: Vec<Vec<(NodeId, DecideEvent)>>,
-    /// Per-node ChaCha key words for the fused engine's v2 streams,
-    /// derived once per node per run: at the node's first delivery (or
-    /// at init for the initially awake), then reused by every decide and
-    /// receive lane of the run (32 B/node; sized on the first fused run
-    /// so v1-only engines never pay for it). Read concurrently by the
-    /// decide workers; written only in the serial init/delivery phases.
-    node_keys: Vec<[u32; 8]>,
+    /// The awake bookkeeping and per-round buffers of the round loop.
+    pools: Pools,
 }
 
 impl<'g, T: Topology> Engine<'g, T> {
@@ -596,13 +650,14 @@ impl<'g, T: Topology> Engine<'g, T> {
             sent: vec![0; n],
             touched_bits: vec![0; n.div_ceil(64)],
             shard_hits: Vec::new(),
-            is_awake: vec![false; n],
-            list_state: vec![ListState::Unkeyed; n],
-            awake_list: Vec::with_capacity(n),
-            transmitters: Vec::with_capacity(n),
-            events: Vec::with_capacity(n),
-            par_events: Vec::new(),
-            node_keys: Vec::new(),
+            pools: Pools {
+                is_awake: vec![false; n],
+                list_state: vec![ListState::Unkeyed; n],
+                awake_list: Vec::with_capacity(n),
+                transmitters: Vec::with_capacity(n),
+                events: Vec::with_capacity(n),
+                ..Pools::default()
+            },
         }
     }
 
@@ -611,206 +666,38 @@ impl<'g, T: Topology> Engine<'g, T> {
         &self.cfg
     }
 
-    /// Run `protocol` to completion (or the round cap) with `rng`,
-    /// using [`EngineConfig::threads`] scatter workers (1 by default).
-    pub fn run<P: Protocol>(&mut self, protocol: &mut P, rng: &mut ChaCha8Rng) -> RunResult {
-        let g = self.graph;
-        self.run_with(|_| g, protocol, rng)
-    }
-
-    /// [`Engine::run`] with an explicit intra-run thread count. The
-    /// argument **overrides** [`EngineConfig::threads`] for this run
-    /// only — prefer one mechanism per call site: `with_threads` on the
-    /// config when the count is part of the experiment setup (it flows
-    /// through every wrapper that takes an `EngineConfig`), this entry
-    /// point when a caller varies the count per run (the determinism
-    /// tests, the bench's `2t`/`8t` entries).
-    ///
-    /// # Determinism contract
-    ///
-    /// The round loop stays serial where randomness lives (the per-node
-    /// `decide` draws and the ascending-receiver delivery sweep); only
-    /// the scatter/collision-count phase fans out, in one of two
-    /// partitions picked per backend by [`scatter_plan`]:
-    ///
-    /// * **Receiver id range** (CSR): each worker streams the full
-    ///   transmitter list over the rows but writes [`HitRecord`]s only
-    ///   for its disjoint node range — no merge step, no atomics.
-    /// * **Transmitter shard** (implicit backends, whose range queries
-    ///   replay whole rows): each worker generates its own shard's rows
-    ///   exactly once, and a deterministic receiver-keyed merge drains
-    ///   the buckets in shard order — which *is* the serial transmitter
-    ///   order — so every receiver resolves to the serial outcome.
-    ///
-    /// Either way the delivery order (ascending receiver id) is
-    /// unchanged, so serial and N-thread runs are bit-identical *by
-    /// construction* — the same guarantee the sweep layer gives for
-    /// trial-level fan-out.
-    pub fn run_par<P: Protocol>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        threads: usize,
-    ) -> RunResult {
-        assert!(threads >= 1, "threads must be at least 1");
-        let g = self.graph;
-        self.run_core(|_| g, protocol, rng, &mut NoEnergy, &mut NullSink, threads)
-            .0
-    }
-
-    /// [`Engine::run`] with a structured [`TraceSink`] receiving the
-    /// round-by-round event stream — see the `radio-trace` crate for the
-    /// event model, the recording sinks, and replay verification.
-    ///
-    /// The sink is a monomorphized hook exactly like the energy overlay:
-    /// with [`NullSink`] every emission site compiles out, so the
-    /// untraced entry points keep their existing codegen, and a
-    /// recording sink costs one buffered push per event on the serial
-    /// side of the round. Sinks observe the run without influencing it —
-    /// they never touch the protocol RNG — so a traced run is
-    /// bit-identical to its untraced twin (property-tested in
-    /// `tests/trace_zero_interference.rs`).
-    pub fn run_traced<P: Protocol, S: TraceSink>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        sink: &mut S,
-    ) -> RunResult {
-        let threads = self.cfg.threads.max(1);
-        let g = self.graph;
-        self.run_core(|_| g, protocol, rng, &mut NoEnergy, sink, threads)
-            .0
-    }
-
-    /// [`Engine::run_energy`] with a structured [`TraceSink`] — the
-    /// energy overlay and the trace hook compose; see
-    /// [`Engine::run_traced`].
-    pub fn run_energy_traced<P: Protocol, S: TraceSink>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-        sink: &mut S,
-    ) -> EnergyRunResult {
-        let threads = self.cfg.threads.max(1);
-        let g = self.graph;
-        self.run_energy_core(|_| g, protocol, rng, session, sink, threads)
-    }
-
-    /// [`Engine::run_par`] with an energy overlay — the parallel scatter
-    /// never touches the session (duty charges happen on the serial
-    /// side), so overlay runs keep the same bit-identity guarantee.
-    pub fn run_par_energy<P: Protocol>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-        threads: usize,
-    ) -> EnergyRunResult {
-        assert!(threads >= 1, "threads must be at least 1");
-        let g = self.graph;
-        self.run_energy_core(|_| g, protocol, rng, session, &mut NullSink, threads)
-    }
-
-    /// [`Engine::run`] with an energy overlay: duties are charged to
-    /// `session` per round, battery-depleted nodes turn fail-stop dead,
-    /// and the result carries an [`EnergyMetrics`] report. The session is
-    /// reset at run start, so one session serves many runs.
-    pub fn run_energy<P: Protocol>(
-        &mut self,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-    ) -> EnergyRunResult {
-        let g = self.graph;
-        self.run_with_energy(|_| g, protocol, rng, session)
-    }
-
-    /// Core loop with a per-round topology: `pick(round)` returns the
-    /// graph in force during that round. All graphs must have the same
-    /// node count as the engine's sizing graph. This is the mobility
-    /// entry point — see [`run_dynamic`].
-    pub fn run_with<F, P>(&mut self, pick: F, protocol: &mut P, rng: &mut ChaCha8Rng) -> RunResult
-    where
-        F: Fn(u64) -> &'g T,
-        P: Protocol,
-    {
-        let threads = self.cfg.threads.max(1);
-        self.run_core(pick, protocol, rng, &mut NoEnergy, &mut NullSink, threads)
-            .0
-    }
-
-    /// [`Engine::run_with`] with an energy overlay — see
-    /// [`Engine::run_energy`].
-    pub fn run_with_energy<F, P>(
-        &mut self,
-        pick: F,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-    ) -> EnergyRunResult
-    where
-        F: Fn(u64) -> &'g T,
-        P: Protocol,
-    {
-        let threads = self.cfg.threads.max(1);
-        self.run_energy_core(pick, protocol, rng, session, &mut NullSink, threads)
-    }
-
-    /// Shared energy-overlay wrapper: session lifecycle around the core
-    /// loop at an explicit thread count.
-    fn run_energy_core<F, P, S>(
-        &mut self,
-        pick: F,
-        protocol: &mut P,
-        rng: &mut ChaCha8Rng,
-        session: &mut EnergySession,
-        sink: &mut S,
-        threads: usize,
-    ) -> EnergyRunResult
-    where
-        F: Fn(u64) -> &'g T,
-        P: Protocol,
-        S: TraceSink,
-    {
-        assert_eq!(
-            session.n(),
-            self.graph.n(),
-            "energy session node count must match the graph"
-        );
-        session.begin();
-        let (run, stopped_on_depletion) =
-            self.run_core(pick, protocol, rng, session, sink, threads);
-        let energy = session.finalize(run.metrics.per_node());
-        EnergyRunResult {
-            run,
-            energy,
-            stopped_on_depletion,
+    /// Start a run of `protocol` on this engine. Attach hooks to the
+    /// returned [`Run`], then execute it with [`Run::v1`] or [`Run::v2`]:
+    /// `engine.run(&mut proto).v1(&mut rng)`.
+    pub fn run<'r, P: Protocol>(&'r mut self, protocol: &'r mut P) -> Run<'r, 'g, T, P> {
+        Run {
+            engine: self,
+            protocol,
+            energy: (),
+            sink: NullSink,
+            schedule: None,
         }
     }
 
-    /// The round loop, generic over the energy hook and the trace sink.
-    /// Returns the run and whether the hook requested an early stop.
-    /// `threads` is the scatter worker count; every value yields
-    /// bit-identical results (see [`Engine::run_par`]).
+    /// The round loop, written once for both contracts and every hook.
+    /// Returns the run and whether the energy hook requested the stop.
     ///
-    /// Every `sink.emit` site is gated on `S::ACTIVE`, so the
-    /// [`NullSink`] instantiation compiles to exactly the pre-trace
-    /// loop. Emissions happen only on the serial side — the round
-    /// preamble, the poll sweep, and the ascending-receiver delivery
-    /// sweep — so the event order is deterministic and identical for
-    /// every thread count.
-    fn run_core<F, P, E, S>(
+    /// Every `sink.emit` site is gated on `S::ACTIVE` and every hook call
+    /// on `E::ACTIVE`, so the plain instantiation compiles both out.
+    /// Emissions and charges happen only on the serial side — the round
+    /// preamble, the commit sweep and the ascending-receiver delivery
+    /// sweep — so the event stream and the charge sequence are
+    /// deterministic and identical for every thread count.
+    fn run_loop<C, P, E, S>(
         &mut self,
-        pick: F,
+        schedule: Option<(&[&T], u64)>,
         protocol: &mut P,
-        rng: &mut ChaCha8Rng,
+        mut contract: C,
         hook: &mut E,
         sink: &mut S,
-        threads: usize,
     ) -> (RunResult, bool)
     where
-        F: Fn(u64) -> &'g T,
+        C: StreamContract<P>,
         P: Protocol,
         E: EnergyHook,
         S: TraceSink,
@@ -821,34 +708,31 @@ impl<'g, T: Topology> Engine<'g, T> {
             "max_rounds must fit the 31-bit round stamps (< {})",
             u32::MAX >> 1
         );
+        let threads = self.cfg.threads.max(1);
+        let half_duplex = self.cfg.half_duplex;
         let mut metrics = Metrics::new(n);
         self.reset_round_state();
         let mut trace = self.cfg.record_trace.then(Trace::default);
 
-        // Awake bookkeeping, taken from the engine's pools (restored at
-        // the end of the run) so repeated runs allocate nothing here.
-        // The v1 poll sweep compacts sleepers inline, so `awake_list`
-        // never carries stale entries; `is_awake` stays authoritative.
-        //
-        // Reset by clear + resize, not `fill`: a run that panicked out
-        // (protocol assert, poisoned hook) leaves the pools taken —
-        // zero-length — and the next run on this engine must re-size
-        // them instead of indexing out of bounds. On the normal warm
-        // path this writes exactly what `fill(false)` would, with no
-        // allocation.
-        let mut is_awake = std::mem::take(&mut self.is_awake);
-        let mut awake_list = std::mem::take(&mut self.awake_list);
-        let mut transmitters = std::mem::take(&mut self.transmitters);
-        is_awake.clear();
-        is_awake.resize(n, false);
-        awake_list.clear();
-        transmitters.clear();
+        // Take the pools for the run (restored at its end). Reset by
+        // clear + resize, not `fill`: a run that panicked out (protocol
+        // assert, poisoned hook) leaves the pools taken — zero-length —
+        // and the next run must re-size them instead of indexing out of
+        // bounds. On the warm path this writes exactly what `fill` would,
+        // with no allocation.
+        let mut pools = std::mem::take(&mut self.pools);
+        pools.is_awake.clear();
+        pools.is_awake.resize(n, false);
+        pools.awake_list.clear();
+        pools.transmitters.clear();
+        pools.events.clear();
+        contract.begin(&mut pools, n);
         let mut awake_count = 0usize;
         for v in protocol.initially_awake() {
-            if !is_awake[v as usize] {
-                is_awake[v as usize] = true;
+            if !pools.is_awake[v as usize] {
+                pools.is_awake[v as usize] = true;
                 awake_count += 1;
-                awake_list.push(v);
+                contract.wake(&mut pools, v);
             }
         }
 
@@ -873,105 +757,119 @@ impl<'g, T: Topology> Engine<'g, T> {
                                        // `stamp` values for this round: clean reception vs collision.
             let hit_once = rstamp << 1;
             let hit_many = hit_once | 1;
-            let graph = pick(round);
-            debug_assert_eq!(graph.n(), n, "topology changed node count mid-run");
+            let graph = match schedule {
+                None => self.graph,
+                Some((graphs, every)) => {
+                    graphs[(((round - 1) / every) as usize).min(graphs.len() - 1)]
+                }
+            };
             if S::ACTIVE {
                 sink.emit(TraceEvent::RoundStart { round });
             }
 
-            // --- poll phase -------------------------------------------------
-            transmitters.clear();
-            let mut w = 0usize;
-            for r in 0..awake_list.len() {
-                let v = awake_list[r];
-                if !is_awake[v as usize] {
-                    continue; // stale entry
-                }
-                if E::ACTIVE && hook.is_dead(v, round) {
-                    // Battery ran out in an earlier round: fail-stop, off
-                    // the poll list for good (a dead node can't be woken).
-                    is_awake[v as usize] = false;
-                    awake_count -= 1;
-                    if S::ACTIVE {
-                        sink.emit(TraceEvent::Depleted { node: v });
-                    }
-                    continue;
-                }
-                match protocol.decide(v, round, rng) {
-                    Action::Silent => {
-                        awake_list[w] = v;
-                        w += 1;
-                    }
-                    Action::Transmit => {
-                        transmitters.push(v);
-                        self.sent[v as usize] = rstamp;
-                        awake_list[w] = v;
-                        w += 1;
+            // --- decide phase -----------------------------------------------
+            pools.events.clear();
+            contract.decide(&mut pools, protocol, &*hook, round, &self.cfg);
+
+            // --- serial commit sweep (poll order) ---------------------------
+            // Metrics and duty charges are serial side effects, made after
+            // every `is_dead` check of the decide phase and kept out of the
+            // (possibly parallel) scatter, so every thread count sees the
+            // identical per-transmitter order.
+            pools.transmitters.clear();
+            let mut retired = 0usize;
+            for &(v, ev) in &pools.events {
+                let vi = v as usize;
+                match ev {
+                    DecideEvent::Transmit => {
+                        C::commit(protocol, v, round, Action::Transmit);
+                        pools.transmitters.push(v);
+                        self.sent[vi] = rstamp;
+                        metrics.record_transmission(v);
+                        if E::ACTIVE {
+                            hook.charge(v, Duty::Transmit, round);
+                        }
                         if S::ACTIVE {
                             sink.emit(TraceEvent::Transmit { node: v });
                         }
                     }
-                    Action::Sleep => {
-                        is_awake[v as usize] = false;
+                    DecideEvent::Sleep => {
+                        C::commit(protocol, v, round, Action::Sleep);
+                        pools.is_awake[vi] = false;
                         awake_count -= 1;
+                        retired += 1;
                         if S::ACTIVE {
                             sink.emit(TraceEvent::Sleep { node: v });
                         }
                     }
+                    DecideEvent::Dead => {
+                        // Battery ran out in an earlier round: fail-stop,
+                        // no protocol commit (a dead node can't be woken).
+                        pools.is_awake[vi] = false;
+                        awake_count -= 1;
+                        retired += 1;
+                        if S::ACTIVE {
+                            sink.emit(TraceEvent::Depleted { node: v });
+                        }
+                    }
                 }
             }
-            awake_list.truncate(w);
+            contract.settle(&mut pools, awake_count, retired);
 
             // --- transmit phase ---------------------------------------------
-            // Metrics and duty charges are serial side effects; keep them
-            // out of the (possibly parallel) scatter so both paths see
-            // the identical per-transmitter order.
-            for &u in &transmitters {
-                metrics.record_transmission(u);
-                if E::ACTIVE {
-                    hook.charge(u, Duty::Transmit, round);
-                }
-            }
-            self.scatter_round(graph, &transmitters, hit_once, hit_many, threads);
+            self.scatter_round(graph, &pools.transmitters, hit_once, hit_many, threads);
 
-            // --- delivery phase ----------------------------------------------
-            // Ascending receiver id (the contract shared with
+            // --- delivery phase ---------------------------------------------
+            // Serial, ascending receiver id (the contract shared with
             // `reference`/`baseline`): the bitmap walk yields exactly this
-            // round's hit nodes in that order.
+            // round's hit nodes in that order. `v` hears iff exactly one
+            // transmitter reached it (a clean `hit_once` stamp), its own
+            // radio was not busy transmitting under half-duplex, and its
+            // battery has not run out; `on_receive` then draws from the
+            // contract's receive stream.
             let mut deliveries = 0u64;
             let mut first_receptions = 0u64;
-            if !transmitters.is_empty() {
+            if !pools.transmitters.is_empty() {
                 drain_receivers(&mut self.touched_bits, |v| {
                     let vi = v as usize;
-                    if S::ACTIVE && self.hits[vi].stamp == hit_many {
-                        sink.emit(TraceEvent::Collision { node: v });
+                    let HitRecord {
+                        stamp,
+                        source: from,
+                    } = self.hits[vi];
+                    if stamp != hit_once {
+                        if S::ACTIVE {
+                            sink.emit(TraceEvent::Collision { node: v });
+                        }
+                        return;
                     }
-                    let delivered = deliver_one(
-                        &self.hits,
-                        &self.sent,
-                        self.cfg.half_duplex,
-                        hit_once,
-                        rstamp,
-                        v,
-                        round,
-                        protocol,
-                        hook,
-                        || &mut *rng,
-                        &mut deliveries,
-                        &mut first_receptions,
-                    );
-                    let woke = delivered && !is_awake[vi];
-                    if S::ACTIVE && delivered {
+                    if half_duplex && self.sent[vi] == rstamp {
+                        return; // v's own radio was busy transmitting
+                    }
+                    if E::ACTIVE && hook.is_dead(v, round) {
+                        return; // a depleted radio hears nothing
+                    }
+                    let msg = protocol.payload(from, round);
+                    let informed_before = protocol.informed_count();
+                    if E::ACTIVE {
+                        hook.charge(v, Duty::Receive, round);
+                    }
+                    contract.receive(&mut pools, protocol, v, from, round, &msg);
+                    deliveries += 1;
+                    if protocol.informed_count() > informed_before {
+                        first_receptions += 1;
+                    }
+                    let woke = !pools.is_awake[vi];
+                    if S::ACTIVE {
                         sink.emit(TraceEvent::Deliver {
                             node: v,
-                            from: self.hits[vi].source,
+                            from,
                             woke,
                         });
                     }
                     if woke {
-                        is_awake[vi] = true;
+                        pools.is_awake[vi] = true;
                         awake_count += 1;
-                        awake_list.push(v);
+                        contract.wake(&mut pools, v);
                     }
                 });
             }
@@ -987,7 +885,7 @@ impl<'g, T: Topology> Engine<'g, T> {
 
             if S::ACTIVE {
                 sink.emit(TraceEvent::RoundEnd {
-                    transmitters: transmitters.len() as u64,
+                    transmitters: pools.transmitters.len() as u64,
                     deliveries,
                     awake: awake_count as u64,
                 });
@@ -996,7 +894,7 @@ impl<'g, T: Topology> Engine<'g, T> {
             if let Some(t) = trace.as_mut() {
                 t.rounds.push(RoundRecord {
                     round,
-                    transmitters: transmitters.len() as u64,
+                    transmitters: pools.transmitters.len() as u64,
                     deliveries,
                     newly_informed: first_receptions,
                     active: protocol.active_count() as u64,
@@ -1006,9 +904,7 @@ impl<'g, T: Topology> Engine<'g, T> {
         }
 
         // Return the pooled scratch for the next run.
-        self.is_awake = is_awake;
-        self.awake_list = awake_list;
-        self.transmitters = transmitters;
+        self.pools = pools;
 
         metrics.set_rounds(rounds);
         let hit_round_cap = !completed && rounds >= self.cfg.max_rounds;
@@ -1045,12 +941,11 @@ impl<'g, T: Topology> Engine<'g, T> {
         self.touched_bits.fill(0);
     }
 
-    /// The transmit-phase scatter shared by the v1 and fused cores:
-    /// stamps this round's `hits` records from `transmitters` and sets
-    /// each receiver's bit in `touched_bits` at its first hit, fanning
-    /// out when the round's edge volume pays for the scoped-thread
-    /// spawns — partitioned by receiver range or by transmitter shard
-    /// per [`scatter_plan`].
+    /// The transmit-phase scatter: stamps this round's `hits` records
+    /// from `transmitters` and sets each receiver's bit in `touched_bits`
+    /// at its first hit, fanning out when the round's edge volume pays
+    /// for the scoped-thread spawns — partitioned by receiver range or by
+    /// transmitter shard per [`scatter_plan`].
     ///
     /// Scatter through [`Topology`] queries: for the CSR backend
     /// `for_each_out` monomorphizes to streaming one contiguous
@@ -1252,536 +1147,491 @@ impl<'g, T: Topology> Engine<'g, T> {
         });
         debug_assert_eq!(lo_word, words, "merge ranges must tile the bitmap");
     }
+}
 
-    /// Run `protocol` to completion (or the round cap) under the **v2
-    /// determinism contract** — counter-based per-node decide streams
-    /// derived from `run_seed` ([`DecideStreams`]) instead of one shared
-    /// serial RNG — with the decide, scatter, and delivery phases fused
-    /// into the engine's worker partitioning.
-    /// Uses [`EngineConfig::threads`] workers (1 by default); see
-    /// [`Engine::run_fused_par`] for the determinism contract.
-    pub fn run_fused<P: FusedDecide>(&mut self, protocol: &mut P, run_seed: u64) -> RunResult {
-        let threads = self.cfg.threads.max(1);
-        self.run_fused_par(protocol, run_seed, threads)
-    }
+/// One run being set up: [`Engine::run`] starts it, the optional hooks
+/// attach to it, and a terminal method picks the determinism contract
+/// and executes it:
+///
+/// ```text
+/// engine.run(&mut protocol)
+///     .energy(&mut session)       // optional: energy overlay
+///     .sink(&mut sink)            // optional: structured trace
+///     .schedule(&graphs, every)   // optional: changing topology
+///     .v1(&mut rng)               // or .v2(run_seed)
+/// ```
+///
+/// The hooks are type parameters, so a run without them compiles to the
+/// plain loop: with no overlay (`E = ()`) and the [`NullSink`] every
+/// energy and trace call site compiles out. The terminal method returns
+/// a [`RunResult`], or an [`EnergyRunResult`] once `.energy(..)` is
+/// attached. The worker count is [`EngineConfig::threads`].
+///
+/// # Determinism contracts
+///
+/// Both contracts drive the same round loop: decide, a serial commit
+/// sweep in poll (awake-list) order, the scatter/collision phase, and a
+/// serial delivery sweep in ascending receiver order. The scatter fans
+/// out in the partition [`scatter_plan`] picks per backend:
+///
+/// * **Receiver id range** (CSR): each worker streams the full
+///   transmitter list over the rows but records hits only for its
+///   disjoint node range — no merge step, no atomics.
+/// * **Transmitter shard** (implicit backends, whose range queries
+///   replay whole rows): each worker generates its own shard's rows
+///   exactly once, and a deterministic receiver-keyed merge drains the
+///   buckets in shard order — which *is* the serial transmitter order —
+///   so every receiver resolves to the serial outcome.
+///
+/// The contracts differ only in where the coin flips come from:
+///
+/// * **v1** ([`Run::v1`]): one shared [`ChaCha8Rng`], consumed serially —
+///   [`Protocol::decide`] in poll order, then `on_receive` in delivery
+///   order — so the decide phase stays on the calling thread.
+/// * **v2** ([`Run::v2`]): every coin flip comes from a stream that is a
+///   pure function of `(run_seed, node, round)` — see [`DecideStreams`]
+///   for the layout — so the decide phase fans out too: workers evaluate
+///   [`FusedDecide::decide_pure`] over awake-list chunks against the
+///   round-start protocol state, and the commit sweep replays the
+///   non-silent decisions in poll order ([`FusedDecide::commit_decide`]).
+///   `on_receive` draws from the receiver's own receive lane.
+///
+/// Either way every partition reproduces the serial outcome, so runs are
+/// **bit-identical for every thread count, by construction**. A v1 and a
+/// v2 run of the same `(protocol, seed)` produce *different*
+/// (statistically equivalent) trajectories: the stream layouts differ;
+/// `tests/v2_equivalence.rs` cross-validates the two contracts against
+/// the [`reference`](mod@crate::reference) oracle.
+///
+/// Hooks observe without influencing: an energy session never touches
+/// the protocol streams, so with no battery attached an overlay run is
+/// bit-identical to the plain run, and a sink never touches anything
+/// (`tests/trace_zero_interference.rs`).
+#[must_use = "a run does nothing until `.v1(..)` or `.v2(..)` executes it"]
+pub struct Run<'r, 'g, T: Topology, P, E = (), S = NullSink> {
+    engine: &'r mut Engine<'g, T>,
+    protocol: &'r mut P,
+    energy: E,
+    sink: S,
+    schedule: Option<(&'r [&'r T], u64)>,
+}
 
-    /// [`Engine::run_fused`] with an explicit worker count (overrides
-    /// [`EngineConfig::threads`] for this run only).
+impl<'r, 'g, T: Topology, P: Protocol, S> Run<'r, 'g, T, P, (), S> {
+    /// Attach an energy overlay: duties are charged to `session` per
+    /// round, battery-depleted nodes turn fail-stop dead, and the run
+    /// returns an [`EnergyRunResult`]. The session is reset at run start,
+    /// so one session serves many runs.
     ///
-    /// # Determinism contract (v2)
-    ///
-    /// Every coin flip of the run comes from a stream that is a pure
-    /// function of `(run_seed, node, round)` — see [`DecideStreams`] for
-    /// the exact layout — so the decide phase can be evaluated by any
-    /// worker in any order: the engine chunks the awake list across
-    /// `threads` workers, each evaluating [`FusedDecide::decide_pure`]
-    /// against shared protocol state with the node's own positioned
-    /// stream, then replays the non-silent decisions serially in poll
-    /// order ([`FusedDecide::commit_decide`]). The scatter fans out in
-    /// the partition [`scatter_plan`] picks, and the delivery sweep stays
-    /// serial in ascending receiver order. Results are therefore
-    /// **bit-identical for every thread count, by construction** — same
-    /// guarantee as [`Engine::run_par`], now covering the decide phase
-    /// that v1 had to keep serial.
-    ///
-    /// Note that a fused run and a v1 run of the same `(protocol, seed)`
-    /// produce *different* (statistically equivalent) trajectories: the
-    /// stream layouts differ. `tests/v2_equivalence.rs` cross-validates
-    /// the two contracts against the frozen v1 reference engine.
-    pub fn run_fused_par<P: FusedDecide>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        threads: usize,
-    ) -> RunResult {
-        assert!(threads >= 1, "threads must be at least 1");
-        let g = self.graph;
-        self.run_fused_core(
-            |_| g,
+    /// # Panics
+    /// The run panics at start if the session's node count differs from
+    /// the engine's.
+    pub fn energy<'s>(
+        self,
+        session: &'s mut EnergySession,
+    ) -> Run<'r, 'g, T, P, &'s mut EnergySession, S> {
+        let Run {
+            engine,
             protocol,
-            DecideStreams::new(run_seed),
-            &mut NoEnergy,
-            &mut NullSink,
-            threads,
-        )
-        .0
-    }
-
-    /// [`Engine::run_fused`] with a structured [`TraceSink`] — see
-    /// [`Engine::run_traced`]. The fused engine's decide phase may fan
-    /// out over workers, but every emission happens on the serial side
-    /// (the commit sweep and the delivery sweep), so the event stream is
-    /// bit-identical for every thread count — which is exactly what
-    /// makes `record once, replay at any thread count` a meaningful
-    /// verification step.
-    pub fn run_fused_traced<P: FusedDecide, S: TraceSink>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        sink: &mut S,
-    ) -> RunResult {
-        let threads = self.cfg.threads.max(1);
-        let g = self.graph;
-        self.run_fused_core(
-            |_| g,
-            protocol,
-            DecideStreams::new(run_seed),
-            &mut NoEnergy,
             sink,
-            threads,
-        )
-        .0
-    }
-
-    /// [`Engine::run_fused_energy`] with a structured [`TraceSink`] —
-    /// see [`Engine::run_fused_traced`].
-    pub fn run_fused_energy_traced<P: FusedDecide, S: TraceSink>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        session: &mut EnergySession,
-        sink: &mut S,
-    ) -> EnergyRunResult {
-        let threads = self.cfg.threads.max(1);
-        assert_eq!(
-            session.n(),
-            self.graph.n(),
-            "energy session node count must match the graph"
-        );
-        session.begin();
-        let g = self.graph;
-        let (run, stopped_on_depletion) = self.run_fused_core(
-            |_| g,
+            schedule,
+            ..
+        } = self;
+        Run {
+            engine,
             protocol,
-            DecideStreams::new(run_seed),
-            session,
+            energy: session,
             sink,
-            threads,
-        );
-        let energy = session.finalize(run.metrics.per_node());
-        EnergyRunResult {
-            run,
-            energy,
-            stopped_on_depletion,
+            schedule,
         }
     }
+}
 
-    /// [`Engine::run_fused`] with an energy overlay. Duty charges happen
-    /// on the serial side of the round (commit + delivery), and the
-    /// session's own model stream is independent of the per-node decide
-    /// streams, so overlay runs keep the same bit-identity guarantee —
-    /// and, with no battery attached, are bit-identical to the same
-    /// fused run without the overlay.
-    pub fn run_fused_energy<P: FusedDecide>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        session: &mut EnergySession,
-    ) -> EnergyRunResult {
-        let threads = self.cfg.threads.max(1);
-        self.run_fused_par_energy(protocol, run_seed, session, threads)
-    }
-
-    /// [`Engine::run_fused_energy`] with an explicit worker count.
-    pub fn run_fused_par_energy<P: FusedDecide>(
-        &mut self,
-        protocol: &mut P,
-        run_seed: u64,
-        session: &mut EnergySession,
-        threads: usize,
-    ) -> EnergyRunResult {
-        assert!(threads >= 1, "threads must be at least 1");
-        assert_eq!(
-            session.n(),
-            self.graph.n(),
-            "energy session node count must match the graph"
-        );
-        session.begin();
-        let g = self.graph;
-        let (run, stopped_on_depletion) = self.run_fused_core(
-            |_| g,
+impl<'r, 'g, T: Topology, P: Protocol, E> Run<'r, 'g, T, P, E, NullSink> {
+    /// Attach a structured [`TraceSink`] receiving the round-by-round
+    /// event stream — see the `radio-trace` crate for the event model,
+    /// the recording sinks and replay verification. A recording sink
+    /// costs one buffered push per event on the serial side of the
+    /// round, so the stream is identical for every thread count: record
+    /// once, replay at any thread count.
+    pub fn sink<'k, K: TraceSink>(self, sink: &'k mut K) -> Run<'r, 'g, T, P, E, &'k mut K> {
+        let Run {
+            engine,
             protocol,
-            DecideStreams::new(run_seed),
-            session,
-            &mut NullSink,
-            threads,
-        );
-        let energy = session.finalize(run.metrics.per_node());
-        EnergyRunResult {
-            run,
             energy,
-            stopped_on_depletion,
+            schedule,
+            ..
+        } = self;
+        Run {
+            engine,
+            protocol,
+            energy,
+            sink,
+            schedule,
         }
     }
+}
 
-    /// The fused v2 round loop (see [`Engine::run_fused_par`] for the
-    /// contract). Differences from `run_core`:
+impl<'r, 'g, T: Topology, P: Protocol, E: EnergyHook, S: TraceSink> Run<'r, 'g, T, P, E, S> {
+    /// Run on a *changing topology*: the network uses `graphs[k]` during
+    /// rounds `k·switch_every + 1 ..= (k+1)·switch_every` and stays on
+    /// the last snapshot afterwards; the engine's own graph only sizes
+    /// the run, under either contract. Models node mobility (the paper's
+    /// §1: "due to the mobility of the nodes, the network topology
+    /// changes over time") — pair it with
+    /// `radio_graph::generate::mobile_geometric_sequence`.
     ///
-    /// * **decide** — evaluated by `threads` workers over contiguous
-    ///   awake-list chunks via [`FusedDecide::decide_pure`] and the
-    ///   node's own positioned stream; workers emit only non-silent
-    ///   `(node, event)` pairs, which concatenate (worker order = list
-    ///   order) into the serial commit sweep. The serial half of the
-    ///   phase is `O(transmitters + sleepers)`, not `O(awake)`.
-    /// * **awake list** — sleepers are *not* compacted inline (the
-    ///   commit sweep never walks the full list); they stay as stale
-    ///   entries skipped by the workers, and one eager `retain` pass
-    ///   compacts the list when more than half of it has gone stale
-    ///   (mass passivation — Algorithm 1's Phase 2, retirement windows).
-    /// * **delivery** — serial, ascending receiver order, with
-    ///   `on_receive` drawing from the receiver's v2 receive lane.
-    fn run_fused_core<F, P, E, S>(
-        &mut self,
-        pick: F,
-        protocol: &mut P,
-        streams: DecideStreams,
-        hook: &mut E,
-        sink: &mut S,
-        threads: usize,
-    ) -> (RunResult, bool)
-    where
-        F: Fn(u64) -> &'g T,
-        P: FusedDecide,
-        E: EnergyHook + Sync,
-        S: TraceSink,
-    {
-        let n = self.graph.n();
+    /// # Panics
+    /// Panics if `graphs` is empty, `switch_every == 0`, or a snapshot's
+    /// node count differs from the engine's.
+    pub fn schedule(mut self, graphs: &'r [&'r T], switch_every: u64) -> Self {
+        assert!(!graphs.is_empty(), "need at least one topology snapshot");
+        assert!(switch_every > 0, "switch_every must be positive");
+        let n = self.engine.graph.n();
         assert!(
-            self.cfg.max_rounds < u64::from(u32::MAX >> 1),
-            "max_rounds must fit the 31-bit round stamps (< {})",
-            u32::MAX >> 1
+            graphs.iter().all(|g| g.n() == n),
+            "every topology snapshot must have the engine's node count"
         );
-        let mut metrics = Metrics::new(n);
-        self.reset_round_state();
-        let mut trace = self.cfg.record_trace.then(Trace::default);
+        self.schedule = Some((graphs, switch_every));
+        self
+    }
 
-        // Pooled awake bookkeeping (restored at the end of the run).
-        // Unlike the v1 core, `awake_list` here may carry *stale*
-        // entries — `Listed && !is_awake[v]` — between the sparse
-        // commit that put a node to sleep and the compaction (or
-        // re-wake) that resolves it; `stale` counts them so the
-        // compaction threshold and the `len == awake + stale` invariant
-        // are O(1) to track.
-        // Clear + resize rather than `fill`, for the same
-        // panic-resilience reason as `run_core`: a panicked run leaves
-        // the pools taken, and the next run must re-size them.
-        let mut is_awake = std::mem::take(&mut self.is_awake);
-        let mut list_state = std::mem::take(&mut self.list_state);
-        let mut awake_list = std::mem::take(&mut self.awake_list);
-        let mut transmitters = std::mem::take(&mut self.transmitters);
-        let mut events = std::mem::take(&mut self.events);
-        let mut node_keys = std::mem::take(&mut self.node_keys);
-        is_awake.clear();
-        is_awake.resize(n, false);
-        list_state.clear();
-        list_state.resize(n, ListState::Unkeyed);
-        awake_list.clear();
-        transmitters.clear();
-        events.clear();
+    /// Execute under the **v1 contract**: every draw of the run comes
+    /// from `rng`, serially — see [`Run`].
+    pub fn v1(self, rng: &mut ChaCha8Rng) -> E::Output {
+        self.execute(SharedStream { rng })
+    }
+
+    /// Execute under the **v2 contract**: counter-based per-node streams
+    /// derived from `run_seed` ([`DecideStreams`]), with the decide phase
+    /// fanned out over [`EngineConfig::threads`] workers — see [`Run`].
+    pub fn v2(self, run_seed: u64) -> E::Output
+    where
+        P: FusedDecide,
+    {
+        self.execute(PerNodeStreams {
+            streams: DecideStreams::new(run_seed),
+            stale: 0,
+        })
+    }
+
+    fn execute<C: StreamContract<P>>(self, contract: C) -> E::Output {
+        let Run {
+            engine,
+            protocol,
+            mut energy,
+            mut sink,
+            schedule,
+        } = self;
+        energy.begin(engine.graph.n());
+        let (run, halted) = engine.run_loop(schedule, protocol, contract, &mut energy, &mut sink);
+        energy.finish(run, halted)
+    }
+}
+
+/// Where a run's coin flips come from — the one axis on which the v1 and
+/// v2 determinism contracts differ. `Engine::run_loop` is written once
+/// against this trait; each contract owns exactly three differences:
+/// the decide phase with its awake-list discipline, the stream
+/// `on_receive` draws from, and the wake bookkeeping. `receive` and
+/// `wake` run per delivery inside the receiver sweep, so the impls
+/// force-inline them: an out-of-line call there measurably slowed the
+/// sweep.
+trait StreamContract<P: Protocol> {
+    /// Size the contract's own pools for an `n`-node run.
+    fn begin(&mut self, pools: &mut Pools, n: usize);
+    /// Evaluate the round's decisions into `pools.events`, in poll order
+    /// (silent nodes emit nothing).
+    fn decide<E: EnergyHook>(
+        &mut self,
+        pools: &mut Pools,
+        protocol: &mut P,
+        hook: &E,
+        round: u64,
+        cfg: &EngineConfig,
+    );
+    /// Apply the state transition of a non-silent decision.
+    fn commit(protocol: &mut P, node: NodeId, round: u64, action: Action);
+    /// Awake-list upkeep once the commit sweep has taken `retired` nodes
+    /// off the awake set, leaving `awake` awake.
+    fn settle(&mut self, pools: &mut Pools, awake: usize, retired: usize);
+    /// Hand a delivery to `protocol.on_receive` with the contract's
+    /// receive stream.
+    fn receive(
+        &mut self,
+        pools: &mut Pools,
+        protocol: &mut P,
+        node: NodeId,
+        from: NodeId,
+        round: u64,
+        msg: &P::Msg,
+    );
+    /// Put `node`, just turned awake, on the poll list.
+    fn wake(&mut self, pools: &mut Pools, node: NodeId);
+}
+
+/// The v1 contract: one shared stream, drawn in poll order by `decide`
+/// and in delivery order by `on_receive`.
+struct SharedStream<'a> {
+    rng: &'a mut ChaCha8Rng,
+}
+
+impl<P: Protocol> StreamContract<P> for SharedStream<'_> {
+    #[inline]
+    fn begin(&mut self, _pools: &mut Pools, _n: usize) {}
+
+    /// Poll [`Protocol::decide`] serially, in list order, from the shared
+    /// stream (`decide` applies its own transition), and compact sleepers
+    /// and dead nodes out of the list inline — so the v1 list never
+    /// carries stale entries.
+    #[inline]
+    fn decide<E: EnergyHook>(
+        &mut self,
+        pools: &mut Pools,
+        protocol: &mut P,
+        hook: &E,
+        round: u64,
+        _cfg: &EngineConfig,
+    ) {
+        let Pools {
+            awake_list, events, ..
+        } = pools;
+        let mut kept = 0usize;
+        for r in 0..awake_list.len() {
+            let v = awake_list[r];
+            let event = if E::ACTIVE && hook.is_dead(v, round) {
+                DecideEvent::Dead
+            } else {
+                let action = protocol.decide(v, round, self.rng);
+                if action != Action::Sleep {
+                    awake_list[kept] = v;
+                    kept += 1;
+                }
+                match action {
+                    Action::Silent => continue,
+                    Action::Transmit => DecideEvent::Transmit,
+                    Action::Sleep => DecideEvent::Sleep,
+                }
+            };
+            events.push((v, event));
+        }
+        awake_list.truncate(kept);
+    }
+
+    /// A no-op: `decide` has already applied the transition.
+    #[inline(always)]
+    fn commit(_protocol: &mut P, _node: NodeId, _round: u64, _action: Action) {}
+
+    #[inline(always)]
+    fn settle(&mut self, _pools: &mut Pools, _awake: usize, _retired: usize) {}
+
+    #[inline(always)]
+    fn receive(
+        &mut self,
+        _pools: &mut Pools,
+        protocol: &mut P,
+        node: NodeId,
+        from: NodeId,
+        round: u64,
+        msg: &P::Msg,
+    ) {
+        protocol.on_receive(node, from, round, msg, self.rng);
+    }
+
+    #[inline(always)]
+    fn wake(&mut self, pools: &mut Pools, node: NodeId) {
+        pools.awake_list.push(node);
+    }
+}
+
+/// The v2 contract: counter-based per-node streams ([`DecideStreams`])
+/// served from the per-run key cache, with sleepers left on the awake
+/// list as stale entries until an eager compaction.
+struct PerNodeStreams {
+    streams: DecideStreams,
+    /// Stale awake-list entries (`Listed && !is_awake[v]`), counted so
+    /// the compaction threshold and the `len == awake + stale` invariant
+    /// are O(1) to track.
+    stale: usize,
+}
+
+impl<P: FusedDecide> StreamContract<P> for PerNodeStreams {
+    fn begin(&mut self, pools: &mut Pools, n: usize) {
+        pools.list_state.clear();
+        pools.list_state.resize(n, ListState::Unkeyed);
         // The key cache needs sizing, not clearing: resetting every
         // node to `Unkeyed` above marks all entries as leftovers, and a
         // node's entry is derived for this run's seed before anything
-        // reads it — here for the initially awake, at its first delivery
-        // for everyone else.
-        if node_keys.len() != n {
-            node_keys.clear();
-            node_keys.resize(n, [0u32; 8]);
+        // reads it — at its wake for the initially awake, at its first
+        // delivery for everyone else.
+        if pools.node_keys.len() != n {
+            pools.node_keys.clear();
+            pools.node_keys.resize(n, [0u32; 8]);
         }
-        let mut awake_count = 0usize;
-        let mut stale = 0usize;
-        for v in protocol.initially_awake() {
-            if !is_awake[v as usize] {
-                is_awake[v as usize] = true;
-                list_state[v as usize] = ListState::Listed;
-                awake_count += 1;
-                node_keys[v as usize] = streams.node_key(v);
-                awake_list.push(v);
-            }
+    }
+
+    /// Evaluate [`FusedDecide::decide_pure`] over contiguous awake-list
+    /// chunks, one per worker, each node with its own positioned stream;
+    /// workers emit only non-silent `(node, event)` pairs, which
+    /// concatenate (worker order = list order) into the poll-order event
+    /// list. Stale entries are skipped, so the serial half of the round
+    /// is `O(transmitters + sleepers)`, not `O(awake)`.
+    fn decide<E: EnergyHook>(
+        &mut self,
+        pools: &mut Pools,
+        protocol: &mut P,
+        hook: &E,
+        round: u64,
+        cfg: &EngineConfig,
+    ) {
+        protocol.begin_round(round);
+        let Pools {
+            is_awake,
+            awake_list,
+            events,
+            par_events,
+            node_keys,
+            ..
+        } = pools;
+        let len = awake_list.len();
+        let threads = cfg.threads.max(1);
+        let t = if threads > 1 && len >= cfg.par_min_awake.max(2) {
+            threads.min(len)
+        } else {
+            1
+        };
+        if t == 1 {
+            decide_span(
+                awake_list, is_awake, node_keys, round, protocol, hook, events,
+            );
+            return;
         }
-
-        let mut rounds = 0u64;
-        let mut completed = protocol.is_complete();
-        let mut halted = false;
-
-        while !completed
-            && !halted
-            && rounds < self.cfg.max_rounds
-            && (awake_count > 0 || (E::ACTIVE && hook.charge_to_cap()))
-        {
-            rounds += 1;
-            let round = rounds;
-            let rstamp = round as u32; // fits: max_rounds < 2³¹
-            let hit_once = rstamp << 1;
-            let hit_many = hit_once | 1;
-            let graph = pick(round);
-            debug_assert_eq!(graph.n(), n, "topology changed node count mid-run");
-            if S::ACTIVE {
-                sink.emit(TraceEvent::RoundStart { round });
-            }
-
-            // --- decide phase -----------------------------------------------
-            protocol.begin_round(round);
-            events.clear();
-            let len = awake_list.len();
-            let t_decide = if threads > 1 && len >= self.cfg.par_min_awake.max(2) {
-                threads.min(len)
-            } else {
-                1
-            };
-            if t_decide > 1 {
-                // Index-chunk partition: worker `w` evaluates the
-                // decisions of one contiguous slice of the awake list.
-                // Chunk boundaries cannot influence anything — each
-                // decision depends only on (run_seed, node, round) and
-                // the round-start protocol state — and concatenating the
-                // per-worker event lists in worker order reproduces list
-                // order exactly.
-                let t = t_decide;
-                if self.par_events.len() < t {
-                    self.par_events.resize_with(t, Vec::new);
+        // Index-chunk partition: worker `w` evaluates the decisions of
+        // one contiguous slice of the awake list. Chunk boundaries cannot
+        // influence anything — each decision depends only on (run_seed,
+        // node, round) and the round-start protocol state — and
+        // concatenating the per-worker event lists in worker order
+        // reproduces list order exactly.
+        if par_events.len() < t {
+            par_events.resize_with(t, Vec::new);
+        }
+        let awake: &[bool] = is_awake;
+        let keys: &[[u32; 8]] = node_keys;
+        let proto: &P = protocol;
+        let mut rest: &[NodeId] = awake_list;
+        let mut lo = 0usize;
+        std::thread::scope(|scope| {
+            for (w, ev_w) in par_events[..t].iter_mut().enumerate() {
+                let hi = (w + 1) * len / t;
+                let (chunk, tail) = rest.split_at(hi - lo);
+                rest = tail;
+                ev_w.clear();
+                // Worst case: every node in the chunk decides
+                // non-silently (no-op once warmed up).
+                ev_w.reserve(chunk.len());
+                let work = move |ev_w: &mut Vec<(NodeId, DecideEvent)>| {
+                    decide_span(chunk, awake, keys, round, proto, hook, ev_w);
+                };
+                if w + 1 == t {
+                    work(ev_w);
+                } else {
+                    scope.spawn(move || work(ev_w));
                 }
-                let par_events = &mut self.par_events[..t];
-                let awake: &[bool] = &is_awake;
-                let keys: &[[u32; 8]] = &node_keys;
-                let hook_now: &E = hook;
-                let proto: &P = protocol;
-                let mut rest: &[NodeId] = &awake_list;
-                let mut lo = 0usize;
-                std::thread::scope(|scope| {
-                    for (w, ev_w) in par_events.iter_mut().enumerate() {
-                        let hi = (w + 1) * len / t;
-                        let (chunk, tail) = rest.split_at(hi - lo);
-                        rest = tail;
-                        ev_w.clear();
-                        // Worst case: every node in the chunk decides
-                        // non-silently (no-op once warmed up).
-                        ev_w.reserve(chunk.len());
-                        let work = move |ev_w: &mut Vec<(NodeId, DecideEvent)>| {
-                            decide_span(chunk, awake, keys, round, proto, hook_now, ev_w);
-                        };
-                        if w + 1 == t {
-                            work(ev_w);
-                        } else {
-                            scope.spawn(move || work(ev_w));
-                        }
-                        lo = hi;
-                    }
-                });
-                for w in &self.par_events[..t] {
-                    events.extend_from_slice(w);
-                }
-            } else {
-                decide_span(
-                    &awake_list,
-                    &is_awake,
-                    &node_keys,
-                    round,
-                    protocol,
-                    hook,
-                    &mut events,
-                );
+                lo = hi;
             }
+        });
+        for w in &par_events[..t] {
+            events.extend_from_slice(w);
+        }
+    }
 
-            // --- serial commit (poll order) ---------------------------------
-            transmitters.clear();
-            for &(v, ev) in &events {
-                let vi = v as usize;
-                match ev {
-                    DecideEvent::Transmit => {
-                        protocol.commit_decide(v, round, Action::Transmit);
-                        transmitters.push(v);
-                        self.sent[vi] = rstamp;
-                        metrics.record_transmission(v);
-                        if E::ACTIVE {
-                            hook.charge(v, Duty::Transmit, round);
-                        }
-                        if S::ACTIVE {
-                            sink.emit(TraceEvent::Transmit { node: v });
-                        }
-                    }
-                    DecideEvent::Sleep => {
-                        protocol.commit_decide(v, round, Action::Sleep);
-                        is_awake[vi] = false;
-                        awake_count -= 1;
-                        stale += 1;
-                        if S::ACTIVE {
-                            sink.emit(TraceEvent::Sleep { node: v });
-                        }
-                    }
-                    DecideEvent::Dead => {
-                        // Battery ran out in an earlier round: fail-stop,
-                        // no protocol commit (a dead node can't be woken).
-                        is_awake[vi] = false;
-                        awake_count -= 1;
-                        stale += 1;
-                        if S::ACTIVE {
-                            sink.emit(TraceEvent::Depleted { node: v });
-                        }
-                    }
-                }
-            }
+    #[inline]
+    fn commit(protocol: &mut P, node: NodeId, round: u64, action: Action) {
+        protocol.commit_decide(node, round, action);
+    }
 
-            // Eager stale compaction: the sparse commit above never
-            // walks the full list, so sleepers would otherwise be
-            // carried (and skipped by the decide workers) until a
-            // re-wake. Once more than half the list disagrees with
-            // `is_awake` — mass passivation, e.g. Algorithm 1's
-            // all-passive Phase 2 or a retirement window expiring — one
-            // O(len) retain pass beats every future round's stale skips.
-            if stale * 2 > awake_list.len() {
-                awake_list.retain(|&v| {
-                    let keep = is_awake[v as usize];
-                    if !keep {
-                        // Off the list, but its key stays this run's.
-                        list_state[v as usize] = ListState::Keyed;
-                    }
-                    keep
-                });
-                stale = 0;
-                debug_assert_eq!(
-                    is_awake.iter().filter(|&&b| b).count(),
-                    awake_count,
-                    "is_awake flags diverged from awake_count"
-                );
-            }
+    /// Eager stale compaction: the sparse commit sweep never walks the
+    /// full list, so sleepers would otherwise be carried (and skipped by
+    /// the decide workers) until a re-wake. Once more than half the list
+    /// disagrees with `is_awake` — mass passivation, e.g. Algorithm 1's
+    /// all-passive Phase 2 or a retirement window expiring — one O(len)
+    /// retain pass beats every future round's stale skips.
+    fn settle(&mut self, pools: &mut Pools, awake: usize, retired: usize) {
+        self.stale += retired;
+        if self.stale * 2 > pools.awake_list.len() {
+            let Pools {
+                is_awake,
+                awake_list,
+                list_state,
+                ..
+            } = pools;
+            awake_list.retain(|&v| {
+                let keep = is_awake[v as usize];
+                if !keep {
+                    // Off the list, but its key stays this run's.
+                    list_state[v as usize] = ListState::Keyed;
+                }
+                keep
+            });
+            self.stale = 0;
             debug_assert_eq!(
-                awake_list.len(),
-                awake_count + stale,
-                "awake-count invariant: list = awake + stale"
-            );
-
-            // --- transmit phase ---------------------------------------------
-            self.scatter_round(graph, &transmitters, hit_once, hit_many, threads);
-
-            // --- delivery phase ---------------------------------------------
-            // Serial, ascending receiver order (the contract shared with
-            // v1/reference/baseline); `on_receive` draws from the
-            // receiver's v2 receive lane. The lane is built only for a
-            // real delivery — after the collision, half-duplex and
-            // battery checks — from the run's key cache, so collisions
-            // and repeat deliveries cost no key derivation: a node's key
-            // is derived at most once per run, at its first delivery.
-            let mut deliveries = 0u64;
-            let mut first_receptions = 0u64;
-            if !transmitters.is_empty() {
-                drain_receivers(&mut self.touched_bits, |v| {
-                    // Same semantics as the v1 core, via the shared
-                    // `deliver_one`; only the rng source (the
-                    // receiver's v2 receive lane) and the stale-aware
-                    // wake bookkeeping differ.
-                    let vi = v as usize;
-                    if S::ACTIVE && self.hits[vi].stamp == hit_many {
-                        sink.emit(TraceEvent::Collision { node: v });
-                    }
-                    let receive_lane = || {
-                        if list_state[vi] == ListState::Unkeyed {
-                            node_keys[vi] = streams.node_key(v);
-                            list_state[vi] = ListState::Keyed;
-                        }
-                        DecideStreams::rng_from_key(
-                            node_keys[vi],
-                            DecideStreams::receive_block(round),
-                        )
-                    };
-                    let delivered = deliver_one(
-                        &self.hits,
-                        &self.sent,
-                        self.cfg.half_duplex,
-                        hit_once,
-                        rstamp,
-                        v,
-                        round,
-                        protocol,
-                        hook,
-                        receive_lane,
-                        &mut deliveries,
-                        &mut first_receptions,
-                    );
-                    let woke = delivered && !is_awake[vi];
-                    if S::ACTIVE && delivered {
-                        sink.emit(TraceEvent::Deliver {
-                            node: v,
-                            from: self.hits[vi].source,
-                            woke,
-                        });
-                    }
-                    if woke {
-                        is_awake[vi] = true;
-                        awake_count += 1;
-                        if list_state[vi] == ListState::Listed {
-                            // Re-woken stale entry: already listed.
-                            stale -= 1;
-                        } else {
-                            // The delivery keyed it (now or at an
-                            // earlier wake this run): reuse that key.
-                            debug_assert!(
-                                node_keys[vi] == streams.node_key(v),
-                                "node {v} joins the awake list without this run's key"
-                            );
-                            list_state[vi] = ListState::Listed;
-                            awake_list.push(v);
-                        }
-                    }
-                });
-            }
-
-            if E::ACTIVE && hook.end_round(round, protocol) {
-                halted = true;
-            }
-
-            completed = protocol.is_complete();
-
-            if S::ACTIVE {
-                sink.emit(TraceEvent::RoundEnd {
-                    transmitters: transmitters.len() as u64,
-                    deliveries,
-                    awake: awake_count as u64,
-                });
-            }
-
-            if let Some(t) = trace.as_mut() {
-                t.rounds.push(RoundRecord {
-                    round,
-                    transmitters: transmitters.len() as u64,
-                    deliveries,
-                    newly_informed: first_receptions,
-                    active: protocol.active_count() as u64,
-                    informed: protocol.informed_count() as u64,
-                });
-            }
-        }
-
-        // Return the pooled scratch for the next run.
-        self.is_awake = is_awake;
-        self.list_state = list_state;
-        self.awake_list = awake_list;
-        self.transmitters = transmitters;
-        self.events = events;
-        self.node_keys = node_keys;
-
-        metrics.set_rounds(rounds);
-        let hit_round_cap = !completed && rounds >= self.cfg.max_rounds;
-        if hit_round_cap && self.cfg.warn_on_round_cap {
-            eprintln!(
-                "radio-sim: fused run stopped at the max_rounds cap ({}) without completing \
-                 ({} of {} nodes informed) — the protocol may never terminate; \
-                 pick an explicit budget with EngineConfig::with_max_rounds or \
-                 silence this with warn_on_cap(false)",
-                self.cfg.max_rounds,
-                protocol.informed_count(),
-                n
+                is_awake.iter().filter(|&&b| b).count(),
+                awake,
+                "is_awake flags diverged from awake_count"
             );
         }
-        (
-            RunResult {
-                rounds,
-                completed,
-                hit_round_cap,
-                metrics,
-                trace,
-            },
-            halted,
-        )
+        debug_assert_eq!(
+            pools.awake_list.len(),
+            awake + self.stale,
+            "awake-count invariant: list = awake + stale"
+        );
+    }
+
+    /// `on_receive` draws from the receiver's v2 receive lane, built from
+    /// the run's key cache only now that the delivery is real — after the
+    /// collision, half-duplex and battery checks — so collisions and
+    /// repeat deliveries cost no key derivation: a node's key is derived
+    /// at most once per run, at its first delivery.
+    #[inline(always)]
+    fn receive(
+        &mut self,
+        pools: &mut Pools,
+        protocol: &mut P,
+        node: NodeId,
+        from: NodeId,
+        round: u64,
+        msg: &P::Msg,
+    ) {
+        let vi = node as usize;
+        if pools.list_state[vi] == ListState::Unkeyed {
+            pools.node_keys[vi] = self.streams.node_key(node);
+            pools.list_state[vi] = ListState::Keyed;
+        }
+        let mut rng =
+            DecideStreams::rng_from_key(pools.node_keys[vi], DecideStreams::receive_block(round));
+        protocol.on_receive(node, from, round, msg, &mut rng);
+    }
+
+    #[inline(always)]
+    fn wake(&mut self, pools: &mut Pools, node: NodeId) {
+        let vi = node as usize;
+        match pools.list_state[vi] {
+            // Re-woken stale entry: already listed.
+            ListState::Listed => self.stale -= 1,
+            state => {
+                // An initially awake node is keyed here; a woken one was
+                // keyed by its delivery (now or at an earlier wake this
+                // run), so its key is reused.
+                if state == ListState::Unkeyed {
+                    pools.node_keys[vi] = self.streams.node_key(node);
+                }
+                debug_assert!(
+                    pools.node_keys[vi] == self.streams.node_key(node),
+                    "node {node} joins the awake list without this run's key"
+                );
+                pools.list_state[vi] = ListState::Listed;
+                pools.awake_list.push(node);
+            }
+        }
     }
 }
 
@@ -1829,157 +1679,19 @@ fn drain_receivers(bits: &mut [u64], mut deliver: impl FnMut(NodeId)) {
     }
 }
 
-/// The delivery step shared by the v1 and fused cores: deliver to `v`
-/// iff it heard **exactly one** transmitter this round (`hits[v]`
-/// carries a clean `hit_once` stamp), its own radio was not busy
-/// transmitting under half-duplex, and its battery has not run out.
-/// Updates the delivery/first-reception counters and returns whether a
-/// delivery happened — the caller owns the wake bookkeeping, which is
-/// the one part that differs between the two awake-list disciplines.
-///
-/// `rng` yields the stream `on_receive` draws from and is called only
-/// once every check has passed, so a core whose stream costs work to
-/// build (the fused receive lane) pays for real deliveries only; the v1
-/// core hands over its shared stream as is.
-#[allow(clippy::too_many_arguments)]
-fn deliver_one<P: Protocol, E: EnergyHook, R: BorrowMut<ChaCha8Rng>>(
-    hits: &[HitRecord],
-    sent: &[u32],
-    half_duplex: bool,
-    hit_once: u32,
-    rstamp: u32,
-    v: NodeId,
-    round: u64,
-    protocol: &mut P,
-    hook: &mut E,
-    rng: impl FnOnce() -> R,
-    deliveries: &mut u64,
-    first_receptions: &mut u64,
-) -> bool {
-    let vi = v as usize;
-    let h = hits[vi];
-    if h.stamp != hit_once {
-        return false; // collision at v (or stale record)
-    }
-    if half_duplex && sent[vi] == rstamp {
-        return false; // v's own radio was busy transmitting
-    }
-    if E::ACTIVE && hook.is_dead(v, round) {
-        return false; // a depleted radio hears nothing
-    }
-    let from = h.source;
-    let msg = protocol.payload(from, round);
-    let informed_before = protocol.informed_count();
-    if E::ACTIVE {
-        hook.charge(v, Duty::Receive, round);
-    }
-    protocol.on_receive(v, from, round, &msg, rng().borrow_mut());
-    *deliveries += 1;
-    if protocol.informed_count() > informed_before {
-        *first_receptions += 1;
-    }
-    true
-}
-
-/// One-shot convenience: build an engine, run once.
-pub fn run_protocol<T: Topology, P: Protocol>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-) -> RunResult {
-    Engine::new(graph, cfg).run(protocol, rng)
-}
-
-/// One-shot convenience for a parallel run: build an engine, run once
-/// with `threads` scatter workers — see [`Engine::run_par`] for the
-/// bit-identity contract.
-pub fn run_protocol_par<T: Topology, P: Protocol>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    threads: usize,
-) -> RunResult {
-    Engine::new(graph, cfg).run_par(protocol, rng, threads)
-}
-
-/// One-shot convenience for a parallel run under an energy overlay —
-/// see [`Engine::run_par_energy`].
-pub fn run_protocol_par_energy<T: Topology, P: Protocol>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    session: &mut EnergySession,
-    threads: usize,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_par_energy(protocol, rng, session, threads)
-}
-
-/// One-shot convenience for a **fused v2** run: build an engine, run
-/// once under the counter-based per-node stream contract with
-/// [`EngineConfig::threads`] workers — see [`Engine::run_fused_par`].
+/// One-shot convenience for a v2 run: build an engine and run once,
+/// `Engine::new(graph, cfg).run(protocol).v2(run_seed)` — see [`Run`].
 pub fn run_protocol_fused<T: Topology, P: FusedDecide>(
     graph: &T,
     protocol: &mut P,
     cfg: EngineConfig,
     run_seed: u64,
 ) -> RunResult {
-    Engine::new(graph, cfg).run_fused(protocol, run_seed)
+    Engine::new(graph, cfg).run(protocol).v2(run_seed)
 }
 
-/// One-shot convenience for a fused v2 run under an energy overlay —
-/// see [`Engine::run_fused_energy`].
-pub fn run_protocol_fused_energy<T: Topology, P: FusedDecide>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    run_seed: u64,
-    session: &mut EnergySession,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_fused_energy(protocol, run_seed, session)
-}
-
-/// One-shot convenience with an energy overlay: build an engine, run
-/// once against `session` — see [`Engine::run_energy`].
-pub fn run_protocol_energy<T: Topology, P: Protocol>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    session: &mut EnergySession,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_energy(protocol, rng, session)
-}
-
-/// One-shot convenience for a traced v1 run — see
-/// [`Engine::run_traced`] for the sink contract.
-pub fn run_protocol_traced<T: Topology, P: Protocol, S: TraceSink>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    sink: &mut S,
-) -> RunResult {
-    Engine::new(graph, cfg).run_traced(protocol, rng, sink)
-}
-
-/// One-shot convenience for a traced v1 run under an energy overlay —
-/// see [`Engine::run_energy_traced`].
-pub fn run_protocol_energy_traced<T: Topology, P: Protocol, S: TraceSink>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    session: &mut EnergySession,
-    sink: &mut S,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_energy_traced(protocol, rng, session, sink)
-}
-
-/// One-shot convenience for a traced fused v2 run — see
-/// [`Engine::run_fused_traced`].
+/// [`run_protocol_fused`] with a structured [`TraceSink`] attached — see
+/// [`Run::sink`].
 pub fn run_protocol_fused_traced<T: Topology, P: FusedDecide, S: TraceSink>(
     graph: &T,
     protocol: &mut P,
@@ -1987,74 +1699,10 @@ pub fn run_protocol_fused_traced<T: Topology, P: FusedDecide, S: TraceSink>(
     run_seed: u64,
     sink: &mut S,
 ) -> RunResult {
-    Engine::new(graph, cfg).run_fused_traced(protocol, run_seed, sink)
-}
-
-/// One-shot convenience for a traced fused v2 run under an energy
-/// overlay — see [`Engine::run_fused_energy_traced`].
-pub fn run_protocol_fused_energy_traced<T: Topology, P: FusedDecide, S: TraceSink>(
-    graph: &T,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    run_seed: u64,
-    session: &mut EnergySession,
-    sink: &mut S,
-) -> EnergyRunResult {
-    Engine::new(graph, cfg).run_fused_energy_traced(protocol, run_seed, session, sink)
-}
-
-/// Run on a *changing topology*: the network uses `graphs[k]` during
-/// rounds `k·switch_every + 1 ..= (k+1)·switch_every` and stays on the
-/// last graph afterwards. Models node mobility (the paper's §1: "due to
-/// the mobility of the nodes, the network topology changes over time") —
-/// pair it with
-/// `radio_graph::generate::geometric`-style snapshot sequences.
-///
-/// # Panics
-/// Panics if `graphs` is empty, `switch_every == 0`, or node counts
-/// differ across snapshots.
-pub fn run_dynamic<T: Topology, P: Protocol>(
-    graphs: &[&T],
-    switch_every: u64,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-) -> RunResult {
-    let pick = dynamic_schedule(graphs, switch_every);
-    Engine::new(graphs[0], cfg).run_with(pick, protocol, rng)
-}
-
-/// [`run_dynamic`] with an energy overlay — mobility plus batteries/duty
-/// costs in one run. Same panics as [`run_dynamic`].
-pub fn run_dynamic_energy<T: Topology, P: Protocol>(
-    graphs: &[&T],
-    switch_every: u64,
-    protocol: &mut P,
-    cfg: EngineConfig,
-    rng: &mut ChaCha8Rng,
-    session: &mut EnergySession,
-) -> EnergyRunResult {
-    let pick = dynamic_schedule(graphs, switch_every);
-    Engine::new(graphs[0], cfg).run_with_energy(pick, protocol, rng, session)
-}
-
-/// Validate a snapshot sequence and build the round → topology map
-/// shared by [`run_dynamic`] and [`run_dynamic_energy`].
-fn dynamic_schedule<'a, T: Topology>(
-    graphs: &'a [&'a T],
-    switch_every: u64,
-) -> impl Fn(u64) -> &'a T {
-    assert!(!graphs.is_empty(), "need at least one topology snapshot");
-    assert!(switch_every > 0, "switch_every must be positive");
-    let n = graphs[0].n();
-    assert!(
-        graphs.iter().all(|g| g.n() == n),
-        "all topology snapshots must have the same node count"
-    );
-    move |round| {
-        let idx = ((round - 1) / switch_every) as usize;
-        graphs[idx.min(graphs.len() - 1)]
-    }
+    Engine::new(graph, cfg)
+        .run(protocol)
+        .sink(sink)
+        .v2(run_seed)
 }
 
 #[cfg(test)]
@@ -2189,7 +1837,9 @@ mod tests {
         let g = path(10);
         let mut p = Flood::new(10, 0);
         let mut rng = derive_rng(1, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default(), &mut rng);
+        let res = Engine::new(&g, EngineConfig::default())
+            .run(&mut p)
+            .v1(&mut rng);
         assert!(res.completed);
         // One hop per round along the path; node 1's transmissions toward 0
         // never collide because in-degrees on the path are ≤ 2 and only the
@@ -2206,7 +1856,9 @@ mod tests {
         let g = star(5);
         let mut p = Flood::new(5, 0);
         let mut rng = derive_rng(2, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default(), &mut rng);
+        let res = Engine::new(&g, EngineConfig::default())
+            .run(&mut p)
+            .v1(&mut rng);
         assert!(res.completed);
         assert_eq!(res.rounds, 1);
     }
@@ -2220,7 +1872,9 @@ mod tests {
         p.informed[1] = true;
         p.n_informed = 2;
         let mut rng = derive_rng(3, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(50), &mut rng);
+        let res = Engine::new(&g, EngineConfig::with_max_rounds(50))
+            .run(&mut p)
+            .v1(&mut rng);
         assert!(!res.completed, "collision must prevent delivery forever");
         assert_eq!(res.rounds, 50);
         assert_eq!(p.n_informed, 2);
@@ -2234,7 +1888,9 @@ mod tests {
         let g = DiGraph::from_edges(3, &[(0, 2), (1, 2)]);
         let mut p = Flood::new(3, 0);
         let mut rng = derive_rng(4, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(5), &mut rng);
+        let res = Engine::new(&g, EngineConfig::with_max_rounds(5))
+            .run(&mut p)
+            .v1(&mut rng);
         assert!(!res.completed);
         assert!(p.informed[2], "single transmitter must deliver");
         assert_eq!(p.n_informed, 2);
@@ -2289,7 +1945,7 @@ mod tests {
             warn_on_round_cap: false,
             ..Default::default()
         };
-        let res = run_protocol(&g, &mut p, cfg, &mut rng);
+        let res = Engine::new(&g, cfg).run(&mut p).v1(&mut rng);
         assert_eq!(res.metrics.total_transmissions(), 20);
     }
 
@@ -2338,7 +1994,7 @@ mod tests {
             warn_on_round_cap: false,
             ..Default::default()
         };
-        let _ = run_protocol(&g, &mut p, cfg, &mut rng);
+        let _ = Engine::new(&g, cfg).run(&mut p).v1(&mut rng);
         assert_eq!(
             p.rx, 20,
             "each node receives the other's message each round"
@@ -2350,7 +2006,9 @@ mod tests {
         let g = path(6);
         let mut p = FloodOnce::new(6, 0);
         let mut rng = derive_rng(7, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default(), &mut rng);
+        let res = Engine::new(&g, EngineConfig::default())
+            .run(&mut p)
+            .v1(&mut rng);
         assert!(res.completed);
         assert_eq!(res.metrics.max_transmissions_per_node(), 1);
         assert_eq!(res.metrics.total_transmissions() as usize, 5); // node 5 never needs to send
@@ -2361,7 +2019,9 @@ mod tests {
         let g = path(5);
         let mut p = Flood::new(5, 0);
         let mut rng = derive_rng(8, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default().traced(), &mut rng);
+        let res = Engine::new(&g, EngineConfig::default().traced())
+            .run(&mut p)
+            .v1(&mut rng);
         let t = res.trace.expect("trace requested");
         assert_eq!(t.rounds.len(), res.rounds as usize);
         // Informed counts are non-decreasing and end at n.
@@ -2428,7 +2088,9 @@ mod tests {
                 n_informed: 1,
             };
             let mut rng = derive_rng(seed, b"det", 0);
-            let r = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(500), &mut rng);
+            let r = Engine::new(&g, EngineConfig::with_max_rounds(500))
+                .run(&mut p)
+                .v1(&mut rng);
             (r.rounds, r.completed, r.metrics.total_transmissions())
         };
         assert_eq!(run(42), run(42));
@@ -2442,7 +2104,7 @@ mod tests {
         for seed in 0..5 {
             let mut p = Flood::new(8, 0);
             let mut rng = derive_rng(seed, b"reuse", 0);
-            let res = eng.run(&mut p, &mut rng);
+            let res = eng.run(&mut p).v1(&mut rng);
             assert!(res.completed);
             assert_eq!(
                 res.rounds, 7,
@@ -2462,7 +2124,9 @@ mod tests {
         p.inner.informed[1] = true;
         p.inner.n_informed = 2;
         let mut rng = derive_rng(11, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::with_max_rounds(1000), &mut rng);
+        let res = Engine::new(&g, EngineConfig::with_max_rounds(1000))
+            .run(&mut p)
+            .v1(&mut rng);
         assert!(!res.completed);
         assert_eq!(res.rounds, 2);
         assert_eq!(res.metrics.total_transmissions(), 2);
@@ -2477,13 +2141,10 @@ mod tests {
         let b = DiGraph::from_edges(3, &[(1, 2)]);
         let mut p = Flood::new(3, 0);
         let mut rng = derive_rng(12, b"eng", 0);
-        let res = super::run_dynamic(
-            &[&a, &b],
-            3,
-            &mut p,
-            EngineConfig::with_max_rounds(20),
-            &mut rng,
-        );
+        let res = Engine::new(&a, EngineConfig::with_max_rounds(20))
+            .run(&mut p)
+            .schedule(&[&a, &b], 3)
+            .v1(&mut rng);
         assert!(res.completed);
         assert!(res.rounds > 3, "node 2 is reachable only after the switch");
         assert!(p.informed[2]);
@@ -2495,14 +2156,49 @@ mod tests {
         let run_static = {
             let mut p = Flood::new(10, 0);
             let mut rng = derive_rng(13, b"eng", 0);
-            run_protocol(&g, &mut p, EngineConfig::default(), &mut rng).rounds
+            Engine::new(&g, EngineConfig::default())
+                .run(&mut p)
+                .v1(&mut rng)
+                .rounds
         };
         let run_dyn = {
             let mut p = Flood::new(10, 0);
             let mut rng = derive_rng(13, b"eng", 0);
-            super::run_dynamic(&[&g], 5, &mut p, EngineConfig::default(), &mut rng).rounds
+            Engine::new(&g, EngineConfig::default())
+                .run(&mut p)
+                .schedule(&[&g], 5)
+                .v1(&mut rng)
+                .rounds
         };
         assert_eq!(run_static, run_dyn);
+
+        // Under v2 too, with every parallel path forced: a one-snapshot
+        // schedule is the static run, and a two-snapshot schedule is
+        // bit-identical at 1 and 3 threads.
+        let a = radio_graph::generate::gnp_directed(300, 0.03, &mut derive_rng(13, b"dyn-g", 0));
+        let b = radio_graph::generate::gnp_directed(300, 0.03, &mut derive_rng(13, b"dyn-g", 1));
+        let v2 = |snapshots: &[&DiGraph], threads: usize| {
+            let cfg = EngineConfig {
+                par_min_edges: 0,
+                par_min_edges_implicit: 0,
+                par_min_awake: 0,
+                ..EngineConfig::with_max_rounds(200).traced()
+            };
+            let mut eng = Engine::new(&a, cfg.with_threads(threads));
+            let mut p = FusedCoin::new(300, 3, 0.3);
+            let run = eng.run(&mut p);
+            let res = if snapshots.is_empty() {
+                run.v2(13)
+            } else {
+                run.schedule(snapshots, 2).v2(13)
+            };
+            (res, p.informed)
+        };
+        let fixed = v2(&[], 1);
+        assert_eq!(fixed, v2(&[&a], 1));
+        let switching = v2(&[&a, &b], 1);
+        assert_ne!(switching.0, fixed.0, "the switch must change the run");
+        assert_eq!(switching, v2(&[&a, &b], 3));
     }
 
     #[test]
@@ -2513,12 +2209,17 @@ mod tests {
         let plain = {
             let mut p = Flood::new(10, 0);
             let mut rng = derive_rng(20, b"eng", 0);
-            run_protocol(&g, &mut p, EngineConfig::default(), &mut rng)
+            Engine::new(&g, EngineConfig::default())
+                .run(&mut p)
+                .v1(&mut rng)
         };
         let mut p = Flood::new(10, 0);
         let mut rng = derive_rng(20, b"eng", 0);
         let mut session = radio_energy::EnergySession::new(10, radio_energy::TxOnly, 1);
-        let res = run_protocol_energy(&g, &mut p, EngineConfig::default(), &mut rng, &mut session);
+        let res = Engine::new(&g, EngineConfig::default())
+            .run(&mut p)
+            .energy(&mut session)
+            .v1(&mut rng);
         assert_eq!(res.run.rounds, plain.rounds);
         assert_eq!(res.run.metrics, plain.metrics);
         assert!(!res.stopped_on_depletion);
@@ -2544,7 +2245,10 @@ mod tests {
             radio_energy::LinearRadio::with_listen_ratio(1.0),
             2,
         );
-        let res = run_protocol_energy(&g, &mut p, EngineConfig::default(), &mut rng, &mut session);
+        let res = Engine::new(&g, EngineConfig::default())
+            .run(&mut p)
+            .energy(&mut session)
+            .v1(&mut rng);
         assert!(res.run.completed);
         let expected = 6.0 * res.run.rounds as f64;
         assert!(
@@ -2602,12 +2306,18 @@ mod tests {
                 let mut p = DutyCycled {
                     inner: FloodOnce::new(6, 0),
                 };
-                run_protocol_energy(&g, &mut p, EngineConfig::default(), &mut rng, &mut session)
+                Engine::new(&g, EngineConfig::default())
+                    .run(&mut p)
+                    .energy(&mut session)
+                    .v1(&mut rng)
                     .energy
                     .total_energy()
             } else {
                 let mut p = FloodOnce::new(6, 0);
-                run_protocol_energy(&g, &mut p, EngineConfig::default(), &mut rng, &mut session)
+                Engine::new(&g, EngineConfig::default())
+                    .run(&mut p)
+                    .energy(&mut session)
+                    .v1(&mut rng)
                     .energy
                     .total_energy()
             }
@@ -2633,13 +2343,10 @@ mod tests {
         let mut session =
             radio_energy::EnergySession::new(5, radio_energy::LinearRadio::uniform_drain(1.0), 4)
                 .with_battery(radio_energy::Battery::per_node(caps));
-        let res = run_protocol_energy(
-            &g,
-            &mut p,
-            EngineConfig::with_max_rounds(50),
-            &mut rng,
-            &mut session,
-        );
+        let res = Engine::new(&g, EngineConfig::with_max_rounds(50))
+            .run(&mut p)
+            .energy(&mut session)
+            .v1(&mut rng);
         assert!(!res.run.completed);
         assert!(p.informed[1]);
         assert!(!p.informed[2], "depleted node must not learn");
@@ -2660,13 +2367,10 @@ mod tests {
             radio_energy::EnergySession::new(8, radio_energy::LinearRadio::uniform_drain(1.0), 5)
                 .with_battery(radio_energy::Battery::uniform(8, 3.0))
                 .with_halt_on_depletion(true);
-        let res = run_protocol_energy(
-            &g,
-            &mut p,
-            EngineConfig::with_max_rounds(100),
-            &mut rng,
-            &mut session,
-        );
+        let res = Engine::new(&g, EngineConfig::with_max_rounds(100))
+            .run(&mut p)
+            .energy(&mut session)
+            .v1(&mut rng);
         assert!(res.stopped_on_depletion);
         assert_eq!(res.run.rounds, 3);
         assert_eq!(res.energy.first_depletion_round, Some(3));
@@ -2693,13 +2397,10 @@ mod tests {
                 8,
             )
             .with_charge_to_cap(charge_to_cap);
-            let res = run_protocol_energy(
-                &g,
-                &mut p,
-                EngineConfig::with_max_rounds(cap),
-                &mut rng,
-                &mut session,
-            );
+            let res = Engine::new(&g, EngineConfig::with_max_rounds(cap))
+                .run(&mut p)
+                .energy(&mut session)
+                .v1(&mut rng);
             (res.run.rounds, res.energy.total_energy())
         };
         let (rounds_default, energy_default) = run_total(false);
@@ -2720,13 +2421,10 @@ mod tests {
         let mut session =
             radio_energy::EnergySession::new(4, radio_energy::LinearRadio::uniform_drain(1.0), 6)
                 .with_battery(radio_energy::Battery::uniform(4, 2.0));
-        let res = run_protocol_energy(
-            &g,
-            &mut p,
-            EngineConfig::with_max_rounds(1000),
-            &mut rng,
-            &mut session,
-        );
+        let res = Engine::new(&g, EngineConfig::with_max_rounds(1000))
+            .run(&mut p)
+            .energy(&mut session)
+            .v1(&mut rng);
         assert!(!res.run.completed);
         assert!(res.run.rounds <= 4, "dead network must quiesce");
         assert_eq!(res.energy.depleted_count(), 4);
@@ -2745,7 +2443,7 @@ mod tests {
         for _ in 0..3 {
             let mut p = Flood::new(8, 0);
             let mut rng = derive_rng(26, b"eng", 0);
-            let res = eng.run_energy(&mut p, &mut rng, &mut session);
+            let res = eng.run(&mut p).energy(&mut session).v1(&mut rng);
             assert!(res.run.completed);
             totals.push(res.energy.total_energy());
         }
@@ -2818,7 +2516,9 @@ mod tests {
                 par_min_edges: 0,
                 ..EngineConfig::with_max_rounds(200).traced()
             };
-            let res = run_protocol_par(&g, &mut p, cfg, &mut rng, threads);
+            let res = Engine::new(&g, cfg.with_threads(threads))
+                .run(&mut p)
+                .v1(&mut rng);
             (
                 res.rounds,
                 res.completed,
@@ -3086,7 +2786,7 @@ mod tests {
         let mut eng = Engine::new(&g, EngineConfig::with_max_rounds(300));
         let fingerprint = |eng: &mut Engine| {
             let mut p = FusedCoin::new(150, 2, 0.4);
-            let res = eng.run_fused(&mut p, 0xAB);
+            let res = eng.run(&mut p).v2(0xAB);
             (res.rounds, res.completed, res.metrics)
         };
         let first = fingerprint(&mut eng);
@@ -3095,7 +2795,7 @@ mod tests {
         }
         // And a v1 run in between must not poison the fused pools.
         let mut p = Flood::new(150, 0);
-        let _ = eng.run(&mut p, &mut derive_rng(1, b"mix", 0));
+        let _ = eng.run(&mut p).v1(&mut derive_rng(1, b"mix", 0));
         assert_eq!(first, fingerprint(&mut eng), "v1 run poisoned the pools");
     }
 
@@ -3140,17 +2840,17 @@ mod tests {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut p = PanicAt2;
             let mut rng = derive_rng(1, b"boom", 0);
-            eng.run(&mut p, &mut rng)
+            eng.run(&mut p).v1(&mut rng)
         }));
         assert!(panicked.is_err(), "the scripted panic must fire");
 
         // Both cores must recover on the same engine.
         let mut p = Flood::new(8, 0);
-        let res = eng.run(&mut p, &mut derive_rng(2, b"boom", 0));
+        let res = eng.run(&mut p).v1(&mut derive_rng(2, b"boom", 0));
         assert!(res.completed);
         assert_eq!(res.rounds, 7);
         let mut p2 = FusedCoin::new(8, 1, 1.0);
-        let res2 = eng.run_fused(&mut p2, 3);
+        let res2 = eng.run(&mut p2).v2(3);
         assert!(res2.completed);
     }
 
@@ -3169,26 +2869,20 @@ mod tests {
             radio_energy::LinearRadio::with_listen_ratio(0.5),
             4,
         );
-        let res = run_protocol_fused_energy(
-            &g,
-            &mut p,
-            EngineConfig::with_max_rounds(200),
-            11,
-            &mut session,
-        );
+        let res = Engine::new(&g, EngineConfig::with_max_rounds(200))
+            .run(&mut p)
+            .energy(&mut session)
+            .v2(11);
         assert_eq!((res.run.rounds, res.run.metrics.clone()), plain);
         // With a tiny battery every node dies and the run quiesces early.
         let mut p2 = FusedCoin::new(120, 2, 0.4);
         let mut dying =
             radio_energy::EnergySession::new(120, radio_energy::LinearRadio::uniform_drain(1.0), 5)
                 .with_battery(radio_energy::Battery::uniform(120, 2.0));
-        let res2 = run_protocol_fused_energy(
-            &g,
-            &mut p2,
-            EngineConfig::with_max_rounds(200),
-            11,
-            &mut dying,
-        );
+        let res2 = Engine::new(&g, EngineConfig::with_max_rounds(200))
+            .run(&mut p2)
+            .energy(&mut dying)
+            .v2(11);
         assert!(!res2.run.completed);
         assert_eq!(res2.energy.depleted_count(), 120);
         assert!(res2.run.rounds <= 5, "dead network must quiesce");
@@ -3199,7 +2893,9 @@ mod tests {
         let g = path(1);
         let mut p = Flood::new(1, 0);
         let mut rng = derive_rng(10, b"eng", 0);
-        let res = run_protocol(&g, &mut p, EngineConfig::default(), &mut rng);
+        let res = Engine::new(&g, EngineConfig::default())
+            .run(&mut p)
+            .v1(&mut rng);
         assert!(res.completed);
         assert_eq!(res.rounds, 0);
         assert_eq!(res.metrics.total_transmissions(), 0);

@@ -18,10 +18,18 @@
 //! returns [`Action::Sleep`] (the paper's *passive* state) leaves the poll
 //! list and re-enters it only if a later reception wakes it.
 //!
+//! Every run goes through one builder on one round loop:
+//! `Engine::new(&graph, cfg).run(&mut protocol)`, optionally
+//! `.energy(&mut session)`, `.sink(&mut sink)` and
+//! `.schedule(&graphs, switch_every)`, then a terminal `.v1(&mut rng)`
+//! or `.v2(run_seed)` that picks the determinism contract — see
+//! [`Run`].
+//!
 //! Determinism: a run is a pure function of `(graph, protocol, config,
-//! seed)`. The engine consumes one [`rand_chacha::ChaCha8Rng`]; protocols
-//! draw from it only inside `decide`/`on_receive`, in a fixed polling
-//! order, so every run is exactly reproducible. [`reference`] contains a
+//! seed)`. Under the v1 contract ([`Run::v1`]) the engine consumes one
+//! [`rand_chacha::ChaCha8Rng`]; protocols draw from it only inside
+//! `decide`/`on_receive`, in a fixed polling order, so every run is
+//! exactly reproducible. [`reference`](mod@reference) contains a
 //! deliberately naive O(n·deg) second implementation of the collision
 //! semantics against which the optimised engine is property-tested, and
 //! [`baseline`] a third one over `Vec<Vec<NodeId>>` adjacency lists that
@@ -35,29 +43,27 @@
 //! fan-out underneath it.
 //!
 //! Parallelism also reaches *inside* a single run: the engine's
-//! scatter/collision phase — the dominant cost at scale — can fan out
-//! over [`EngineConfig::threads`] workers partitioned by receiver id
-//! range ([`Engine::run_par`], [`engine::run_protocol_par`]), with runs
-//! bit-identical for every thread count. Sweeps over huge cells trade
-//! trial-level for run-level parallelism via
+//! scatter/collision phase — the dominant cost at scale — fans out over
+//! [`EngineConfig::threads`] workers, partitioned by receiver id range
+//! or by transmitter shard per backend ([`engine::scatter_plan`]), with
+//! runs bit-identical for every thread count. Sweeps over huge cells
+//! trade trial-level for run-level parallelism via
 //! [`Sweep::with_threads_per_run`].
 //!
-//! The **v2 determinism contract** ([`streams`]) goes further: protocols
-//! that split their decision into a pure half and a commit half
-//! ([`FusedDecide`]) run on the *fused* engine ([`Engine::run_fused`],
-//! [`engine::run_protocol_fused`]), where every coin flip comes from a
+//! The **v2 determinism contract** ([`streams`], [`Run::v2`]) goes
+//! further: protocols that split their decision into a pure half and a
+//! commit half ([`FusedDecide`]) draw every coin flip from a
 //! counter-based per-node stream keyed by `(run_seed, node)` with the
 //! round as block counter — so the decide phase itself fans out across
 //! the workers, removing the serial-RNG Amdahl cap, still bit-identical
 //! for every thread count by construction. v1 and v2 runs of the same
 //! seed differ (statistically equivalently); `tests/v2_equivalence.rs`
-//! cross-validates the contracts against the frozen [`reference`]
-//! oracle.
+//! cross-validates the contracts against the frozen
+//! [`reference`](mod@reference) oracle.
 //!
 //! The paper's transmissions-only energy measure generalises through the
-//! [`energy`] overlay (`radio-energy`): the `*_energy` entry points
-//! ([`Engine::run_energy`], [`run_protocol_energy`],
-//! [`run_dynamic_energy`]) charge a pluggable [`EnergyModel`] per round
+//! [`energy`] overlay (`radio-energy`): a run with [`Run::energy`]
+//! attached charges a pluggable [`EnergyModel`] per round
 //! (transmit / receive / idle-listen / sleep, with the sleep state driven
 //! by [`Protocol::radio_off`]), optionally drain finite [`Battery`]
 //! capacities whose depletion turns nodes fail-stop dead (composing with
@@ -77,21 +83,19 @@ pub mod trials;
 
 /// The pluggable energy subsystem (`radio-energy`), re-exported: duty
 /// states, energy models, batteries, and the per-run accounting session
-/// the engine's `*_energy` entry points drive.
+/// a run's [`Run::energy`] hook drives.
 pub use radio_energy as energy;
 
 /// The structured trace subsystem (`radio-trace`), re-exported: the
-/// [`TraceSink`](radio_trace::TraceSink) hook the engine's `*_traced`
-/// entry points drive, the `.rtrc` recording sinks/reader, replay
+/// [`TraceSink`](radio_trace::TraceSink) hook a run's [`Run::sink`]
+/// drives, the `.rtrc` recording sinks/reader, replay
 /// verification, and first-divergence diffing.
 pub use radio_trace as trace;
 
 pub use baseline::{run_adjlist, AdjListGraph};
 pub use engine::{
-    run_dynamic, run_dynamic_energy, run_protocol_energy, run_protocol_energy_traced,
-    run_protocol_fused, run_protocol_fused_energy, run_protocol_fused_energy_traced,
-    run_protocol_fused_traced, run_protocol_par, run_protocol_par_energy, run_protocol_traced,
-    scatter_plan, EnergyRunResult, Engine, EngineConfig, RunResult, ScatterPlan, ScatterStrategy,
+    run_protocol_fused, run_protocol_fused_traced, scatter_plan, EnergyRunResult, Engine,
+    EngineConfig, Run, RunResult, ScatterPlan, ScatterStrategy,
 };
 pub use fault::{CrashPlan, Faulty};
 pub use metrics::{EnergyMetrics, Metrics, RoundRecord, Trace};
@@ -124,11 +128,13 @@ pub enum Action {
 
 /// A per-node distributed algorithm in the radio model.
 ///
-/// The engine polls `decide` once per round for every awake node (in
-/// ascending node order), gathers the transmitters, applies the collision
-/// rule, then calls `on_receive` for each collision-free reception (in
-/// ascending receiver order). All randomness must come from the provided
-/// RNG so runs stay reproducible.
+/// The engine polls `decide` once per round for every awake node, in
+/// awake-list order: the initially awake first, then nodes in the order
+/// receptions woke them (flooding from node 5 on a path, round 2 polls
+/// 5, 4, 6). It gathers the transmitters, applies the collision rule,
+/// then calls `on_receive` for each collision-free reception — delivery
+/// alone is in ascending receiver order. All randomness must come from
+/// the provided RNG so runs stay reproducible.
 pub trait Protocol {
     /// Transmission payload. `()` for pure broadcast (the rumor is
     /// implicit); a rumor [`radio_util::BitSet`] for gossip.
@@ -188,7 +194,7 @@ pub trait Protocol {
     }
 }
 
-/// Opt-in for the **fused v2 engine** ([`Engine::run_fused`]): the
+/// Opt-in for the **v2 determinism contract** ([`Run::v2`]): the
 /// per-round decision split into a *pure* evaluation half — callable
 /// from any worker thread against shared `&self` — and a *serial*
 /// commit half that applies the state transition.

@@ -1,7 +1,7 @@
 //! A deliberately naive second implementation of the radio semantics.
 //!
-//! [`run_reference`] executes the *same* `(protocol, rng)` pair as
-//! [`crate::engine::Engine::run`] but computes receptions the slow,
+//! [`run_reference`] executes the *same* `(protocol, rng)` pair as a v1
+//! run ([`Run::v1`](crate::Run::v1)) but computes receptions the slow,
 //! obviously-correct way: for every node, count transmitting in-neighbours
 //! via the in-adjacency lists and deliver iff the count is exactly one.
 //!
@@ -124,7 +124,7 @@ pub fn run_reference<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_protocol;
+    use crate::engine::Engine;
     use radio_graph::generate::gnp_directed;
     use radio_util::derive_rng;
     use rand::RngExt;
@@ -199,7 +199,7 @@ mod tests {
 
             let mut p1 = RandomQuiet::new(120, 3);
             let mut rng1 = derive_rng(seed, b"refrun", 0);
-            let fast = run_protocol(&g, &mut p1, cfg, &mut rng1);
+            let fast = Engine::new(&g, cfg).run(&mut p1).v1(&mut rng1);
 
             let mut p2 = RandomQuiet::new(120, 3);
             let mut rng2 = derive_rng(seed, b"refrun", 0);
@@ -284,7 +284,7 @@ mod tests {
             let cfg = EngineConfig::with_max_rounds(80);
             let mut p1 = TinyGossip::new(60, 60);
             let mut rng1 = derive_rng(seed, b"refrun", 2);
-            let fast = run_protocol(&g, &mut p1, cfg, &mut rng1);
+            let fast = Engine::new(&g, cfg).run(&mut p1).v1(&mut rng1);
             let mut p2 = TinyGossip::new(60, 60);
             let mut rng2 = derive_rng(seed, b"refrun", 2);
             let slow = run_reference(&g, &mut p2, cfg, &mut rng2);
@@ -312,7 +312,7 @@ mod tests {
             };
             let mut p1 = RandomQuiet::new(80, 2);
             let mut rng1 = derive_rng(seed, b"refrun", 1);
-            let fast = run_protocol(&g, &mut p1, cfg, &mut rng1);
+            let fast = Engine::new(&g, cfg).run(&mut p1).v1(&mut rng1);
             let mut p2 = RandomQuiet::new(80, 2);
             let mut rng2 = derive_rng(seed, b"refrun", 1);
             let slow = run_reference(&g, &mut p2, cfg, &mut rng2);

@@ -17,8 +17,7 @@
 //!
 //! Any worker can therefore evaluate any node's decision for any round
 //! independently — position a stream at `(node, round)` and draw — which
-//! is what lets the fused engine
-//! ([`Engine::run_fused`](crate::Engine::run_fused)) fan the decide
+//! is what lets a v2 run ([`Run::v2`](crate::Run::v2)) fan the decide
 //! phase out across threads with **bit-identical results for every
 //! thread count, by construction**: the draws are a pure function of
 //! `(run_seed, node, round)`, not of evaluation order.
@@ -66,7 +65,7 @@ impl DecideStreams {
 
     /// `node`'s ChaCha key words — the cacheable identity of its stream
     /// family. Equal to the key `seed_from_u64(split_seed(run_seed,
-    /// b"v2-node", node))` installs, exposed so the fused engine can pay
+    /// b"v2-node", node))` installs, exposed so a v2 run can pay
     /// the SplitMix64 fan-out + expansion **once per node per run** (at
     /// the start for the initially awake nodes, otherwise at the node's
     /// first delivery) and rebuild every decide and receive lane of the
@@ -203,7 +202,7 @@ mod tests {
 
     #[test]
     fn evaluation_order_cannot_matter() {
-        // The property the fused engine's thread-independence rests on:
+        // The property v2's thread-independence rests on:
         // draws for a set of (node, round) pairs are identical whatever
         // order they are evaluated in.
         let s = DecideStreams::new(0xBEEF);

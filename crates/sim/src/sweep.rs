@@ -15,21 +15,22 @@
 //! Execution fans out over rayon with one flattened task per
 //! `(cell, trial)`. Every trial owns an independent seed derived from
 //! `(base_seed, cell index, trial index)` via
-//! [`split_seed`](radio_util::split_seed), so results are a pure function
+//! [`radio_util::split_seed`], so results are a pure function
 //! of the sweep description — bit-identical on 1 thread or N (the
 //! determinism tests in `tests/determinism.rs` assert exactly this on the
 //! JSON bytes).
 //!
 //! The trial seed serves both determinism contracts: a v1 runner feeds
 //! it to `derive_rng(seed, label, 0)` for the shared serial stream, a
-//! v2 runner passes it straight to the fused engine
-//! ([`run_protocol_fused`](crate::engine::run_protocol_fused)) as the
+//! v2 runner passes it straight to the engine
+//! ([`Run::v2`](crate::Run::v2)) as the
 //! `run_seed` its per-node counter-based streams derive from. Either
 //! way the report bytes depend only on the sweep description (and on
 //! which contract the runner picked — switching contracts changes the
 //! trajectories, so regenerate the committed JSON when porting an
 //! experiment to v2).
 
+use crate::engine::EngineConfig;
 use radio_graph::{DiGraph, GraphFamily};
 use radio_stats::SummaryStats;
 use radio_util::{derive_rng, split_seed, Json};
@@ -352,7 +353,7 @@ impl Sweep {
     }
 
     /// The independent seed of `(cell, trial)`: two keyed
-    /// [`split_seed`](radio_util::split_seed) hops, so neither reordering
+    /// [`radio_util::split_seed`] hops, so neither reordering
     /// cells nor changing the trial count correlates streams.
     pub fn trial_seed(&self, cell_index: usize, trial: usize) -> u64 {
         let cell_seed = split_seed(self.base_seed, b"sweep-cell", cell_index as u64);
@@ -669,7 +670,7 @@ impl SweepReport {
 /// ```ignore
 /// let plan = TracePlan::new("results/traces", 2);
 /// sweep.run(|cell, graph, seed| {
-///     let mut sink = plan.open(cell, seed, "v2");
+///     let mut sink = plan.open(cell, seed, "v2", &cfg);
 ///     let run = match sink.as_mut() {
 ///         Some(sink) => run_protocol_fused_traced(graph, &mut proto, cfg, seed, sink),
 ///         None => run_protocol_fused(graph, &mut proto, cfg, seed),
@@ -740,14 +741,17 @@ impl TracePlan {
     /// Claim a recording slot for `(cell, seed)` and open the sink, or
     /// `None` when the cell's cap is reached (or the file cannot be
     /// created). `engine` is the determinism contract the runner drives
-    /// (`"v1"` / `"v2"`), stamped into the header so replay tooling
-    /// knows how to re-drive the run. The caller must call
-    /// [`finish`](radio_trace::RecordingSink::finish) after the run.
+    /// (`"v1"` / `"v2"`) and `cfg` the engine config of the run; both
+    /// are stamped into the header (the round cap and half-duplex flag
+    /// via [`RunHeader::with_config`](radio_trace::RunHeader::with_config))
+    /// so replay tooling knows how to re-drive the run. The caller must
+    /// call [`finish`](radio_trace::RecordingSink::finish) after the run.
     pub fn open(
         &self,
         cell: &SweepCell,
         seed: u64,
         engine: &str,
+        cfg: &EngineConfig,
     ) -> Option<radio_trace::RecordingSink<io::BufWriter<std::fs::File>>> {
         let key = format!(
             "{}/{}/n{}/p{}",
@@ -765,7 +769,8 @@ impl TracePlan {
             *slot += 1;
         }
         let topology = format!("{}/n={}/p={}", cell.family.label(), cell.n, cell.p);
-        let mut header = radio_trace::RunHeader::new(seed, engine, topology);
+        let mut header = radio_trace::RunHeader::new(seed, engine, topology)
+            .with_config(cfg.max_rounds, cfg.half_duplex);
         if let Some(v) = &self.code_version {
             header.code_version = v.clone();
         }
@@ -807,7 +812,7 @@ impl TracePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_protocol;
+    use crate::engine::Engine;
     use crate::{Action, EngineConfig, Protocol};
     use radio_graph::NodeId;
     use rand::RngExt;
@@ -870,7 +875,9 @@ mod tests {
     fn flood_runner(cell: &SweepCell, graph: &DiGraph, seed: u64) -> TrialResult {
         let mut p = P3Flood::new(cell.n);
         let mut rng = derive_rng(seed, b"sweep-proto", 0);
-        let run = run_protocol(graph, &mut p, EngineConfig::with_max_rounds(400), &mut rng);
+        let run = Engine::new(graph, EngineConfig::with_max_rounds(400))
+            .run(&mut p)
+            .v1(&mut rng);
         let informed = p.n_informed;
         TrialResult::from_run(&run, informed == cell.n, informed)
             .extra("informed_frac", informed as f64 / cell.n as f64)
@@ -1037,7 +1044,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sweep-traces-cv-{}", std::process::id()));
         let plan = TracePlan::new(&dir, 1).with_code_version("spec:deadbeef");
         let cell = SweepCell::new("flood", GraphFamily::GnpDirected, 16, 0.2);
-        plan.open(&cell, 5, "v2")
+        plan.open(&cell, 5, "v2", &EngineConfig::default())
             .expect("slot")
             .finish(false)
             .expect("footer");
@@ -1058,15 +1065,26 @@ mod tests {
         std::fs::write(&blocked, "blocker").expect("blocker file");
         let plan = TracePlan::new(blocked.join("traces"), 1);
         let cell = SweepCell::new("flood", GraphFamily::GnpDirected, 16, 0.2);
-        assert!(plan.open(&cell, 1, "v1").is_none());
-        assert!(plan.open(&cell, 2, "v1").is_none());
+        assert!(plan
+            .open(&cell, 1, "v1", &EngineConfig::default())
+            .is_none());
+        assert!(plan
+            .open(&cell, 2, "v1", &EngineConfig::default())
+            .is_none());
         assert_eq!(plan.degraded(), 2, "both failures counted");
         assert_eq!(plan.recorded(), 0, "failed opens must not consume slots");
         // Same cap budget on a working plan still records up to the cap —
         // the failures above didn't burn it (fresh plan, same semantics).
         let plan_ok = TracePlan::new(base.join("traces"), 1);
-        assert!(plan_ok.open(&cell, 3, "v1").is_some());
-        assert!(plan_ok.open(&cell, 4, "v1").is_none(), "cap still enforced");
+        assert!(plan_ok
+            .open(&cell, 3, "v1", &EngineConfig::default())
+            .is_some());
+        assert!(
+            plan_ok
+                .open(&cell, 4, "v1", &EngineConfig::default())
+                .is_none(),
+            "cap still enforced"
+        );
         assert_eq!(plan_ok.degraded(), 0);
         let _ = std::fs::remove_dir_all(&base);
     }
@@ -1077,8 +1095,12 @@ mod tests {
         let plan = TracePlan::new(&dir, 2);
         let cell_a = SweepCell::new("flood", GraphFamily::GnpDirected, 32, 0.2);
         let cell_b = SweepCell::new("flood", GraphFamily::GnpDirected, 64, 0.2);
+        let cfg = EngineConfig {
+            half_duplex: false,
+            ..EngineConfig::with_max_rounds(60)
+        };
         for seed in [1u64, 2, 3] {
-            let sink = plan.open(&cell_a, seed, "v1");
+            let sink = plan.open(&cell_a, seed, "v1", &cfg);
             if seed <= 2 {
                 let sink = sink.expect("under the cap");
                 sink.finish(false).expect("footer");
@@ -1087,7 +1109,10 @@ mod tests {
             }
         }
         // A different cell has its own budget.
-        assert!(plan.open(&cell_b, 9, "v2").is_some());
+        plan.open(&cell_b, 9, "v2", &EngineConfig::default())
+            .expect("own budget")
+            .finish(false)
+            .expect("footer");
         assert_eq!(plan.recorded(), 3);
         // The capped files are real, readable recordings.
         let rec =
@@ -1096,6 +1121,14 @@ mod tests {
         assert_eq!(rec.header.seed, 1);
         assert_eq!(rec.header.engine, "v1");
         assert_eq!(rec.header.topology, "gnp_directed/n=32/p=0.2");
+        // The header records the config the run used, not the defaults.
+        assert_eq!(rec.header.max_rounds, 60);
+        assert!(!rec.header.half_duplex);
+        let rec_b =
+            radio_trace::Recording::read_from(dir.join("flood-gnp_directed-n64-p0.2-s9.rtrc"))
+                .expect("readable recording");
+        assert_eq!(rec_b.header.max_rounds, EngineConfig::default().max_rounds);
+        assert!(rec_b.header.half_duplex);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1108,15 +1141,16 @@ mod tests {
             let mut proto = P3Flood::new(graph.n());
             let mut rng = derive_rng(seed, b"plan", 0);
             let cfg = EngineConfig::with_max_rounds(60);
-            let run = match plan.open(cell, seed, "v1") {
+            let run = match plan.open(cell, seed, "v1", &cfg) {
                 Some(mut sink) => {
-                    let run = crate::engine::run_protocol_traced(
-                        graph, &mut proto, cfg, &mut rng, &mut sink,
-                    );
+                    let run = Engine::new(graph, cfg)
+                        .run(&mut proto)
+                        .sink(&mut sink)
+                        .v1(&mut rng);
                     sink.finish(run.completed).expect("footer");
                     run
                 }
-                None => run_protocol(graph, &mut proto, cfg, &mut rng),
+                None => Engine::new(graph, cfg).run(&mut proto).v1(&mut rng),
             };
             TrialResult::from_run(&run, run.completed, proto.n_informed)
         });
@@ -1126,12 +1160,9 @@ mod tests {
         let untraced = sw.collect(|_cell, graph, seed| {
             let mut proto = P3Flood::new(graph.n());
             let mut rng = derive_rng(seed, b"plan", 0);
-            let run = run_protocol(
-                graph,
-                &mut proto,
-                EngineConfig::with_max_rounds(60),
-                &mut rng,
-            );
+            let run = Engine::new(graph, EngineConfig::with_max_rounds(60))
+                .run(&mut proto)
+                .v1(&mut rng);
             TrialResult::from_run(&run, run.completed, proto.n_informed)
         });
         assert_eq!(

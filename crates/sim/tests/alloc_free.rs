@@ -163,7 +163,7 @@ fn steady_state_rounds_allocate_nothing() {
 
     // Warm-up trial: cold pools may still size themselves.
     let mut warm = Coin::new(n);
-    let warm_run = eng.run_fused(&mut warm, 1);
+    let warm_run = eng.run(&mut warm).v2(1);
     assert!(warm_run.completed, "coin flood should finish the warm-up");
 
     // Fused v2 trial on the warmed engine: zero allocations after
@@ -171,7 +171,7 @@ fn steady_state_rounds_allocate_nothing() {
     // out of scope by construction.)
     let (fused_allocs, fused_run) = count_allocs_after_round_1(|| {
         let mut proto = Coin::new(n);
-        eng.run_fused(&mut proto, 2)
+        eng.run(&mut proto).v2(2)
     });
     assert!(fused_run.completed);
     assert!(
@@ -187,7 +187,7 @@ fn steady_state_rounds_allocate_nothing() {
     let (v1_allocs, v1_run) = count_allocs_after_round_1(|| {
         let mut proto = Coin::new(n);
         let mut rng = derive_rng(7, b"alloc-run", 0);
-        eng.run(&mut proto, &mut rng)
+        eng.run(&mut proto).v1(&mut rng)
     });
     assert!(v1_run.completed);
     assert!(v1_run.rounds > 2);

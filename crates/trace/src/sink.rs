@@ -31,7 +31,18 @@ pub trait TraceSink {
     fn emit(&mut self, ev: TraceEvent);
 }
 
-/// The do-nothing sink: the default for every untraced entry point.
+/// A borrowed sink is a sink: the engine's run builder attaches one by
+/// `&mut`, and the caller keeps it to read or finish afterwards.
+impl<K: TraceSink> TraceSink for &mut K {
+    const ACTIVE: bool = K::ACTIVE;
+
+    #[inline(always)]
+    fn emit(&mut self, ev: TraceEvent) {
+        K::emit(self, ev);
+    }
+}
+
+/// The do-nothing sink: the default for every untraced run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 

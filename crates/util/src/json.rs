@@ -63,7 +63,7 @@ impl Json {
     /// [`Json::get`] with a path-context error: schema validators (the
     /// campaign scenario IR) thread the JSON path of `self` through
     /// `path`, so a missing key reports *where* in the document it was
-    /// expected (```spec.cells[3]`: missing required key `n` ``) instead
+    /// expected (``` `spec.cells[3]`: missing required key `n` ```) instead
     /// of a bare key name.
     pub fn get_or_err(&self, key: &str, path: &str) -> Result<&Json, String> {
         match self {

@@ -46,13 +46,13 @@ fn main() {
         let mut protocol = EeGossip::new(cfg);
         let mut engine_rng = derive_rng(2026, b"engine", 0);
         let mut session = EnergySession::new(n, radio, 7);
-        let res = run_protocol_energy(
+        let res = Engine::new(
             &field,
-            &mut protocol,
             EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-            &mut engine_rng,
-            &mut session,
-        );
+        )
+        .run(&mut protocol)
+        .energy(&mut session)
+        .v1(&mut engine_rng);
         (res.run.rounds, res.energy.mean_energy_per_node())
     };
     let capacity = mission_energy * 0.4;
@@ -72,13 +72,13 @@ fn main() {
             &mut derive_rng(2026, b"bat", 0),
         ))
         .with_halt_on_depletion(true);
-    let res = run_protocol_energy(
+    let res = Engine::new(
         &field,
-        &mut protocol,
         EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-        &mut engine_rng,
-        &mut session,
-    );
+    )
+    .run(&mut protocol)
+    .energy(&mut session)
+    .v1(&mut engine_rng);
 
     let lifetime = res
         .energy
@@ -116,13 +116,13 @@ fn main() {
                 &mut derive_rng(2026, b"bat", 0),
             ))
             .with_halt_on_depletion(true);
-        let res = run_protocol_energy(
+        let res = Engine::new(
             &field,
-            &mut protocol,
             EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-            &mut engine_rng,
-            &mut session,
-        );
+        )
+        .run(&mut protocol)
+        .energy(&mut session)
+        .v1(&mut engine_rng);
         let life = res
             .energy
             .first_depletion_round
@@ -144,13 +144,13 @@ fn main() {
     let mut protocol = EeGossip::new(cfg);
     let mut engine_rng = derive_rng(2026, b"engine", 0);
     let mut session = EnergySession::new(n, TxOnly, 7);
-    let res = run_protocol_energy(
+    let res = Engine::new(
         &field,
-        &mut protocol,
         EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-        &mut engine_rng,
-        &mut session,
-    );
+    )
+    .run(&mut protocol)
+    .energy(&mut session)
+    .v1(&mut engine_rng);
     assert_eq!(
         res.energy.total_energy(),
         res.run.metrics.total_transmissions() as f64

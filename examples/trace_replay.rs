@@ -5,7 +5,7 @@
 //! always "where did they first part ways?". This example walks the
 //! full loop on an Algorithm-1 broadcast:
 //!
-//! 1. **Record** a fused-engine run into a compact `.rtrc` file: one
+//! 1. **Record** a v2 run into a compact `.rtrc` file: one
 //!    structured event per transmission, sleep, collision, and
 //!    collision-free delivery, framed per round.
 //! 2. **Replay** the identical `(graph, protocol, seed)` through a
@@ -33,10 +33,14 @@ fn record(
     path: &std::path::Path,
 ) -> RunResult {
     let n = g.n();
-    let header = RunHeader::new(seed, "v2", format!("gnp_directed/n={n}"));
+    let header = RunHeader::new(seed, "v2", format!("gnp_directed/n={n}"))
+        .with_config(ecfg.max_rounds, ecfg.half_duplex);
     let mut sink = RecordingSink::create(path, &header).expect("create .rtrc");
     let mut proto = EeRandomBroadcast::new(n, 0, *cfg);
-    let run = Engine::new(g, ecfg).run_fused_traced(&mut proto, seed, &mut sink);
+    let run = Engine::new(g, ecfg)
+        .run(&mut proto)
+        .sink(&mut sink)
+        .v2(seed);
     sink.finish(run.completed).expect("write footer");
     run
 }
@@ -68,7 +72,10 @@ fn main() {
     // it compares them to the file, event for event.
     let mut verifier = ReplayVerifier::new(&rec);
     let mut proto = EeRandomBroadcast::new(n, 0, acfg);
-    let replayed = Engine::new(&g, ecfg).run_fused_traced(&mut proto, seed, &mut verifier);
+    let replayed = Engine::new(&g, ecfg)
+        .run(&mut proto)
+        .sink(&mut verifier)
+        .v2(seed);
     assert_eq!(run, replayed, "re-driven run must be bit-identical");
     match verifier.finish() {
         Ok(events) => println!("replay:   verified {events} events, zero divergences"),

@@ -277,7 +277,7 @@ pub mod collection {
     use super::TestRng;
     use rand::RngExt;
 
-    /// Anything usable as the size argument of [`vec`]: a fixed size or a
+    /// Anything usable as the size argument of [`vec()`]: a fixed size or a
     /// range of sizes.
     pub trait IntoSizeRange {
         /// Draw a concrete length.

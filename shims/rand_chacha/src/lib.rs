@@ -107,7 +107,7 @@ pub fn key_words_from_u64(mut state: u64) -> [u32; 8] {
 // 8-lane path below, 128-bit SSE2/NEON for the 4-lane path).
 //
 // The kernel outputs only the first `HEAD_WORDS` words of each block:
-// its one caller (the fused engine's decide phase) reads at most that
+// its one caller (the engine's v2 decide phase) reads at most that
 // many per lane, and a stream built from a head (`from_block_head`)
 // computes the rest of its block on demand. Lane `l` of a wide call is
 // bit-exactly the head of `chacha8_block(keys[l], counters[l])` at every

@@ -201,13 +201,13 @@ impl adhoc_radio::sim::Protocol for CoinProto {
 #[test]
 fn run_par_is_bit_identical_to_serial_across_families_and_channels() {
     // The intra-run parallel engine's contract: for every graph family,
-    // half-duplex setting, and thread count, `run_par` reproduces the
+    // half-duplex setting, and thread count, a parallel v1 run reproduces the
     // serial run bit for bit — rounds, completion, the full trace, and
     // the per-node transmission vector. The scatter partition is by
     // receiver id range, so this is a property of the construction; the
     // test pins it across the exact surfaces the sweep grids use.
     use adhoc_radio::graph::GraphFamily;
-    use adhoc_radio::sim::{run_protocol_par, EngineConfig};
+    use adhoc_radio::sim::{Engine, EngineConfig};
 
     let n = 400;
     for (family, p) in [
@@ -229,7 +229,9 @@ fn run_par_is_bit_identical_to_serial_across_families_and_channels() {
                     par_min_edges: 0,
                     ..EngineConfig::with_max_rounds(300).traced()
                 };
-                let res = run_protocol_par(&g, &mut proto, cfg, &mut rng, threads);
+                let res = Engine::new(&g, cfg.with_threads(threads))
+                    .run(&mut proto)
+                    .v1(&mut rng);
                 (
                     res.rounds,
                     res.completed,
@@ -259,9 +261,7 @@ fn run_par_energy_is_bit_identical_to_serial() {
     // setting): model-based charges happen on the serial side of the
     // round, so thread count must not move a single joule — including
     // battery depletion, which feeds back into delivery semantics.
-    use adhoc_radio::sim::{
-        run_protocol_par_energy, Battery, EnergySession, EngineConfig, LinearRadio,
-    };
+    use adhoc_radio::sim::{Battery, EnergySession, Engine, EngineConfig, LinearRadio};
 
     let n = 300;
     let g = gnp_directed(n, 0.08, &mut derive_rng(43, b"pare-g", 0));
@@ -274,7 +274,10 @@ fn run_par_energy_is_bit_identical_to_serial() {
             par_min_edges: 0,
             ..EngineConfig::with_max_rounds(200)
         };
-        let res = run_protocol_par_energy(&g, &mut proto, cfg, &mut rng, &mut session, threads);
+        let res = Engine::new(&g, cfg.with_threads(threads))
+            .run(&mut proto)
+            .energy(&mut session)
+            .v1(&mut rng);
         (
             res.run.rounds,
             res.run.completed,
@@ -296,8 +299,8 @@ fn run_fused_is_bit_identical_across_families_and_channels() {
     // The fused v2 engine's contract: decide, scatter, and delivery all
     // run inside the worker partitioning, and the per-node counter-based
     // streams make every phase order-independent — so for every graph
-    // family, half-duplex setting, and thread count, `run_fused_par`
-    // must reproduce the 1-thread fused run bit for bit (rounds, trace,
+    // family, half-duplex setting, and thread count, a parallel v2 run
+    // must reproduce the 1-thread v2 run bit for bit (rounds, trace,
     // per-node transmission vector, informed set).
     use adhoc_radio::core::broadcast::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
     use adhoc_radio::graph::GraphFamily;
@@ -382,13 +385,10 @@ fn run_fused_energy_is_bit_identical_across_thread_counts() {
             par_min_awake: 0,
             ..EngineConfig::with_max_rounds(150)
         };
-        let res = adhoc_radio::sim::engine::run_protocol_fused_energy(
-            &g,
-            &mut proto,
-            cfg.with_threads(threads),
-            0xE7,
-            &mut session,
-        );
+        let res = adhoc_radio::sim::Engine::new(&g, cfg.with_threads(threads))
+            .run(&mut proto)
+            .energy(&mut session)
+            .v2(0xE7);
         (
             res.run.rounds,
             res.run.completed,

@@ -29,12 +29,17 @@ where
     let plain = {
         let mut p = make();
         let mut rng = derive_rng(11, b"engine", 0);
-        adhoc_radio::sim::engine::run_protocol(g, &mut p, cfg, &mut rng)
+        adhoc_radio::sim::Engine::new(g, cfg)
+            .run(&mut p)
+            .v1(&mut rng)
     };
     let mut p = make();
     let mut rng = derive_rng(11, b"engine", 0);
     let mut session = EnergySession::new(g.n(), TxOnly, 99);
-    let res = run_protocol_energy(g, &mut p, cfg, &mut rng, &mut session);
+    let res = Engine::new(g, cfg)
+        .run(&mut p)
+        .energy(&mut session)
+        .v1(&mut rng);
 
     assert_eq!(
         res.run.rounds, plain.rounds,
@@ -153,13 +158,10 @@ fn crash_and_depletion_compose_and_count_once() {
     let mut rng = derive_rng(5, b"engine", 0);
     let mut session = EnergySession::new(n, LinearRadio::uniform_drain(1.0), 17)
         .with_battery(Battery::per_node(caps));
-    let res = run_protocol_energy(
-        &g,
-        &mut protocol,
-        EngineConfig::with_max_rounds(cfg.schedule_end() + 2),
-        &mut rng,
-        &mut session,
-    );
+    let res = Engine::new(&g, EngineConfig::with_max_rounds(cfg.schedule_end() + 2))
+        .run(&mut protocol)
+        .energy(&mut session)
+        .v1(&mut rng);
     assert!(res.run.rounds >= 3, "run long enough for both fault paths");
     assert_eq!(res.energy.depleted_count(), 12);
     assert_eq!(
@@ -204,7 +206,7 @@ proptest! {
             FadingRadio::new(LinearRadio::with_listen_ratio(ratio)),
             split_seed_for_test(seed),
         );
-        let overlay = run_protocol_energy(&g, &mut p, cfg, &mut rng, &mut session);
+        let overlay = Engine::new(&g, cfg).run(&mut p).energy(&mut session).v1(&mut rng);
 
         prop_assert_eq!(overlay.run.rounds, oracle.rounds);
         prop_assert_eq!(overlay.run.completed, oracle.completed);
@@ -228,13 +230,7 @@ proptest! {
         let mut protocol = EeRandomBroadcast::new(n, 0, cfg);
         let mut rng = derive_rng(seed, b"engine", 0);
         let mut session = EnergySession::new(n, TxOnly, seed ^ 0xE);
-        let res = run_protocol_energy(
-            &g,
-            &mut protocol,
-            EngineConfig::with_max_rounds(cfg.schedule_end() + 2),
-            &mut rng,
-            &mut session,
-        );
+        let res = Engine::new(&g, EngineConfig::with_max_rounds(cfg.schedule_end() + 2)).run(&mut protocol).energy(&mut session).v1(&mut rng);
         prop_assert_eq!(
             res.energy.total_energy(),
             res.run.metrics.total_transmissions() as f64

@@ -7,8 +7,7 @@ use adhoc_radio::core::broadcast::epoch::{run_epoch_broadcast, EpochBroadcastCon
 use adhoc_radio::core::gossip::{EeGossip, EeGossipConfig};
 use adhoc_radio::graph::generate::mobile_geometric_sequence;
 use adhoc_radio::prelude::*;
-use adhoc_radio::sim::engine::run_protocol;
-use adhoc_radio::sim::{run_dynamic, CrashPlan, EngineConfig, Faulty};
+use adhoc_radio::sim::{CrashPlan, Engine, EngineConfig, Faulty};
 
 #[test]
 fn gossip_survives_continuous_mobility() {
@@ -28,13 +27,13 @@ fn gossip_survives_continuous_mobility() {
         let refs: Vec<&DiGraph> = graphs.iter().collect();
         let mut protocol = EeGossip::new(cfg);
         let mut rng = derive_rng(seed, b"engine", 0);
-        let run = run_dynamic(
-            &refs,
-            30,
-            &mut protocol,
+        let run = Engine::new(
+            refs[0],
             EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
-            &mut rng,
-        );
+        )
+        .run(&mut protocol)
+        .schedule(&refs, 30)
+        .v1(&mut rng);
         assert!(
             protocol.gossip_time().is_some(),
             "seed {seed}: gossip did not complete under mobility ({} rounds)",
@@ -64,13 +63,10 @@ fn mobility_rescues_a_disconnected_field() {
         let refs: Vec<&DiGraph> = graphs.iter().collect();
         let mut protocol = EeGossip::new(cfg);
         let mut rng = derive_rng(seed, b"engine", 0);
-        let _ = run_dynamic(
-            &refs,
-            20,
-            &mut protocol,
-            EngineConfig::with_max_rounds(budget),
-            &mut rng,
-        );
+        let _ = Engine::new(refs[0], EngineConfig::with_max_rounds(budget))
+            .run(&mut protocol)
+            .schedule(&refs, 20)
+            .v1(&mut rng);
         protocol.informed_count() // nodes holding all tracked rumors
     };
 
@@ -94,12 +90,9 @@ fn alg1_tolerates_moderate_crashes() {
         let survivors = plan.survivors();
         let mut protocol = Faulty::new(EeRandomBroadcast::new(n, 0, cfg), plan);
         let mut rng = derive_rng(seed, b"engine", 0);
-        let _ = run_protocol(
-            &g,
-            &mut protocol,
-            EngineConfig::with_max_rounds(cfg.schedule_end() + 2),
-            &mut rng,
-        );
+        let _ = Engine::new(&g, EngineConfig::with_max_rounds(cfg.schedule_end() + 2))
+            .run(&mut protocol)
+            .v1(&mut rng);
         let informed = survivors
             .iter()
             .filter(|&&v| protocol.inner().informed_round(v).is_some())
@@ -126,12 +119,9 @@ fn crashed_nodes_never_transmit_after_their_round() {
         .collect();
     let mut protocol = Faulty::new(EeRandomBroadcast::new(n, 0, cfg), plan);
     let mut rng = derive_rng(9, b"engine", 0);
-    let run = run_protocol(
-        &g,
-        &mut protocol,
-        EngineConfig::with_max_rounds(cfg.schedule_end() + 2),
-        &mut rng,
-    );
+    let run = Engine::new(&g, EngineConfig::with_max_rounds(cfg.schedule_end() + 2))
+        .run(&mut protocol)
+        .v1(&mut rng);
     // Crashed nodes may have transmitted in rounds < crash_round only;
     // with crash_round = 2 and Phase 1 length T ≥ 1, at most one send.
     for &v in &crashed {

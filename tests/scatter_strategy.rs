@@ -13,7 +13,7 @@
 
 use adhoc_radio::prelude::*;
 use adhoc_radio::sim::reference::run_reference;
-use adhoc_radio::sim::{run_protocol_fused, run_protocol_par, FusedDecide, ScatterStrategy};
+use adhoc_radio::sim::{run_protocol_fused, Engine, FusedDecide, ScatterStrategy};
 use adhoc_radio::util::split_seed;
 use proptest::prelude::*;
 
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 /// decide/delivery order, so any scatter divergence — ordering,
 /// collision marking, receiver-set merge — cascades into different
 /// rounds, metrics, and traces. Split into [`FusedDecide`] halves so the
-/// same protocol also runs on the fused engine.
+/// same protocol also runs under the v2 contract.
 struct CoinProto {
     informed: Vec<bool>,
     n_informed: usize,
@@ -134,7 +134,9 @@ fn run_one<T: Topology>(
 ) -> Fingerprint {
     let mut proto = CoinProto::new(Topology::n(t));
     let mut rng = derive_rng(seed, b"scatter-run", 0);
-    let res = run_protocol_par(t, &mut proto, cfg(strategy, half_duplex), &mut rng, threads);
+    let res = Engine::new(t, cfg(strategy, half_duplex).with_threads(threads))
+        .run(&mut proto)
+        .v1(&mut rng);
     (
         res.rounds,
         res.completed,
@@ -195,7 +197,7 @@ proptest! {
 ///
 /// * the v1 engine on CSR equals the naive `reference` oracle, which
 ///   shares no scatter or delivery code with the engine;
-/// * the fused engine equals its own 1-thread run.
+/// * the v2 run equals its own 1-thread run.
 #[test]
 fn partition_edge_sizes_match_reference_and_serial() {
     for n in [1usize, 2, 63, 64, 65, 127, 129] {
@@ -233,7 +235,9 @@ fn partition_edge_sizes_match_reference_and_serial() {
                 let label = format!("n={n} {strategy:?} x {threads} threads");
                 let mut proto = CoinProto::new(n);
                 let mut rng = derive_rng(seed, b"scatter-run", 0);
-                let res = run_protocol_par(&g, &mut proto, cfg, &mut rng, threads);
+                let res = Engine::new(&g, cfg.with_threads(threads))
+                    .run(&mut proto)
+                    .v1(&mut rng);
                 assert_eq!(
                     oracle,
                     (res, proto.informed, proto.sent),
@@ -352,7 +356,9 @@ fn transmitter_shard_boundaries_mid_collision_resolve_serially() {
             heard: vec![Vec::new(); n],
         };
         let mut rng = derive_rng(77, b"storm", 0);
-        let res = run_protocol_par(&g, &mut proto, cfg_for(strategy), &mut rng, threads);
+        let res = Engine::new(&g, cfg_for(strategy).with_threads(threads))
+            .run(&mut proto)
+            .v1(&mut rng);
         (res.metrics, proto.heard)
     };
 

@@ -24,8 +24,8 @@ use adhoc_radio::core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadca
 use adhoc_radio::core::broadcast::flood::FloodConfig;
 use adhoc_radio::core::broadcast::windowed::WindowedBroadcast;
 use adhoc_radio::graph::{DiGraph, ImplicitGnp, ImplicitGrid, NodeId, Topology};
-use adhoc_radio::sim::engine::{run_protocol, run_protocol_fused, run_protocol_par};
-use adhoc_radio::sim::{EngineConfig, RunResult};
+use adhoc_radio::sim::engine::run_protocol_fused;
+use adhoc_radio::sim::{Engine, EngineConfig, RunResult};
 use adhoc_radio::util::{derive_rng, split_seed};
 
 fn row<T: Topology>(t: &T, u: NodeId) -> Vec<NodeId> {
@@ -115,15 +115,17 @@ fn all_runs<T: Topology>(t: &T, d: f64, run_seed: u64, threads: usize) -> Vec<Ru
     let mut flood_v1 = WindowedBroadcast::new(n, 0, fcfg.spec());
     let mut rng = derive_rng(run_seed, b"v1", 0);
     if threads == 1 {
-        out.push(run_protocol(t, &mut flood_v1, par_cfg(400, 1), &mut rng));
+        out.push(
+            Engine::new(t, par_cfg(400, 1))
+                .run(&mut flood_v1)
+                .v1(&mut rng),
+        );
     } else {
-        out.push(run_protocol_par(
-            t,
-            &mut flood_v1,
-            par_cfg(400, 1),
-            &mut rng,
-            threads,
-        ));
+        out.push(
+            Engine::new(t, par_cfg(400, 1).with_threads(threads))
+                .run(&mut flood_v1)
+                .v1(&mut rng),
+        );
     }
     out
 }

@@ -43,7 +43,7 @@ fn check_v1<P: Protocol>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threads: us
     let plain = {
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-run", 1);
-        Engine::new(g, c).run(&mut p, &mut rng)
+        Engine::new(g, c).run(&mut p).v1(&mut rng)
     };
     let mut bytes = Vec::new();
     let traced = {
@@ -51,7 +51,7 @@ fn check_v1<P: Protocol>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threads: us
         let mut sink = RecordingSink::new(&mut bytes, &header).unwrap();
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-run", 1);
-        let res = Engine::new(g, c).run_traced(&mut p, &mut rng, &mut sink);
+        let res = Engine::new(g, c).run(&mut p).sink(&mut sink).v1(&mut rng);
         sink.finish(res.completed).unwrap();
         res
     };
@@ -61,7 +61,10 @@ fn check_v1<P: Protocol>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threads: us
     {
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-run", 1);
-        let _ = Engine::new(g, c).run_traced(&mut p, &mut rng, &mut verifier);
+        let _ = Engine::new(g, c)
+            .run(&mut p)
+            .sink(&mut verifier)
+            .v1(&mut rng);
     }
     let verified = verifier.finish();
     assert!(
@@ -76,14 +79,14 @@ fn check_fused<P: FusedDecide>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threa
     let c = cfg(threads);
     let plain = {
         let mut p = mk();
-        Engine::new(g, c).run_fused(&mut p, seed)
+        Engine::new(g, c).run(&mut p).v2(seed)
     };
     let mut bytes = Vec::new();
     let traced = {
         let header = RunHeader::new(seed, "v2", "prop");
         let mut sink = RecordingSink::new(&mut bytes, &header).unwrap();
         let mut p = mk();
-        let res = Engine::new(g, c).run_fused_traced(&mut p, seed, &mut sink);
+        let res = Engine::new(g, c).run(&mut p).sink(&mut sink).v2(seed);
         sink.finish(res.completed).unwrap();
         res
     };
@@ -92,7 +95,7 @@ fn check_fused<P: FusedDecide>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, threa
     let mut verifier = ReplayVerifier::new(&rec);
     {
         let mut p = mk();
-        let _ = Engine::new(g, c).run_fused_traced(&mut p, seed, &mut verifier);
+        let _ = Engine::new(g, c).run(&mut p).sink(&mut verifier).v2(seed);
     }
     let verified = verifier.finish();
     assert!(
@@ -115,13 +118,20 @@ fn check_energy<P: FusedDecide>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, thre
     let plain = {
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-en", 2);
-        Engine::new(g, c).run_energy(&mut p, &mut rng, &mut session())
+        Engine::new(g, c)
+            .run(&mut p)
+            .energy(&mut session())
+            .v1(&mut rng)
     };
     let traced = {
         let mut sink = RingSink::new(64);
         let mut p = mk();
         let mut rng = derive_rng(seed, b"zi-en", 2);
-        Engine::new(g, c).run_energy_traced(&mut p, &mut rng, &mut session(), &mut sink)
+        Engine::new(g, c)
+            .run(&mut p)
+            .energy(&mut session())
+            .sink(&mut sink)
+            .v1(&mut rng)
     };
     assert_eq!(&plain.run, &traced.run, "tracing changed the energy run");
     assert_eq!(&plain.energy, &traced.energy);
@@ -129,12 +139,19 @@ fn check_energy<P: FusedDecide>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, thre
     // Fused contract.
     let plain_f = {
         let mut p = mk();
-        Engine::new(g, c).run_fused_energy(&mut p, seed, &mut session())
+        Engine::new(g, c)
+            .run(&mut p)
+            .energy(&mut session())
+            .v2(seed)
     };
     let traced_f = {
         let mut sink = RingSink::new(64);
         let mut p = mk();
-        Engine::new(g, c).run_fused_energy_traced(&mut p, seed, &mut session(), &mut sink)
+        Engine::new(g, c)
+            .run(&mut p)
+            .energy(&mut session())
+            .sink(&mut sink)
+            .v2(seed)
     };
     assert_eq!(
         &plain_f.run, &traced_f.run,
@@ -144,7 +161,7 @@ fn check_energy<P: FusedDecide>(mk: impl Fn() -> P, g: &DiGraph, seed: u64, thre
 }
 
 /// Release acceptance (`.github/workflows/acceptance.yml`): record a
-/// full Algorithm-1 broadcast at `n = 2¹⁶` through the fused engine
+/// full Algorithm-1 broadcast at `n = 2¹⁶` under the v2 contract
 /// with 8 workers, writing the `.rtrc` to disk; then re-drive the
 /// identical run through a [`ReplayVerifier`] against the recording
 /// read back from disk. Zero divergences allowed — the event stream is
@@ -166,7 +183,10 @@ fn fused_parallel_record_replay_at_2_pow_16_has_zero_divergences() {
         let header = RunHeader::new(seed, "v2", format!("gnp_directed/n={n}/p={p}"));
         let mut sink = RecordingSink::create(&path, &header).expect("create .rtrc");
         let mut proto = EeRandomBroadcast::new(n, 0, acfg);
-        let run = Engine::new(&g, ecfg).run_fused_traced(&mut proto, seed, &mut sink);
+        let run = Engine::new(&g, ecfg)
+            .run(&mut proto)
+            .sink(&mut sink)
+            .v2(seed);
         sink.finish(run.completed).expect("footer");
         assert!(
             proto.informed_count() == n,
@@ -180,7 +200,10 @@ fn fused_parallel_record_replay_at_2_pow_16_has_zero_divergences() {
     let mut verifier = ReplayVerifier::new(&rec);
     let replayed = {
         let mut proto = EeRandomBroadcast::new(n, 0, EeBroadcastConfig::for_gnp(n, p));
-        Engine::new(&g, ecfg).run_fused_traced(&mut proto, seed, &mut verifier)
+        Engine::new(&g, ecfg)
+            .run(&mut proto)
+            .sink(&mut verifier)
+            .v2(seed)
     };
     assert_eq!(&recorded, &replayed, "re-driven run differs");
     match verifier.finish() {

@@ -1,7 +1,7 @@
 //! Cross-validation of the **v2 counter-based stream contract** against
 //! the frozen v1 engines.
 //!
-//! A fused run (`run_fused`, per-node streams) and a v1 run (shared
+//! A v2 run (`Run::v2`, per-node streams) and a v1 run (shared
 //! serial stream) of the same `(protocol, seed)` follow *different*
 //! trajectories by design — the stream layouts differ — so bit-identity
 //! is the wrong cross-check. What must hold instead is **statistical

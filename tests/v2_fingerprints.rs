@@ -22,7 +22,7 @@ use adhoc_radio::core::broadcast::flood::FloodConfig;
 use adhoc_radio::core::broadcast::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
 use adhoc_radio::core::seq::{KDistribution, SharedSequence};
 use adhoc_radio::graph::{GraphFamily, NodeId};
-use adhoc_radio::sim::engine::{run_protocol_fused, run_protocol_fused_energy};
+use adhoc_radio::sim::engine::run_protocol_fused;
 use adhoc_radio::sim::reference::run_reference;
 use adhoc_radio::sim::{
     Action, Battery, DecideStreams, EnergySession, Engine, EngineConfig, FusedDecide, LinearRadio,
@@ -78,7 +78,7 @@ fn graph(family: GraphFamily, seed: u64) -> adhoc_radio::graph::DiGraph {
     family.generate(N, p, &mut derive_rng(seed, b"fp-g", 0))
 }
 
-/// Run `protocol` on the fused engine at 1 and 4 threads, assert the
+/// Run `protocol` under v2 at 1 and 4 threads, assert the
 /// trajectories agree, and return the (shared) fingerprint.
 fn pinned_run<P, F>(make: F, max_rounds: u64, run_seed: u64) -> u64
 where
@@ -224,13 +224,10 @@ fn battery_depletion_dead_path_is_pinned() {
         let mut session = EnergySession::new(N, LinearRadio::uniform_drain(1.0), 17)
             .with_battery(Battery::per_node(caps));
         let mut p = WindowedBroadcast::new(N, 0, flood.spec());
-        let res = run_protocol_fused_energy(
-            &g,
-            &mut p,
-            cfg(flood.max_rounds, threads),
-            0xBA77,
-            &mut session,
-        );
+        let res = Engine::new(&g, cfg(flood.max_rounds, threads))
+            .run(&mut p)
+            .energy(&mut session)
+            .v2(0xBA77);
         let mut h = fingerprint(&res.run);
         mix(&mut h, res.energy.depleted_count() as u64);
         h
@@ -270,7 +267,7 @@ fn fingerprints_depend_on_the_seed() {
 // disarms) the node's next transmission, so a wrong draw changes the
 // trajectory as well as the log.
 
-/// Where a receiver stood in the fused engine's awake-list discipline
+/// Where a receiver stood in v2's awake-list discipline
 /// when `on_receive` fired: the four states the delivery sweep must
 /// serve the node's receive lane from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -286,11 +283,11 @@ enum Listing {
 }
 
 /// Every `SWEEP`th round, every node that is not armed goes to sleep:
-/// mass passivation that trips the fused engine's stale compaction.
+/// mass passivation that trips v2's stale compaction.
 const SWEEP: u64 = 10;
 
 /// A [`FusedDecide`] protocol that draws on reception. Alongside its
-/// state it mirrors the fused engine's documented awake-list discipline
+/// state it mirrors v2's documented awake-list discipline
 /// (sleepers stay listed as stale entries until more than half of the
 /// list is stale, then one pass drops them) to label each reception
 /// with its [`Listing`]; the mirror never influences a decision.
@@ -497,7 +494,7 @@ fn receive_lane_survives_engine_reuse_across_seeds() {
         let mut eng = Engine::new(&g, cfg(RX_ROUNDS, threads));
         let mut run = |seed: u64| {
             let mut p = ReceiveCoin::new(N);
-            let res = eng.run_fused(&mut p, seed);
+            let res = eng.run(&mut p).v2(seed);
             assert_draws_from_scratch(&p, seed);
             (rx_fingerprint(&res, &p), p.log)
         };
@@ -532,8 +529,10 @@ fn depleted_receivers_get_no_receive_call() {
         let mut session = EnergySession::new(N, LinearRadio::uniform_drain(1.0), 17)
             .with_battery(Battery::per_node(caps));
         let mut p = ReceiveCoin::new(N);
-        let res =
-            run_protocol_fused_energy(&g, &mut p, cfg(RX_ROUNDS, threads), RX_SEED, &mut session);
+        let res = Engine::new(&g, cfg(RX_ROUNDS, threads))
+            .run(&mut p)
+            .energy(&mut session)
+            .v2(RX_SEED);
         assert_draws_from_scratch(&p, RX_SEED);
         let dead = |v: NodeId, r: u64| res.energy.depleted_round(v).is_some_and(|d| d < r);
         for &(v, r, _, _) in &p.log {
@@ -569,7 +568,7 @@ fn v1_receive_draws_match_the_reference() {
     let cfg1 = EngineConfig::with_max_rounds(RX_ROUNDS);
     let rng = || derive_rng(RX_SEED, b"rx-v1", 0);
     let mut p = ReceiveCoin::new(N);
-    let run = Engine::new(&g, cfg1).run(&mut p, &mut rng());
+    let run = Engine::new(&g, cfg1).run(&mut p).v1(&mut rng());
     let mut q = ReceiveCoin::new(N);
     let oracle = run_reference(&g, &mut q, cfg1, &mut rng());
     assert!(p.log.len() > 100, "too few receptions to compare");
