@@ -19,8 +19,13 @@
 //!   reformatting whitespace or reflowing lines never invalidates a
 //!   checkpoint; changing any value does.
 
-use radio_graph::GraphFamily;
+use crate::kernels::{p_gnp, split_label};
+use radio_graph::{GraphFamily, NodeId};
 use radio_util::Json;
+
+/// The largest round cap the engine accepts: its round stamps are 31
+/// bits wide, and it asserts `max_rounds < 2³¹ − 1`.
+const MAX_ROUND_CAP: u64 = (u32::MAX >> 1) as u64 - 1;
 
 /// A parsed, validated scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,6 +229,141 @@ fn opt_f64(j: &Json, key: &str, path: &str, default: f64) -> Result<f64, String>
     }
 }
 
+/// [`opt_u64`] restricted to `range`; `what` states the range.
+fn opt_u64_in(
+    j: &Json,
+    key: &str,
+    path: &str,
+    default: u64,
+    range: std::ops::RangeInclusive<u64>,
+    what: &str,
+) -> Result<u64, String> {
+    let v = opt_u64(j, key, path, default)?;
+    if range.contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!("`{path}.{key}`: {what}, got {v}"))
+    }
+}
+
+/// [`opt_f64`] restricted to `range`; `what` states the range.
+fn opt_f64_in(
+    j: &Json,
+    key: &str,
+    path: &str,
+    default: f64,
+    range: std::ops::RangeInclusive<f64>,
+    what: &str,
+) -> Result<f64, String> {
+    let v = opt_f64(j, key, path, default)?;
+    if range.contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!("`{path}.{key}`: {what}, got {v}"))
+    }
+}
+
+/// A diameter hint: the kernels take a `u32`, and Algorithm 3's `λ`
+/// needs at least 1.
+fn opt_d_hint(j: &Json, path: &str, default: u64) -> Result<u32, String> {
+    let what = format!("a diameter hint must lie in [1, {}]", u32::MAX);
+    Ok(opt_u64_in(j, "d_hint", path, default, 1..=u64::from(u32::MAX), &what)? as u32)
+}
+
+/// The family's own parameter domain, which graph generation asserts:
+/// an edge probability of at most 1 for the G(n,p) families, a torus
+/// radius in (0, 0.5] for the geometric family, and an `n` that the
+/// caterpillar's `legs + 1` divides.
+fn check_family_range(family: &GraphFamily, n: usize, p: f64, path: &str) -> Result<(), String> {
+    match family {
+        GraphFamily::GnpDirected | GraphFamily::GnpUndirected if p > 1.0 => Err(format!(
+            "`{path}.p`: an edge probability must be at most 1, got {p}"
+        )),
+        GraphFamily::Geometric if !(p > 0.0 && p <= 0.5) => Err(format!(
+            "`{path}.p`: a connection radius must lie in (0, 0.5], got {p}"
+        )),
+        GraphFamily::Caterpillar { legs }
+            if legs.checked_add(1).is_none_or(|k| !n.is_multiple_of(k)) =>
+        {
+            Err(format!(
+                "`{path}.n`: caterpillar(legs={legs}) needs n divisible by legs + 1, got {n}"
+            ))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// What a cell's kernel asserts about the cell: the algorithm name and
+/// the `:f=` / `:r=` number its label carries, and — for kernels that
+/// derive G(n,p) parameters from the cell (`GnpParams`) — `n ≥ 2` and
+/// an expected degree `n·p > 1`, with `p = π·r²` on the geometric
+/// family. `energy_crossover`'s `alg1` measures its `p` from the
+/// generated graph on every family but `gnp_directed`, so only that
+/// case is checked here.
+fn check_kernel_inputs(cell: &CellSpec, proto: &ProtocolSpec, path: &str) -> Result<(), String> {
+    const VARIANTS: [&str; 4] = ["alg1", "alg1_battery", "alg1_both", "alg3"];
+    const BROADCASTS: [&str; 3] = ["alg1", "flood", "decay"];
+    let at = |e: String| format!("`{path}.label`: {e}");
+    let label = cell.label.as_str();
+    let derives_gnp = match proto {
+        ProtocolSpec::MobileGossip { .. } => {
+            let (_, sigma) = split_label(label, ":f=").map_err(at)?;
+            if !(sigma.is_finite() && sigma >= 0.0) {
+                return Err(at(format!(
+                    "mobility σ must be finite and ≥ 0, got {sigma}"
+                )));
+            }
+            true
+        }
+        ProtocolSpec::FaultyBroadcast { .. } => {
+            let (variant, frac) = split_label(label, ":f=").map_err(at)?;
+            if !VARIANTS.contains(&variant) {
+                return Err(at(format!(
+                    "faulty_broadcast: unknown variant `{variant}` (expected one of {})",
+                    VARIANTS.join(", ")
+                )));
+            }
+            if !(0.0..=1.0).contains(&frac) {
+                return Err(at(format!("a fraction must lie in [0, 1], got {frac}")));
+            }
+            // Every variant builds Algorithm 1's config for the cell.
+            true
+        }
+        ProtocolSpec::EnergyCrossover { .. } => {
+            let (alg, ratio) = split_label(label, ":r=").map_err(at)?;
+            if !BROADCASTS.contains(&alg) {
+                return Err(at(format!(
+                    "energy_crossover: unknown algorithm `{alg}` (expected one of {})",
+                    BROADCASTS.join(", ")
+                )));
+            }
+            if !(ratio.is_finite() && ratio >= 0.0) {
+                return Err(at(format!("a ratio must be finite and ≥ 0, got {ratio}")));
+            }
+            alg == "alg1" && cell.family == GraphFamily::GnpDirected
+        }
+        ProtocolSpec::EnergyLifetime { .. } => {
+            if !BROADCASTS.contains(&label) {
+                return Err(at(format!(
+                    "energy_lifetime: unknown algorithm `{label}` (expected one of {})",
+                    BROADCASTS.join(", ")
+                )));
+            }
+            label == "alg1"
+        }
+    };
+    let (n, q) = (cell.n, p_gnp(&cell.family, cell.p));
+    if derives_gnp && !(n >= 2 && q > 0.0 && q <= 1.0 && n as f64 * q > 1.0) {
+        return Err(format!(
+            "`{path}`: {} derives G(n,p) parameters from the cell and needs n ≥ 2 \
+             and 0 < p ≤ 1 with n·p > 1 (p = π·r² on the geometric family), \
+             got n = {n}, p = {q}",
+            proto.kind()
+        ));
+    }
+    Ok(())
+}
+
 /// `"gnp_directed"` → [`GraphFamily::GnpDirected`], accepting exactly
 /// the labels [`GraphFamily::label`] emits (the IR round-trips through
 /// report JSON).
@@ -333,14 +473,19 @@ impl Scenario {
             let path = format!("spec.cells[{i}]");
             let label = want_str(c, "label", &path)?.to_string();
             let family = parse_family(want_str(c, "family", &path)?, &format!("{path}.family"))?;
-            let n = want_u64(c, "n", &path)? as usize;
-            if n == 0 {
-                return Err(format!("`{path}.n`: must be at least 1"));
+            let n = want_u64(c, "n", &path)?;
+            if n == 0 || n > u64::from(NodeId::MAX) {
+                return Err(format!(
+                    "`{path}.n`: must lie in [1, {}] (node ids are 32-bit), got {n}",
+                    NodeId::MAX
+                ));
             }
+            let n = n as usize;
             let p = want_f64(c, "p", &path)?;
             if !p.is_finite() || p < 0.0 {
                 return Err(format!("`{path}.p`: must be finite and non-negative"));
             }
+            check_family_range(&family, n, p, &path)?;
             cells.push(CellSpec {
                 label,
                 family,
@@ -417,6 +562,7 @@ impl Scenario {
                 )
             })?;
             used[key_idx] = true;
+            check_kernel_inputs(cell, proto, &path)?;
             match proto {
                 ProtocolSpec::MobileGossip { .. } => {
                     if cell.family != GraphFamily::Geometric {
@@ -492,7 +638,7 @@ fn parse_protocol(j: &Json, path: &str) -> Result<ProtocolSpec, String> {
     let kind = want_str(j, "kind", path)?;
     match kind {
         "mobile_gossip" => Ok(ProtocolSpec::MobileGossip {
-            switch_every: opt_u64(j, "switch_every", path, 40)?,
+            switch_every: opt_u64_in(j, "switch_every", path, 40, 1..=u64::MAX, "must be ≥ 1")?,
             gamma: opt_f64(j, "gamma", path, 10.0)?,
             tracked: match j.get("tracked") {
                 None => Some(64),
@@ -501,7 +647,9 @@ fn parse_protocol(j: &Json, path: &str) -> Result<ProtocolSpec, String> {
             },
         }),
         "faulty_broadcast" => Ok(ProtocolSpec::FaultyBroadcast {
-            crash_round: opt_u64(j, "crash_round", path, 3)?,
+            // Round 1 at the earliest: the battery path charges
+            // `crash_round − 1` rounds.
+            crash_round: opt_u64_in(j, "crash_round", path, 3, 1..=u64::MAX, "must be ≥ 1")?,
             spare_source: match j.get("spare_source") {
                 None => true,
                 Some(Json::Bool(b)) => *b,
@@ -512,18 +660,32 @@ fn parse_protocol(j: &Json, path: &str) -> Result<ProtocolSpec, String> {
                     ))
                 }
             },
-            d_hint: opt_u64(j, "d_hint", path, 6)? as u32,
+            d_hint: opt_d_hint(j, path, 6)?,
         }),
         "energy_crossover" => Ok(ProtocolSpec::EnergyCrossover {
-            flood_q: opt_f64(j, "flood_q", path, 0.1)?,
-            d_hint: opt_u64(j, "d_hint", path, 8)? as u32,
+            flood_q: opt_f64_in(j, "flood_q", path, 0.1, 0.0..=1.0, "must lie in [0, 1]")?,
+            d_hint: opt_d_hint(j, path, 8)?,
         }),
         "energy_lifetime" => Ok(ProtocolSpec::EnergyLifetime {
-            horizon: opt_u64(j, "horizon", path, 400)?,
-            capacity: opt_f64(j, "capacity", path, 100.0)?,
-            jitter: opt_f64(j, "jitter", path, 0.2)?,
-            flood_q: opt_f64(j, "flood_q", path, 0.1)?,
-            d_hint: opt_u64(j, "d_hint", path, 8)? as u32,
+            horizon: opt_u64_in(
+                j,
+                "horizon",
+                path,
+                400,
+                0..=MAX_ROUND_CAP,
+                &format!("must be at most {MAX_ROUND_CAP} (the engine's round cap)"),
+            )?,
+            capacity: opt_f64_in(
+                j,
+                "capacity",
+                path,
+                100.0,
+                0.0..=f64::INFINITY,
+                "must be ≥ 0",
+            )?,
+            jitter: opt_f64_in(j, "jitter", path, 0.2, 0.0..=1.0, "must lie in [0, 1]")?,
+            flood_q: opt_f64_in(j, "flood_q", path, 0.1, 0.0..=1.0, "must lie in [0, 1]")?,
+            d_hint: opt_d_hint(j, path, 8)?,
         }),
         other => Err(format!("`{path}.kind`: unknown kernel `{other}`")),
     }
@@ -645,6 +807,268 @@ mod tests {
             .replace("alg1:f=0.3", "alg1:r=0.1");
         let err = Scenario::parse(&crossover).unwrap_err();
         assert!(err.contains("implicit_grid"), "got: {err}");
+    }
+
+    /// A one-cell spec: `label` on `family` at `(n, p)`, its protocol
+    /// entry keyed by the label's `:`-prefix with `kind` and the extra
+    /// `params` (a JSON object body, possibly empty).
+    fn one_cell(kind: &str, params: &str, label: &str, family: &str, n: u64, p: f64) -> String {
+        let key = label.split(':').next().unwrap();
+        let sep = if params.is_empty() { "" } else { ", " };
+        format!(
+            r#"{{"version": 1, "name": "one", "sweep": {{"base_seed": 1, "trials": 1}},
+                "cells": [{{"label": "{label}", "family": "{family}", "n": {n}, "p": {p}}}],
+                "protocols": {{"{key}": {{"kind": "{kind}"{sep}{params}}}}}}}"#
+        )
+    }
+
+    /// Each spec must fail validation with an error naming `path` and
+    /// containing `what`.
+    fn assert_rejected(cases: &[(String, &str, &str)]) {
+        for (spec, path, what) in cases {
+            let err = Scenario::parse(spec).expect_err(spec);
+            assert!(
+                err.contains(&format!("`{path}`")) && err.contains(what),
+                "want `{path}` … {what}, got: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn specs_that_panicked_mid_campaign_are_rejected() {
+        // Each of these used to validate and then panic in `campaign
+        // run`, after the manifest was written.
+        let r = 0.1365685538240099;
+        assert_rejected(&[
+            (
+                one_cell("mobile_gossip", "", "gossip", "geometric", 512, r),
+                "spec.cells[0].label",
+                "missing `:f=<value>`",
+            ),
+            (
+                one_cell("mobile_gossip", "", "gossip:f=-0.5", "geometric", 512, r),
+                "spec.cells[0].label",
+                "σ must be finite and ≥ 0",
+            ),
+            (
+                one_cell(
+                    "faulty_broadcast",
+                    "",
+                    "alg1:f=1.5",
+                    "gnp_directed",
+                    2048,
+                    0.02,
+                ),
+                "spec.cells[0].label",
+                "fraction must lie in [0, 1]",
+            ),
+            (
+                one_cell("mobile_gossip", "", "gossip:f=0.05", "geometric", 512, 0.7),
+                "spec.cells[0].p",
+                "radius must lie in (0, 0.5]",
+            ),
+            (
+                one_cell(
+                    "energy_crossover",
+                    "",
+                    "alg2:r=0.1",
+                    "gnp_directed",
+                    512,
+                    0.1,
+                ),
+                "spec.cells[0].label",
+                "unknown algorithm `alg2`",
+            ),
+        ]);
+        // The same specs with sound values still validate.
+        for ok in [
+            one_cell("mobile_gossip", "", "gossip:f=0.05", "geometric", 512, r),
+            one_cell(
+                "faulty_broadcast",
+                "",
+                "alg1:f=1",
+                "gnp_directed",
+                2048,
+                0.02,
+            ),
+            one_cell(
+                "energy_crossover",
+                "",
+                "decay:r=0.1",
+                "gnp_directed",
+                512,
+                0.1,
+            ),
+        ] {
+            Scenario::parse(&ok).expect(&ok);
+        }
+    }
+
+    #[test]
+    fn label_parameters_and_family_ranges_are_validated() {
+        assert_rejected(&[
+            (
+                one_cell(
+                    "faulty_broadcast",
+                    "",
+                    "alg1:f=NaN",
+                    "gnp_directed",
+                    64,
+                    0.2,
+                ),
+                "spec.cells[0].label",
+                "fraction",
+            ),
+            (
+                one_cell(
+                    "faulty_broadcast",
+                    "",
+                    "alg9:f=0.3",
+                    "gnp_directed",
+                    64,
+                    0.2,
+                ),
+                "spec.cells[0].label",
+                "unknown variant `alg9`",
+            ),
+            (
+                one_cell("faulty_broadcast", "", "alg1:f=x", "gnp_directed", 64, 0.2),
+                "spec.cells[0].label",
+                "bad value `x`",
+            ),
+            (
+                one_cell("mobile_gossip", "", "gossip:f=inf", "geometric", 512, 0.1),
+                "spec.cells[0].label",
+                "σ",
+            ),
+            (
+                one_cell(
+                    "energy_crossover",
+                    "",
+                    "flood:r=-1",
+                    "gnp_directed",
+                    64,
+                    0.2,
+                ),
+                "spec.cells[0].label",
+                "ratio must be finite and ≥ 0",
+            ),
+            (
+                one_cell("energy_lifetime", "", "alg3", "gnp_directed", 64, 0.2),
+                "spec.cells[0].label",
+                "unknown algorithm `alg3`",
+            ),
+            (
+                one_cell(
+                    "faulty_broadcast",
+                    "",
+                    "alg1:f=0.3",
+                    "gnp_directed",
+                    64,
+                    1.5,
+                ),
+                "spec.cells[0].p",
+                "edge probability must be at most 1",
+            ),
+            (
+                one_cell(
+                    "faulty_broadcast",
+                    "",
+                    "alg1:f=0.3",
+                    "gnp_directed",
+                    1 << 32,
+                    0.2,
+                ),
+                "spec.cells[0].n",
+                "node ids are 32-bit",
+            ),
+            (
+                one_cell(
+                    "faulty_broadcast",
+                    "",
+                    "alg1:f=0.3",
+                    "caterpillar(legs=3)",
+                    10,
+                    0.2,
+                ),
+                "spec.cells[0].n",
+                "divisible",
+            ),
+            (
+                // d = n·p = 0.64: Algorithm 1's parameters need d > 1.
+                one_cell(
+                    "faulty_broadcast",
+                    "",
+                    "alg3:f=0.3",
+                    "gnp_directed",
+                    64,
+                    0.01,
+                ),
+                "spec.cells[0]",
+                "n·p > 1",
+            ),
+            (
+                one_cell("energy_lifetime", "", "alg1", "path", 1, 0.5),
+                "spec.cells[0]",
+                "n ≥ 2",
+            ),
+        ]);
+    }
+
+    #[test]
+    fn fixed_protocol_parameters_are_validated() {
+        let cell = |kind, params| one_cell(kind, params, "alg1:f=0.3", "gnp_directed", 64, 0.2);
+        let life = |params| one_cell("energy_lifetime", params, "alg1", "gnp_directed", 64, 0.2);
+        assert_rejected(&[
+            (
+                one_cell(
+                    "mobile_gossip",
+                    r#""switch_every": 0"#,
+                    "gossip:f=0",
+                    "geometric",
+                    512,
+                    0.1,
+                ),
+                "spec.protocols.gossip.switch_every",
+                "≥ 1",
+            ),
+            (
+                cell("faulty_broadcast", r#""crash_round": 0"#),
+                "spec.protocols.alg1.crash_round",
+                "≥ 1",
+            ),
+            (
+                cell("faulty_broadcast", r#""d_hint": 0"#),
+                "spec.protocols.alg1.d_hint",
+                "diameter hint",
+            ),
+            (
+                cell("faulty_broadcast", r#""d_hint": 4294967296"#),
+                "spec.protocols.alg1.d_hint",
+                "diameter hint",
+            ),
+            (
+                life(r#""flood_q": 1.5"#),
+                "spec.protocols.alg1.flood_q",
+                "[0, 1]",
+            ),
+            (
+                life(r#""jitter": 2"#),
+                "spec.protocols.alg1.jitter",
+                "[0, 1]",
+            ),
+            (
+                life(r#""capacity": -1"#),
+                "spec.protocols.alg1.capacity",
+                "≥ 0",
+            ),
+            (
+                life(r#""horizon": 2147483647"#),
+                "spec.protocols.alg1.horizon",
+                "round cap",
+            ),
+        ]);
+        Scenario::parse(&life(r#""horizon": 2147483646"#)).expect("largest legal cap");
     }
 
     #[test]

@@ -30,22 +30,26 @@ use radio_core::broadcast::windowed::{
 use radio_core::gossip::{EeGossip, EeGossipConfig};
 use radio_core::seq::SharedSequence;
 use radio_energy::{Battery, EnergySession, LinearRadio};
-use radio_graph::generate::mobile_geometric_sequence;
+use radio_graph::generate::MobileGeometric;
 use radio_graph::{DiGraph, GraphFamily, NodeId, Topology};
 use radio_sim::{CrashPlan, Engine, EngineConfig, Faulty, Protocol, SweepCell, TrialResult};
 use radio_util::{derive_rng, split_seed};
 
 /// `"alg1:f=0.3"` → `("alg1", 0.3)` — the label convention every
-/// parameterised kernel shares (`:r=` for ratios).
-fn parse_label<'l>(label: &'l str, sep: &str) -> (&'l str, f64) {
+/// parameterised kernel shares (`:r=` for ratios). The validator calls
+/// it too, so a spec that passes `campaign validate` never fails here.
+pub(crate) fn split_label<'l>(label: &'l str, sep: &str) -> Result<(&'l str, f64), String> {
     let (alg, v) = label
         .split_once(sep)
-        .unwrap_or_else(|| panic!("label `{label}` missing `{sep}<value>`"));
-    (
-        alg,
-        v.parse()
-            .unwrap_or_else(|_| panic!("label `{label}`: bad value `{v}`")),
-    )
+        .ok_or_else(|| format!("label `{label}` missing `{sep}<value>`"))?;
+    let value = v
+        .parse()
+        .map_err(|_| format!("label `{label}`: bad value `{v}`"))?;
+    Ok((alg, value))
+}
+
+fn parse_label<'l>(label: &'l str, sep: &str) -> (&'l str, f64) {
+    split_label(label, sep).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The G(n,p) edge probability a degree-parameterised config should use
@@ -53,10 +57,10 @@ fn parse_label<'l>(label: &'l str, sep: &str) -> (&'l str, f64) {
 /// `π r²` (capped at 1) on the geometric family, where the cell's `p`
 /// is a connection radius. Analytic rather than measured, so it is
 /// identical on every backend.
-fn p_gnp(cell: &SweepCell) -> f64 {
-    match cell.family {
-        GraphFamily::Geometric => (std::f64::consts::PI * cell.p * cell.p).min(1.0),
-        _ => cell.p,
+pub(crate) fn p_gnp(family: &GraphFamily, p: f64) -> f64 {
+    match family {
+        GraphFamily::Geometric => (std::f64::consts::PI * p * p).min(1.0),
+        _ => p,
     }
 }
 
@@ -72,34 +76,31 @@ pub struct MobileGossipCfg {
 }
 
 /// One mobility trial: gossip (Algorithm 2) while geometric snapshots
-/// drift under Brownian motion. The whole snapshot sequence regenerates
-/// from the trial seed (`cell.p` is the connection radius, σ rides in
-/// the label as `gossip:f=σ`).
+/// drift under Brownian motion. The snapshot stream regenerates from
+/// the trial seed (`cell.p` is the connection radius, σ rides in the
+/// label as `gossip:f=σ`), and only the epochs the run reaches are
+/// built.
 pub fn mobile_gossip_trial(cfg: &MobileGossipCfg, cell: &SweepCell, seed: u64) -> TrialResult {
     let n = cell.n;
     let (_, sigma) = parse_label(&cell.algorithm, ":f=");
     let gossip_cfg = EeGossipConfig {
         gamma: cfg.gamma,
         tracked: cfg.tracked,
-        ..EeGossipConfig::for_gnp(n, p_gnp(cell))
+        ..EeGossipConfig::for_gnp(n, p_gnp(&cell.family, cell.p))
     };
-    let snapshots = (gossip_cfg.schedule_rounds() / cfg.switch_every + 2) as usize;
-    let graphs = mobile_geometric_sequence(
-        n,
-        cell.p,
-        sigma,
-        snapshots,
-        &mut derive_rng(seed, b"e16-mob", 0),
-    );
-    let refs: Vec<&DiGraph> = graphs.iter().collect();
+    // No snapshot cap on the endless stream: the round cap (schedule + 1)
+    // ends the run in epoch ⌊schedule / switch_every⌋ at the latest, so
+    // at most ⌊schedule / switch_every⌋ + 1 snapshots are ever built.
+    let mut snapshots = MobileGeometric::new(n, cell.p, sigma, derive_rng(seed, b"e16-mob", 0));
+    let first = snapshots.next().expect("the mobility stream is endless");
     let mut protocol = EeGossip::new(gossip_cfg);
     let mut rng = derive_rng(seed, b"engine", 0);
     let run = Engine::new(
-        refs[0],
+        &first,
         EngineConfig::with_max_rounds(gossip_cfg.schedule_rounds() + 1),
     )
     .run(&mut protocol)
-    .schedule(&refs, cfg.switch_every)
+    .schedule(snapshots, cfg.switch_every)
     .v1(&mut rng);
     let time = protocol.gossip_time();
     let mut t = TrialResult::from_run(&run, time.is_some(), protocol.informed_count()).extra(
@@ -171,7 +172,7 @@ pub fn faulty_broadcast_trial<T: Topology>(
         .with_battery(doomed_battery())
     };
 
-    let a_cfg = EeBroadcastConfig::for_gnp(n, p_gnp(cell));
+    let a_cfg = EeBroadcastConfig::for_gnp(n, p_gnp(&cell.family, cell.p));
     let engine_cfg = EngineConfig::with_max_rounds(a_cfg.schedule_end() + 2);
     let survivor_frac = |p: &EeRandomBroadcast| {
         let known = survivors
@@ -438,7 +439,7 @@ pub fn energy_lifetime_trial<T: Topology>(
     let engine_cfg = EngineConfig::with_max_rounds(cfg.horizon);
     let trial = match cell.algorithm.as_str() {
         "alg1" => {
-            let cfg1 = EeBroadcastConfig::for_gnp(n, p_gnp(cell));
+            let cfg1 = EeBroadcastConfig::for_gnp(n, p_gnp(&cell.family, cell.p));
             let mut protocol = EeRandomBroadcast::new(n, 0, cfg1);
             let mut rng = derive_rng(seed, b"engine", 0);
             let run = match trace.as_mut().and_then(|f| f(&engine_cfg)) {

@@ -25,7 +25,7 @@ use crate::params::GnpParams;
 use radio_graph::{DiGraph, NodeId};
 use radio_sim::{Action, EngineConfig, Metrics, Protocol};
 use radio_util::BitSet;
-use rand::RngExt;
+use rand::Bernoulli;
 use rand_chacha::ChaCha8Rng;
 
 /// Configuration for Algorithm 2.
@@ -71,6 +71,14 @@ impl EeGossipConfig {
 #[derive(Debug)]
 pub struct EeGossip {
     cfg: EeGossipConfig,
+    /// Run constants computed once instead of on every poll or delivery:
+    /// [`EeGossipConfig::schedule_rounds`] (it takes a `log2`), the
+    /// transmit coin `q = min(1/d, 1)` — a [`Bernoulli`], draw-for-draw
+    /// bit-compatible with the `random_bool(q)` it replaces — and
+    /// [`EeGossipConfig::tracked_count`].
+    schedule_rounds: u64,
+    coin: Bernoulli,
+    tracked: usize,
     /// `rumors[v]` = tracked rumors known to `v`.
     rumors: Vec<BitSet>,
     /// Nodes already holding every tracked rumor.
@@ -104,6 +112,9 @@ impl EeGossip {
         }
         EeGossip {
             cfg,
+            schedule_rounds: cfg.schedule_rounds(),
+            coin: Bernoulli::new((1.0 / cfg.params.d).min(1.0)),
+            tracked: k,
             rumors,
             nodes_complete,
             complete_round: if nodes_complete == n { Some(0) } else { None },
@@ -131,11 +142,10 @@ impl Protocol for EeGossip {
     }
 
     fn decide(&mut self, _node: NodeId, round: u64, rng: &mut ChaCha8Rng) -> Action {
-        if round > self.cfg.schedule_rounds() {
+        if round > self.schedule_rounds {
             return Action::Sleep;
         }
-        let q = (1.0 / self.cfg.params.d).min(1.0);
-        if rng.random_bool(q) {
+        if self.coin.sample(rng) {
             Action::Transmit
         } else {
             Action::Silent
@@ -154,7 +164,7 @@ impl Protocol for EeGossip {
         msg: &Self::Msg,
         _rng: &mut ChaCha8Rng,
     ) {
-        let k = self.cfg.tracked_count();
+        let k = self.tracked;
         let set = &mut self.rumors[node as usize];
         let was_complete = set.len() == k;
         set.union_with(msg);

@@ -169,47 +169,79 @@ fn graph_for_positions(pos: &[(f64, f64)], r: f64) -> DiGraph {
     b.build()
 }
 
-/// A sequence of geometric-graph snapshots under node mobility: `n`
-/// points start uniform on the torus and take independent Gaussian steps
-/// of standard deviation `sigma` per snapshot (a Brownian / random-walk
-/// mobility model). All snapshots share the radius `r`.
+/// An endless stream of geometric-graph snapshots under node mobility:
+/// `n` points start uniform on the torus and take independent Gaussian
+/// steps of standard deviation `sigma` per snapshot (a Brownian /
+/// random-walk mobility model). All snapshots share the radius `r`.
 ///
-/// Pair with a topology schedule on the engine's run builder
+/// Lazy: [`MobileGeometric::new`] draws the `n` initial positions, the
+/// first `next()` builds the snapshot on them, and every later `next()`
+/// takes one step per node (none when `sigma == 0`) and then builds that
+/// snapshot. The stream owns its RNG, so the draws behind snapshot `k`
+/// are the same whether or not snapshot `k + 1` is ever built — use
+/// `.take(k)` for a finite sequence.
+///
+/// Pair it with a topology schedule on the engine's run builder
 /// (`radio_sim::Run::schedule`) to study the paper's motivating
-/// scenario, protocols on a topology that changes underneath them.
-///
-/// # Panics
-/// Panics unless `snapshots ≥ 1`, `0 < r ≤ 0.5` and `sigma ≥ 0`.
-pub fn mobile_geometric_sequence<R: Rng + ?Sized>(
-    n: usize,
+/// scenario, protocols on a topology that changes underneath them: run
+/// the engine on the first snapshot and schedule the rest, and only the
+/// epochs the run reaches are ever built.
+#[derive(Debug, Clone)]
+pub struct MobileGeometric<R> {
+    pos: Vec<(f64, f64)>,
     r: f64,
     sigma: f64,
-    snapshots: usize,
-    rng: &mut R,
-) -> Vec<DiGraph> {
-    assert!(snapshots >= 1);
-    assert!(r > 0.0 && r <= 0.5);
-    assert!(sigma >= 0.0);
-    let mut pos: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.random::<f64>(), rng.random::<f64>()))
-        .collect();
-    let mut out = Vec::with_capacity(snapshots);
-    for step in 0..snapshots {
-        if step > 0 && sigma > 0.0 {
-            for p in pos.iter_mut() {
+    rng: R,
+    /// Whether the first snapshot (on the initial positions) is out.
+    started: bool,
+}
+
+impl<R: Rng> MobileGeometric<R> {
+    /// Draw `n` uniform initial positions from `rng` (which the stream
+    /// then owns).
+    ///
+    /// # Panics
+    /// Panics unless `0 < r ≤ 0.5` and `sigma ≥ 0`.
+    pub fn new(n: usize, r: f64, sigma: f64, mut rng: R) -> Self {
+        assert!(r > 0.0 && r <= 0.5);
+        assert!(sigma >= 0.0);
+        let pos = (0..n)
+            .map(|_| (rng.random::<f64>(), rng.random::<f64>()))
+            .collect();
+        MobileGeometric {
+            pos,
+            r,
+            sigma,
+            rng,
+            started: false,
+        }
+    }
+}
+
+impl<R: Rng> Iterator for MobileGeometric<R> {
+    type Item = DiGraph;
+
+    fn next(&mut self) -> Option<DiGraph> {
+        if self.started && self.sigma > 0.0 {
+            let rng = &mut self.rng;
+            for p in self.pos.iter_mut() {
                 // Box–Muller Gaussian step, wrapped onto the torus.
                 let u1: f64 = (1.0 - rng.random::<f64>()).max(f64::MIN_POSITIVE);
                 let u2: f64 = rng.random::<f64>();
-                let mag = sigma * (-2.0 * u1.ln()).sqrt();
+                let mag = self.sigma * (-2.0 * u1.ln()).sqrt();
                 let dx = mag * (2.0 * std::f64::consts::PI * u2).cos();
                 let dy = mag * (2.0 * std::f64::consts::PI * u2).sin();
                 p.0 = (p.0 + dx).rem_euclid(1.0);
                 p.1 = (p.1 + dy).rem_euclid(1.0);
             }
         }
-        out.push(graph_for_positions(&pos, r));
+        self.started = true;
+        Some(graph_for_positions(&self.pos, self.r))
     }
-    out
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
 }
 
 #[cfg(test)]
@@ -289,8 +321,9 @@ mod tests {
 
     #[test]
     fn mobility_sequence_drifts_gradually() {
-        let mut rng = derive_rng(16, b"geo", 0);
-        let seq = mobile_geometric_sequence(300, 0.1, 0.02, 5, &mut rng);
+        let seq: Vec<_> = MobileGeometric::new(300, 0.1, 0.02, derive_rng(16, b"geo", 0))
+            .take(5)
+            .collect();
         assert_eq!(seq.len(), 5);
         // Consecutive snapshots share most edges; distant ones share fewer.
         let overlap = |a: &crate::DiGraph, b: &crate::DiGraph| -> f64 {
@@ -415,16 +448,16 @@ mod tests {
 
     #[test]
     fn zero_sigma_freezes_topology() {
-        let mut rng = derive_rng(17, b"geo", 0);
-        let seq = mobile_geometric_sequence(200, 0.1, 0.0, 3, &mut rng);
+        let seq: Vec<_> = MobileGeometric::new(200, 0.1, 0.0, derive_rng(17, b"geo", 0))
+            .take(3)
+            .collect();
         assert_eq!(seq[0], seq[1]);
         assert_eq!(seq[1], seq[2]);
     }
 
     #[test]
     fn all_snapshots_share_node_count() {
-        let mut rng = derive_rng(18, b"geo", 0);
-        let seq = mobile_geometric_sequence(150, 0.09, 0.05, 4, &mut rng);
-        assert!(seq.iter().all(|g| g.n() == 150));
+        let mut seq = MobileGeometric::new(150, 0.09, 0.05, derive_rng(18, b"geo", 0)).take(4);
+        assert!(seq.all(|g| g.n() == 150));
     }
 }

@@ -85,9 +85,7 @@ pub fn edge_capacity(n: usize, expected_edges: f64) -> usize {
 
 pub use classic::{binary_tree, caterpillar, complete, cycle, grid2d, path, star};
 pub use family::GraphFamily;
-pub use geometric::{
-    mobile_geometric_sequence, random_geometric, random_geometric_directed, GeoParams,
-};
+pub use geometric::{random_geometric, random_geometric_directed, GeoParams, MobileGeometric};
 pub use gnp::{gnp_directed, gnp_undirected};
 pub use lower_bound::{lower_bound_net, star_chain, LowerBoundNet, StarChain};
 pub use structured::{clustered, hypercube, random_out_regular, torus2d};

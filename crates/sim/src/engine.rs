@@ -11,11 +11,12 @@
 use crate::metrics::{EnergyMetrics, Metrics, RoundRecord, Trace};
 use crate::streams::DecideStreams;
 use crate::{Action, FusedDecide, Protocol};
-use hook::EnergyHook;
+use hook::{EnergyHook, Epochs, TopologySchedule};
 use radio_energy::{Duty, EnergySession};
 use radio_graph::{DiGraph, NodeId, RangeQueryCost, Topology};
 use radio_trace::{NullSink, TraceEvent, TraceSink};
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Borrow;
 
 /// Engine knobs.
 #[derive(Debug, Clone, Copy)]
@@ -211,7 +212,8 @@ mod hook {
     use super::{EnergyRunResult, RunResult};
     use crate::Protocol;
     use radio_energy::{Duty, EnergySession};
-    use radio_graph::NodeId;
+    use radio_graph::{NodeId, Topology};
+    use std::borrow::Borrow;
 
     /// Per-round energy integration point of the round loop, and the
     /// shape of the run's result. Monomorphized: the `()` instantiation
@@ -300,6 +302,72 @@ mod hook {
         #[inline]
         fn charge_to_cap(&self) -> bool {
             EnergySession::charge_to_cap(self)
+        }
+    }
+
+    /// Per-round topology source of the round loop. Monomorphized: the
+    /// `()` instantiation (no schedule) hands back the engine's own
+    /// graph, so a run without `.schedule(..)` compiles to the static
+    /// loop.
+    pub trait TopologySchedule<T> {
+        /// The topology `round` runs on; `base` is the engine's own
+        /// graph, which serves epoch 0.
+        fn topology<'a>(&'a mut self, round: u64, base: &'a T) -> &'a T;
+    }
+
+    /// No schedule: every round runs on the engine's graph.
+    impl<T> TopologySchedule<T> for () {
+        #[inline(always)]
+        fn topology<'a>(&'a mut self, _round: u64, base: &'a T) -> &'a T {
+            base
+        }
+    }
+
+    /// A lazy schedule: the engine's graph serves epoch 0, and `rest`
+    /// supplies epochs 1, 2, …, each pulled when the round that starts
+    /// it begins.
+    pub struct Epochs<I: Iterator> {
+        /// The snapshots still to come; `None` once `rest` has ended.
+        rest: Option<I>,
+        /// The current epoch's snapshot; `None` during epoch 0.
+        current: Option<I::Item>,
+        /// Rounds per epoch.
+        every: u64,
+        /// The round that starts the next epoch.
+        next_epoch: u64,
+    }
+
+    impl<I: Iterator> Epochs<I> {
+        pub(super) fn new(rest: I, every: u64) -> Self {
+            Epochs {
+                rest: Some(rest),
+                current: None,
+                every,
+                next_epoch: every.saturating_add(1),
+            }
+        }
+    }
+
+    impl<T: Topology, I: Iterator> TopologySchedule<T> for Epochs<I>
+    where
+        I::Item: Borrow<T>,
+    {
+        fn topology<'a>(&'a mut self, round: u64, base: &'a T) -> &'a T {
+            if round == self.next_epoch {
+                self.next_epoch = self.next_epoch.saturating_add(self.every);
+                match self.rest.as_mut().and_then(Iterator::next) {
+                    Some(snapshot) => {
+                        assert!(
+                            snapshot.borrow().n() == base.n(),
+                            "every topology snapshot must have the engine's node count"
+                        );
+                        self.current = Some(snapshot);
+                    }
+                    // Ended: stay on the last snapshot for good.
+                    None => self.rest = None,
+                }
+            }
+            self.current.as_ref().map_or(base, Borrow::borrow)
         }
     }
 }
@@ -635,6 +703,10 @@ pub struct Engine<'g, T: Topology = DiGraph> {
     /// worker `w`'s hits landing in receiver range `r`, the merge phase
     /// drains column `r` in worker order (= serial transmitter order).
     shard_hits: Vec<Vec<Vec<(NodeId, NodeId)>>>,
+    /// The `t − 1` inner receiver-range starts (in nodes) of the
+    /// transmitter-sharded scatter: its emit routes each hit by them and
+    /// its merge cuts at them.
+    shard_starts: Vec<NodeId>,
     /// The awake bookkeeping and per-round buffers of the round loop.
     pools: Pools,
 }
@@ -650,6 +722,7 @@ impl<'g, T: Topology> Engine<'g, T> {
             sent: vec![0; n],
             touched_bits: vec![0; n.div_ceil(64)],
             shard_hits: Vec::new(),
+            shard_starts: Vec::new(),
             pools: Pools {
                 is_awake: vec![false; n],
                 list_state: vec![ListState::Unkeyed; n],
@@ -675,7 +748,7 @@ impl<'g, T: Topology> Engine<'g, T> {
             protocol,
             energy: (),
             sink: NullSink,
-            schedule: None,
+            schedule: (),
         }
     }
 
@@ -688,9 +761,9 @@ impl<'g, T: Topology> Engine<'g, T> {
     /// preamble, the commit sweep and the ascending-receiver delivery
     /// sweep — so the event stream and the charge sequence are
     /// deterministic and identical for every thread count.
-    fn run_loop<C, P, E, S>(
+    fn run_loop<C, P, E, S, G>(
         &mut self,
-        schedule: Option<(&[&T], u64)>,
+        mut schedule: G,
         protocol: &mut P,
         mut contract: C,
         hook: &mut E,
@@ -701,8 +774,10 @@ impl<'g, T: Topology> Engine<'g, T> {
         P: Protocol,
         E: EnergyHook,
         S: TraceSink,
+        G: TopologySchedule<T>,
     {
-        let n = self.graph.n();
+        let base = self.graph;
+        let n = base.n();
         assert!(
             self.cfg.max_rounds < u64::from(u32::MAX >> 1),
             "max_rounds must fit the 31-bit round stamps (< {})",
@@ -757,12 +832,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                                        // `stamp` values for this round: clean reception vs collision.
             let hit_once = rstamp << 1;
             let hit_many = hit_once | 1;
-            let graph = match schedule {
-                None => self.graph,
-                Some((graphs, every)) => {
-                    graphs[(((round - 1) / every) as usize).min(graphs.len() - 1)]
-                }
-            };
+            let graph = schedule.topology(round, base);
             if S::ACTIVE {
                 sink.emit(TraceEvent::RoundStart { round });
             }
@@ -1053,7 +1123,9 @@ impl<'g, T: Topology> Engine<'g, T> {
     /// which is what makes implicit backends scale) and pushes
     /// `(receiver, transmitter)` records into its own bucket for the
     /// receiver's merge range, `r = ⌊⌊v/64⌋·t/W⌋` (`W` = bitmap word
-    /// count).
+    /// count) — found without a division, as the number of the `t − 1`
+    /// inner range starts `⌈r·W/t⌉·64` (pooled in `shard_starts`) that
+    /// are `≤ v`.
     ///
     /// **Merge** — worker `r` exclusively owns the bitmap words
     /// `[⌈r·W/t⌉, ⌈(r+1)·W/t⌉)` and the `hits` records of the nodes
@@ -1092,7 +1164,12 @@ impl<'g, T: Topology> Engine<'g, T> {
                 bucket.clear();
             }
         }
-        let (ww, tt) = (words as u64, t as u64);
+        // Merge range r starts at node ⌈r·W/t⌉·64 (< n, as t ≤ W); the
+        // emit and the merge both cut at these starts.
+        let starts = &mut self.shard_starts;
+        starts.clear();
+        starts.extend((1..t).map(|r| ((r * words).div_ceil(t) * 64) as NodeId));
+        let starts: &[NodeId] = starts;
         // Emit phase: t − 1 spawned workers plus the calling thread on
         // the last shard; each worker mutates only its own bucket row.
         std::thread::scope(|scope| {
@@ -1103,7 +1180,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                 let emit = move |buckets: &mut [Vec<(NodeId, NodeId)>]| {
                     for &u in shard {
                         graph.for_each_out(u, |v| {
-                            let r = (u64::from(v >> 6) * tt / ww) as usize;
+                            let r = starts.iter().filter(|&&s| v >= s).count();
                             buckets[r].push((v, u));
                         });
                     }
@@ -1121,14 +1198,14 @@ impl<'g, T: Topology> Engine<'g, T> {
         let shard_hits = &self.shard_hits;
         let mut hits_rest: &mut [HitRecord] = &mut self.hits;
         let mut bits_rest: &mut [u64] = &mut self.touched_bits;
-        let mut lo_word = 0usize;
+        let mut lo = 0usize;
         std::thread::scope(|scope| {
             for r in 0..t {
-                let hi_word = ((r as u64 + 1) * ww).div_ceil(tt) as usize;
-                let (lo, hi) = (lo_word * 64, (hi_word * 64).min(n));
+                let hi = starts.get(r).map_or(n, |&s| s as usize);
                 let (chunk, tail) = std::mem::take(&mut hits_rest).split_at_mut(hi - lo);
                 hits_rest = tail;
-                let (bits, tail) = std::mem::take(&mut bits_rest).split_at_mut(hi_word - lo_word);
+                let (bits, tail) =
+                    std::mem::take(&mut bits_rest).split_at_mut(hi.div_ceil(64) - lo / 64);
                 bits_rest = tail;
                 let mut merge = move || {
                     for row in &shard_hits[..t] {
@@ -1142,10 +1219,10 @@ impl<'g, T: Topology> Engine<'g, T> {
                 } else {
                     scope.spawn(merge);
                 }
-                lo_word = hi_word;
+                lo = hi;
             }
         });
-        debug_assert_eq!(lo_word, words, "merge ranges must tile the bitmap");
+        debug_assert_eq!(lo, n, "merge ranges must tile the nodes");
     }
 }
 
@@ -1154,16 +1231,18 @@ impl<'g, T: Topology> Engine<'g, T> {
 /// and executes it:
 ///
 /// ```text
-/// engine.run(&mut protocol)
+/// Engine::new(&first, cfg)        // the engine's graph is epoch 0
+///     .run(&mut protocol)
 ///     .energy(&mut session)       // optional: energy overlay
 ///     .sink(&mut sink)            // optional: structured trace
-///     .schedule(&graphs, every)   // optional: changing topology
+///     .schedule(rest, every)      // optional: epochs 1, 2, … pulled lazily
 ///     .v1(&mut rng)               // or .v2(run_seed)
 /// ```
 ///
 /// The hooks are type parameters, so a run without them compiles to the
-/// plain loop: with no overlay (`E = ()`) and the [`NullSink`] every
-/// energy and trace call site compiles out. The terminal method returns
+/// plain loop: with no overlay (`E = ()`), the [`NullSink`] and no
+/// schedule (`G = ()`) every energy and trace call site compiles out and
+/// every round runs on the engine's graph. The terminal method returns
 /// a [`RunResult`], or an [`EnergyRunResult`] once `.energy(..)` is
 /// attached. The worker count is [`EngineConfig::threads`].
 ///
@@ -1208,15 +1287,15 @@ impl<'g, T: Topology> Engine<'g, T> {
 /// bit-identical to the plain run, and a sink never touches anything
 /// (`tests/trace_zero_interference.rs`).
 #[must_use = "a run does nothing until `.v1(..)` or `.v2(..)` executes it"]
-pub struct Run<'r, 'g, T: Topology, P, E = (), S = NullSink> {
+pub struct Run<'r, 'g, T: Topology, P, E = (), S = NullSink, G = ()> {
     engine: &'r mut Engine<'g, T>,
     protocol: &'r mut P,
     energy: E,
     sink: S,
-    schedule: Option<(&'r [&'r T], u64)>,
+    schedule: G,
 }
 
-impl<'r, 'g, T: Topology, P: Protocol, S> Run<'r, 'g, T, P, (), S> {
+impl<'r, 'g, T: Topology, P: Protocol, S, G> Run<'r, 'g, T, P, (), S, G> {
     /// Attach an energy overlay: duties are charged to `session` per
     /// round, battery-depleted nodes turn fail-stop dead, and the run
     /// returns an [`EnergyRunResult`]. The session is reset at run start,
@@ -1228,7 +1307,7 @@ impl<'r, 'g, T: Topology, P: Protocol, S> Run<'r, 'g, T, P, (), S> {
     pub fn energy<'s>(
         self,
         session: &'s mut EnergySession,
-    ) -> Run<'r, 'g, T, P, &'s mut EnergySession, S> {
+    ) -> Run<'r, 'g, T, P, &'s mut EnergySession, S, G> {
         let Run {
             engine,
             protocol,
@@ -1246,14 +1325,14 @@ impl<'r, 'g, T: Topology, P: Protocol, S> Run<'r, 'g, T, P, (), S> {
     }
 }
 
-impl<'r, 'g, T: Topology, P: Protocol, E> Run<'r, 'g, T, P, E, NullSink> {
+impl<'r, 'g, T: Topology, P: Protocol, E, G> Run<'r, 'g, T, P, E, NullSink, G> {
     /// Attach a structured [`TraceSink`] receiving the round-by-round
     /// event stream — see the `radio-trace` crate for the event model,
     /// the recording sinks and replay verification. A recording sink
     /// costs one buffered push per event on the serial side of the
     /// round, so the stream is identical for every thread count: record
     /// once, replay at any thread count.
-    pub fn sink<'k, K: TraceSink>(self, sink: &'k mut K) -> Run<'r, 'g, T, P, E, &'k mut K> {
+    pub fn sink<'k, K: TraceSink>(self, sink: &'k mut K) -> Run<'r, 'g, T, P, E, &'k mut K, G> {
         let Run {
             engine,
             protocol,
@@ -1271,30 +1350,63 @@ impl<'r, 'g, T: Topology, P: Protocol, E> Run<'r, 'g, T, P, E, NullSink> {
     }
 }
 
-impl<'r, 'g, T: Topology, P: Protocol, E: EnergyHook, S: TraceSink> Run<'r, 'g, T, P, E, S> {
-    /// Run on a *changing topology*: the network uses `graphs[k]` during
-    /// rounds `k·switch_every + 1 ..= (k+1)·switch_every` and stays on
-    /// the last snapshot afterwards; the engine's own graph only sizes
-    /// the run, under either contract. Models node mobility (the paper's
-    /// §1: "due to the mobility of the nodes, the network topology
-    /// changes over time") — pair it with
-    /// `radio_graph::generate::mobile_geometric_sequence`.
+impl<'r, 'g, T: Topology, P: Protocol, E, S> Run<'r, 'g, T, P, E, S, ()> {
+    /// Run on a *changing topology*, pulled lazily. Epoch 0 — rounds
+    /// `1 ..= switch_every` — runs on the engine's own graph; `rest`
+    /// supplies epochs 1, 2, …, epoch `k` covering rounds
+    /// `k·switch_every + 1 ..= (k+1)·switch_every`. The loop pulls item
+    /// `k` when round `k·switch_every + 1` starts — never earlier, at
+    /// most once per round — and drops the snapshot it replaces, so a
+    /// run that stops at round `R` pulls exactly `⌈R/switch_every⌉ − 1`
+    /// items. Once `rest` ends the run stays on the last snapshot; an
+    /// empty `rest` is the static run. Items may be owned snapshots or
+    /// references (`graphs[1..].iter()`): anything that borrows as the
+    /// engine's topology. Works under either contract.
+    ///
+    /// Models node mobility (the paper's §1: "due to the mobility of the
+    /// nodes, the network topology changes over time") — pair it with
+    /// `radio_graph::generate::MobileGeometric`: build the engine on the
+    /// stream's first snapshot and schedule the rest, so only the epochs
+    /// the run reaches are ever generated.
     ///
     /// # Panics
-    /// Panics if `graphs` is empty, `switch_every == 0`, or a snapshot's
-    /// node count differs from the engine's.
-    pub fn schedule(mut self, graphs: &'r [&'r T], switch_every: u64) -> Self {
-        assert!(!graphs.is_empty(), "need at least one topology snapshot");
+    /// Panics here if `switch_every == 0`. A snapshot whose node count
+    /// differs from the engine's panics when its epoch is pulled.
+    pub fn schedule<I>(
+        self,
+        rest: I,
+        switch_every: u64,
+    ) -> Run<'r, 'g, T, P, E, S, Epochs<I::IntoIter>>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<T>,
+    {
         assert!(switch_every > 0, "switch_every must be positive");
-        let n = self.engine.graph.n();
-        assert!(
-            graphs.iter().all(|g| g.n() == n),
-            "every topology snapshot must have the engine's node count"
-        );
-        self.schedule = Some((graphs, switch_every));
-        self
+        let Run {
+            engine,
+            protocol,
+            energy,
+            sink,
+            ..
+        } = self;
+        Run {
+            engine,
+            protocol,
+            energy,
+            sink,
+            schedule: Epochs::new(rest.into_iter(), switch_every),
+        }
     }
+}
 
+impl<'r, 'g, T, P, E, S, G> Run<'r, 'g, T, P, E, S, G>
+where
+    T: Topology,
+    P: Protocol,
+    E: EnergyHook,
+    S: TraceSink,
+    G: TopologySchedule<T>,
+{
     /// Execute under the **v1 contract**: every draw of the run comes
     /// from `rng`, serially — see [`Run`].
     pub fn v1(self, rng: &mut ChaCha8Rng) -> E::Output {
@@ -2143,7 +2255,7 @@ mod tests {
         let mut rng = derive_rng(12, b"eng", 0);
         let res = Engine::new(&a, EngineConfig::with_max_rounds(20))
             .run(&mut p)
-            .schedule(&[&a, &b], 3)
+            .schedule([&b], 3)
             .v1(&mut rng);
         assert!(res.completed);
         assert!(res.rounds > 3, "node 2 is reachable only after the switch");
@@ -2166,39 +2278,183 @@ mod tests {
             let mut rng = derive_rng(13, b"eng", 0);
             Engine::new(&g, EngineConfig::default())
                 .run(&mut p)
-                .schedule(&[&g], 5)
+                .schedule([&g], 5)
                 .v1(&mut rng)
                 .rounds
         };
         assert_eq!(run_static, run_dyn);
 
-        // Under v2 too, with every parallel path forced: a one-snapshot
-        // schedule is the static run, and a two-snapshot schedule is
-        // bit-identical at 1 and 3 threads.
+        // Under v2 too, with every parallel path forced: an empty or a
+        // one-snapshot schedule is the static run, and a switching
+        // schedule is bit-identical at 1 and 3 threads.
         let a = radio_graph::generate::gnp_directed(300, 0.03, &mut derive_rng(13, b"dyn-g", 0));
         let b = radio_graph::generate::gnp_directed(300, 0.03, &mut derive_rng(13, b"dyn-g", 1));
-        let v2 = |snapshots: &[&DiGraph], threads: usize| {
+        let forced = |threads: usize| {
+            EngineConfig {
+                par_min_edges: 0,
+                par_min_edges_implicit: 0,
+                par_min_awake: 0,
+                ..EngineConfig::with_max_rounds(200).traced()
+            }
+            .with_threads(threads)
+        };
+        let v2 = |rest: Option<&[&DiGraph]>, threads: usize| {
+            let mut eng = Engine::new(&a, forced(threads));
+            let mut p = FusedCoin::new(300, 3, 0.3);
+            let run = eng.run(&mut p);
+            let res = match rest {
+                None => run.v2(13),
+                Some(rest) => run.schedule(rest.iter().copied(), 2).v2(13),
+            };
+            (res, p.informed)
+        };
+        let fixed = v2(None, 1);
+        assert_eq!(fixed, v2(Some(&[]), 1));
+        assert_eq!(fixed, v2(Some(&[&a]), 1));
+        let switching = v2(Some(&[&b]), 1);
+        assert_ne!(switching.0, fixed.0, "the switch must change the run");
+        assert_eq!(switching, v2(Some(&[&b]), 3));
+
+        // A lazily generated mobility stream runs exactly like the same
+        // snapshots collected into a `Vec` — under v1, and under v2 at 1
+        // and 3 threads.
+        fn mobile<I>(first: &DiGraph, rest: I, v2_threads: Option<usize>) -> (RunResult, Vec<bool>)
+        where
+            I: IntoIterator,
+            I::Item: Borrow<DiGraph>,
+        {
             let cfg = EngineConfig {
                 par_min_edges: 0,
                 par_min_edges_implicit: 0,
                 par_min_awake: 0,
                 ..EngineConfig::with_max_rounds(200).traced()
             };
-            let mut eng = Engine::new(&a, cfg.with_threads(threads));
+            let mut eng = Engine::new(first, cfg.with_threads(v2_threads.unwrap_or(1)));
             let mut p = FusedCoin::new(300, 3, 0.3);
-            let run = eng.run(&mut p);
-            let res = if snapshots.is_empty() {
-                run.v2(13)
-            } else {
-                run.schedule(snapshots, 2).v2(13)
+            let run = eng.run(&mut p).schedule(rest, 4);
+            let res = match v2_threads {
+                None => run.v1(&mut derive_rng(13, b"eng", 0)),
+                Some(_) => run.v2(13),
             };
             (res, p.informed)
+        }
+        let stream = || {
+            radio_graph::generate::MobileGeometric::new(300, 0.1, 0.05, derive_rng(13, b"mob", 0))
+                .take(60)
         };
-        let fixed = v2(&[], 1);
-        assert_eq!(fixed, v2(&[&a], 1));
-        let switching = v2(&[&a, &b], 1);
-        assert_ne!(switching.0, fixed.0, "the switch must change the run");
-        assert_eq!(switching, v2(&[&a, &b], 3));
+        let snapshots: Vec<DiGraph> = stream().collect();
+        let collected = |threads| mobile(&snapshots[0], snapshots[1..].iter(), threads);
+        let lazy = |threads| {
+            let mut rest = stream();
+            let first = rest.next().expect("60 snapshots");
+            mobile(&first, rest, threads)
+        };
+        let v1_run = collected(None);
+        assert!(v1_run.0.rounds > 4, "the run must cross epochs");
+        assert_eq!(lazy(None), v1_run);
+        let v2_run = collected(Some(1));
+        assert_eq!(lazy(Some(1)), v2_run);
+        assert_eq!(lazy(Some(3)), v2_run);
+        assert_eq!(collected(Some(3)), v2_run);
+    }
+
+    /// Counts the items a schedule pulls from `inner`.
+    struct Counted<'c, I> {
+        inner: I,
+        pulls: &'c std::cell::Cell<usize>,
+    }
+
+    impl<I: Iterator> Iterator for Counted<'_, I> {
+        type Item = I::Item;
+        fn next(&mut self) -> Option<I::Item> {
+            self.pulls.set(self.pulls.get() + 1);
+            self.inner.next()
+        }
+    }
+
+    #[test]
+    fn schedule_pulls_one_snapshot_per_epoch_reached() {
+        // Flooding crosses path(10) in exactly 9 rounds whatever the
+        // schedule (every snapshot is the same path), so a run of R = 9
+        // rounds with epochs of e rounds reaches ⌈R/e⌉ epochs and must
+        // pull exactly ⌈R/e⌉ − 1 snapshots from an endless source — one
+        // more means the loop pulled ahead.
+        let g = path(10);
+        for every in 1..=11u64 {
+            let pulls = std::cell::Cell::new(0);
+            let rest = Counted {
+                inner: std::iter::repeat(&g),
+                pulls: &pulls,
+            };
+            let mut p = Flood::new(10, 0);
+            let res = Engine::new(&g, EngineConfig::with_max_rounds(100))
+                .run(&mut p)
+                .schedule(rest, every)
+                .v1(&mut derive_rng(14, b"eng", 0));
+            assert_eq!(res.rounds, 9);
+            assert_eq!(
+                pulls.get() as u64,
+                res.rounds.div_ceil(every) - 1,
+                "switch_every = {every}"
+            );
+        }
+    }
+
+    #[test]
+    fn wrong_size_snapshot_panics_when_its_epoch_is_pulled() {
+        // Epoch 2 (rounds 5..) carries a 5-node snapshot on a 6-node
+        // engine: a run capped at round 4 never pulls it and finishes,
+        // one that reaches round 5 panics exactly at that pull.
+        let g = path(6);
+        let bad = path(5);
+        let run_to = |max_rounds: u64, pulls: &std::cell::Cell<usize>| {
+            let rest = Counted {
+                inner: [&g, &bad].into_iter(),
+                pulls,
+            };
+            let mut p = Flood::new(6, 0);
+            Engine::new(&g, EngineConfig::with_max_rounds(max_rounds))
+                .run(&mut p)
+                .schedule(rest, 2)
+                .v1(&mut derive_rng(15, b"eng", 0))
+        };
+        let pulls = std::cell::Cell::new(0);
+        assert_eq!(run_to(4, &pulls).rounds, 4);
+        assert_eq!(pulls.get(), 1);
+
+        let pulls = std::cell::Cell::new(0);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_to(10, &pulls)))
+            .expect_err("the 5-node snapshot must be rejected");
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("engine's node count"), "got: {msg}");
+        assert_eq!(pulls.get(), 2, "the panic fires at the second pull");
+    }
+
+    #[test]
+    fn schedule_that_ends_early_stays_on_its_last_snapshot() {
+        // The engine's graph has no edges; the one scheduled snapshot is
+        // the chain 0 → 1 → … → 6, from round 3 on. The source ends at
+        // round 5's pull, and the run must keep flooding on the chain
+        // (not fall back to the empty graph) and never pull again.
+        let empty = DiGraph::from_edges(7, &[]);
+        let chain = DiGraph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
+        let pulls = std::cell::Cell::new(0);
+        let rest = Counted {
+            inner: std::iter::once(&chain),
+            pulls: &pulls,
+        };
+        let mut p = Flood::new(7, 0);
+        let res = Engine::new(&empty, EngineConfig::with_max_rounds(50))
+            .run(&mut p)
+            .schedule(rest, 2)
+            .v1(&mut derive_rng(16, b"eng", 0));
+        assert!(res.completed);
+        assert_eq!(res.rounds, 8, "one hop per round from round 3");
+        assert_eq!(pulls.get(), 2, "one snapshot, one end, no pull after it");
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //! Every run goes through one builder on one round loop:
 //! `Engine::new(&graph, cfg).run(&mut protocol)`, optionally
 //! `.energy(&mut session)`, `.sink(&mut sink)` and
-//! `.schedule(&graphs, switch_every)`, then a terminal `.v1(&mut rng)`
+//! `.schedule(rest, switch_every)`, then a terminal `.v1(&mut rng)`
 //! or `.v2(run_seed)` that picks the determinism contract — see
-//! [`Run`].
+//! [`Run`]. A schedule is lazy: the engine's graph is epoch 0, and the
+//! loop pulls one snapshot from `rest` when the round that starts each
+//! later epoch begins — never earlier — so a dynamic-topology run builds
+//! only the snapshots of the epochs it reaches ([`Run::schedule`]).
 //!
 //! Determinism: a run is a pure function of `(graph, protocol, config,
 //! seed)`. Under the v1 contract ([`Run::v1`]) the engine consumes one

@@ -9,8 +9,10 @@
 //! debug-build runs stay fast.
 //!
 //! The binaries are located relative to this test executable
-//! (`target/<profile>/examples/`), where `cargo test` has already placed
-//! them; there is no nested cargo invocation.
+//! (`target/<profile>/examples/`); there is no nested cargo invocation.
+//! An unfiltered `cargo test` builds them first, but a filtered one
+//! (`--test '*'`, `--test examples_smoke`) does not — run
+//! `cargo build --workspace --examples` before it.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -47,8 +49,8 @@ fn all_examples_run_to_completion() {
                 scope.spawn(move || {
                     assert!(
                         bin.exists(),
-                        "example binary {} not found — run via `cargo test`, \
-                         which builds examples first",
+                        "example binary {} not found — run via an unfiltered \
+                         `cargo test`, or `cargo build --workspace --examples` first",
                         bin.display()
                     );
                     let out = Command::new(&bin)

@@ -5,7 +5,7 @@
 use adhoc_radio::core::broadcast::ee_random::EeRandomBroadcast;
 use adhoc_radio::core::broadcast::epoch::{run_epoch_broadcast, EpochBroadcastConfig};
 use adhoc_radio::core::gossip::{EeGossip, EeGossipConfig};
-use adhoc_radio::graph::generate::mobile_geometric_sequence;
+use adhoc_radio::graph::generate::MobileGeometric;
 use adhoc_radio::prelude::*;
 use adhoc_radio::sim::{CrashPlan, Engine, EngineConfig, Faulty};
 
@@ -22,17 +22,17 @@ fn gossip_survives_continuous_mobility() {
     };
     for seed in 0..3u64 {
         let snapshots = (cfg.schedule_rounds() / 30 + 2) as usize;
-        let graphs =
-            mobile_geometric_sequence(n, r, 0.05, snapshots, &mut derive_rng(seed, b"mob", 0));
-        let refs: Vec<&DiGraph> = graphs.iter().collect();
+        let mut graphs =
+            MobileGeometric::new(n, r, 0.05, derive_rng(seed, b"mob", 0)).take(snapshots);
+        let first = graphs.next().expect("at least one snapshot");
         let mut protocol = EeGossip::new(cfg);
         let mut rng = derive_rng(seed, b"engine", 0);
         let run = Engine::new(
-            refs[0],
+            &first,
             EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1),
         )
         .run(&mut protocol)
-        .schedule(&refs, 30)
+        .schedule(graphs, 30)
         .v1(&mut rng);
         assert!(
             protocol.gossip_time().is_some(),
@@ -58,14 +58,14 @@ fn mobility_rescues_a_disconnected_field() {
 
     let run_with_sigma = |sigma: f64, seed: u64| -> usize {
         let snapshots = (budget / 20 + 2) as usize;
-        let graphs =
-            mobile_geometric_sequence(n, r, sigma, snapshots, &mut derive_rng(seed, b"resc", 0));
-        let refs: Vec<&DiGraph> = graphs.iter().collect();
+        let mut graphs =
+            MobileGeometric::new(n, r, sigma, derive_rng(seed, b"resc", 0)).take(snapshots);
+        let first = graphs.next().expect("at least one snapshot");
         let mut protocol = EeGossip::new(cfg);
         let mut rng = derive_rng(seed, b"engine", 0);
-        let _ = Engine::new(refs[0], EngineConfig::with_max_rounds(budget))
+        let _ = Engine::new(&first, EngineConfig::with_max_rounds(budget))
             .run(&mut protocol)
-            .schedule(&refs, 20)
+            .schedule(graphs, 20)
             .v1(&mut rng);
         protocol.informed_count() // nodes holding all tracked rumors
     };
