@@ -187,11 +187,12 @@ fn bench_engine_par(c: &mut Criterion) {
     // The same storm through the intra-run parallel scatter
     // (receiver-range partition, bit-identical to `engine_csr/gnp` by
     // the engine's determinism contract) at 2 and 8 workers. On a
-    // multi-core box this is where the scatter's random `HitRecord`
-    // writes — the dominant cost at scale — spread across cores; on a
-    // single-core runner it instead pins the partition overhead
-    // (duplicate row binary-searches plus scoped-thread spawns), which
-    // the CI gate keeps from regressing either way.
+    // multi-core box this is where the scatter's random per-hit writes
+    // (hit counts and sources) — the dominant cost at scale — spread
+    // across cores; on a single-core runner it instead pins the
+    // partition overhead (duplicate row binary-searches plus
+    // scoped-thread spawns), which the CI gate keeps from regressing
+    // either way.
     let mut group = c.benchmark_group("engine_par");
     group.sample_size(10);
     let g = storm_graph(N);
@@ -363,11 +364,11 @@ fn bench_scatter_phase(c: &mut Criterion) {
     // range); on the implicit backends (`grid`, `gnp`) a range query
     // costs a full row replay, so `Auto` picks the transmitter-sharded
     // partition — each worker generates its shard's rows exactly once
-    // and a receiver-keyed merge reproduces the serial outcome. On a
+    // into its own hit set, and the delivery sweep folds the sets. On a
     // multi-core host the `8t` entries are where the shard path earns
     // its keep (the ≥ 3× acceptance bar lives in the baseline's
     // `host_threads: 8` profile); on a single-core runner they pin the
-    // emit/merge overhead instead. `<k>t` entries gate only between
+    // spawn and fold overhead instead. `<k>t` entries gate only between
     // equal-`host_threads` runs, like `engine_par`.
     use radio_graph::{ImplicitGnp, ImplicitGrid, Topology};
 

@@ -598,13 +598,15 @@ pub fn run_implicit_section(
             "The scatter here takes the engine's **transmitter-sharded** \
              parallel path (picked by the `Auto` plan from the backends' \
              `RangeQueryCost::FullRowReplay` hint): each worker generates \
-             its shard's rows exactly once and a deterministic \
-             receiver-keyed merge reproduces the serial outcome. The \
+             its shard's rows exactly once into its own hit set, and \
+             the delivery sweep folds the workers' sets; a node's \
+             outcome depends only on how many transmitters reached it, \
+             so the fold reproduces the serial outcome. The \
              `wall 1t` column re-times the first trial of each cell with \
              one worker; `speedup` is `wall 1t / wall s/trial`. Recorded \
              on a {cores}-core host with {threads} worker(s) per run — \
              on a single core the sharded fan-out can only cost (spawn + \
-             merge overhead, speedup ≤ 1); the ≥ 3× bar lives in \
+             fold overhead, speedup ≤ 1); the ≥ 3× bar lives in \
              `BENCH_baseline.json`'s provisional multi-core profile and \
              the `--ignored` acceptance test."
         ));

@@ -116,7 +116,7 @@ fn fused_8t_beats_1t_wall_clock_at_2_pow_16() {
 /// beat 1 thread wall-clock at `n = 2²⁰` on a multi-core host. The
 /// `Auto` scatter plan routes `ImplicitGnp` to the shard path via its
 /// `RangeQueryCost::FullRowReplay` hint, so this drives exactly the
-/// emit + receiver-keyed-merge machinery. On a single-core host the
+/// sharded emit and the hit-set fold. On a single-core host the
 /// speedup assertion skips (bit-identity is still checked — there is
 /// nothing to win, and `BENCH_baseline.json`'s provisional
 /// `host_threads: 8` profile carries the ≥3× expectation until a

@@ -41,10 +41,10 @@
 //! keeps the receiver-range partition where narrowing is cheap
 //! ([`RangeQueryCost::Narrowed`], CSR) and switches to a
 //! transmitter-sharded partition — each row generated exactly once,
-//! hits merged deterministically — where a range query replays the
-//! whole row ([`RangeQueryCost::FullRowReplay`], both implicit
-//! backends). Rows are pure functions of the backend value, so either
-//! partition stays bit-identical for every thread count.
+//! into per-worker hit sets that the engine folds — where a range
+//! query replays the whole row ([`RangeQueryCost::FullRowReplay`], both
+//! implicit backends). Rows are pure functions of the backend value, so
+//! either partition stays bit-identical for every thread count.
 
 pub mod gnp;
 pub mod grid;

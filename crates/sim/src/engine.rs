@@ -17,6 +17,7 @@ use radio_graph::{DiGraph, NodeId, RangeQueryCost, Topology};
 use radio_trace::{NullSink, TraceEvent, TraceSink};
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Engine knobs.
 #[derive(Debug, Clone, Copy)]
@@ -57,9 +58,10 @@ pub struct EngineConfig {
     /// [`RangeQueryCost::FullRowReplay`] backends). Lower than
     /// [`par_min_edges`]: on implicit backends `degree_hint` is an
     /// upper-bound estimate and each edge carries row-*regeneration*
-    /// work, so the fan-out pays for its spawns sooner. Purely a
-    /// performance threshold, like [`par_min_edges`]; tests force the
-    /// parallel path with `0`.
+    /// work, so the fan-out pays sooner for its spawns and for the
+    /// delivery sweep's fold of every worker's hit set — O(t·⌈n/64⌉)
+    /// words per fanned-out round. Purely a performance threshold, like
+    /// [`par_min_edges`]; tests force the parallel path with `0`.
     ///
     /// [`par_min_edges`]: EngineConfig::par_min_edges
     pub par_min_edges_implicit: u64,
@@ -145,9 +147,10 @@ impl EngineConfig {
 }
 
 /// Which partition the parallel scatter phase uses when a round's edge
-/// volume justifies fanning out. All strategies compute identical
-/// `hits` records and receiver bitmap — see [`Run`]'s determinism
-/// contracts — so this knob can trade speed but never results.
+/// volume justifies fanning out. All strategies compute the same
+/// collision state — who was heard, who was heard twice, and the source
+/// of every node heard once; see [`Run`]'s determinism contracts — so
+/// this knob can trade speed but never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScatterStrategy {
     /// Pick per backend from [`Topology::range_query_cost`]:
@@ -155,15 +158,18 @@ pub enum ScatterStrategy {
     /// transmitter-sharded where they replay the full row (implicit
     /// backends). The default.
     Auto,
-    /// Always partition by receiver id range: each worker owns a
-    /// `hits` range and asks the topology for in-range neighbors of
+    /// Always partition by receiver id range: each worker owns a range
+    /// of nodes (whole 64-node words) and asks the topology for in-range
+    /// neighbors of
     /// every transmitter. Optimal for CSR (two binary searches per
     /// row); O(t·edges) row regeneration on implicit backends.
     ReceiverRange,
     /// Always partition by transmitter shard: each worker generates its
-    /// own transmitters' rows exactly once — O(edges) total — and emits
-    /// `(receiver, transmitter)` hit records that a deterministic
-    /// receiver-keyed merge resolves to the serial outcome.
+    /// own transmitters' rows exactly once — O(edges) total — into its
+    /// own hit set (a bitmap and per-node hit counts), and the delivery
+    /// sweep folds the workers' sets. Whether a node was heard zero,
+    /// one or several times does not depend on the order of its hits,
+    /// so the fold needs no merge of hit records.
     TransmitterShard,
 }
 
@@ -372,32 +378,6 @@ mod hook {
     }
 }
 
-/// Per-node round-stamped scratch, packed into one 8-byte record (eight
-/// per cache line) so the scatter loop's random access to a target costs
-/// a single line instead of three — separate `stamp`/`hit_count`/
-/// `hit_source` arrays put the same node's state in three different
-/// lines, and every edge of every transmitter touches its target's
-/// state, making this the dominant cost of the collision count at scale.
-///
-/// The collision rule only needs "exactly one transmitter in range", so
-/// the paper-faithful count collapses to one *collided* bit folded into
-/// the stamp word. Stamps are `u32` round numbers (`0` = never; rounds
-/// are 1-based); the round loop asserts the round cap fits 31 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C)]
-struct HitRecord {
-    /// `round << 1 | collided` for the round in which `source` was last
-    /// written (0 = never).
-    stamp: u32,
-    /// The transmitter heard this round; meaningful iff not collided.
-    source: NodeId,
-}
-
-const HIT_NEVER: HitRecord = HitRecord {
-    stamp: 0,
-    source: 0,
-};
-
 /// Default for [`EngineConfig::par_min_edges`].
 const PAR_SCATTER_MIN_EDGES: u64 = 8_192;
 
@@ -431,8 +411,8 @@ pub enum ScatterPlan {
         /// ⌈n/64⌉ (ranges are whole words).
         threads: usize,
     },
-    /// Transmitter-sharded emit + receiver-keyed merge over `threads`
-    /// workers.
+    /// Transmitter-sharded scatter over `threads` workers, each into its
+    /// own hit set.
     TransmitterShard {
         /// Worker count, capped at the bitmap word and transmitter
         /// counts.
@@ -447,11 +427,12 @@ pub enum ScatterPlan {
 /// backends gate on [`par_min_edges_implicit`] because their
 /// `degree_hint` is an upper-bound estimate and every edge carries
 /// generation work, CSR on [`par_min_edges`]. Never affects results —
-/// every plan computes identical `hits` records and receiver bitmap.
+/// every plan yields the same collision state for the delivery sweep.
 ///
-/// Parallel partitions cut the node range at whole 64-node bitmap words,
-/// so the worker count is capped at ⌈n/64⌉, and a graph of at most 64
-/// nodes always scatters serially.
+/// The receiver-range partition cuts the node range at whole 64-node
+/// bitmap words; both parallel plans cap the worker count at ⌈n/64⌉ (for
+/// the transmitter shard this bounds the delivery sweep's O(t·⌈n/64⌉)
+/// word fold), and a graph of at most 64 nodes always scatters serially.
 ///
 /// [`Auto`]: ScatterStrategy::Auto
 /// [`par_min_edges`]: EngineConfig::par_min_edges
@@ -483,7 +464,7 @@ pub fn scatter_plan(
     }
     if shard {
         // More workers than transmitters would leave some idle with
-        // empty shards; more than words would leave merge ranges empty.
+        // empty shards; each worker adds ⌈n/64⌉ words to the fold.
         ScatterPlan::TransmitterShard {
             threads: threads.min(words).min(transmitters),
         }
@@ -671,42 +652,40 @@ struct Pools {
 /// queries without ever materialising O(m) edge storage.
 ///
 /// **Allocation-free steady state:** every piece of per-run scratch —
-/// the stamped `hits` records, the receiver bitmap, the awake
+/// the per-node sources, the per-worker hit sets, the awake
 /// bookkeeping, the per-round transmitter and decide-event buffers, and
 /// the per-worker lists of the parallel phases — lives in pools owned
 /// by the engine and sized to the graph once, so a trial loop over seeds
 /// on a fixed graph performs **zero heap allocations after round 1 of a
 /// run** beyond the returned metrics vector (pinned by the
-/// counting-allocator test in `crates/sim/tests/alloc_free.rs`; parallel
-/// rounds additionally pay the OS-level scoped-thread spawns, which is
-/// why that test runs the serial path). At `n = 2²⁰` this saves a
+/// counting-allocator test in `crates/sim/tests/alloc_free.rs`, which
+/// runs the serial path). A fanned-out round additionally pays its
+/// scoped-thread spawns, whose bookkeeping is a constant few hundred
+/// bytes per round, independent of the round's hit volume
+/// (`crates/sim/tests/alloc_shard_scatter.rs` pins this on the
+/// transmitter shard). The extra shard workers' hit sets are created at
+/// the first round that fans out to them. At `n = 2²⁰` the pools save a
 /// multi-MB alloc + zero per trial that the pre-pool engine paid on
 /// every run.
 pub struct Engine<'g, T: Topology = DiGraph> {
     graph: &'g T,
     cfg: EngineConfig,
-    /// Per-node scratch, stamped by round number to avoid clearing.
-    hits: Vec<HitRecord>,
     /// Round in which each node last transmitted (`0` = never), for the
-    /// half-duplex check; only touched per transmitter/receiver, so it
-    /// stays out of the per-edge record.
+    /// half-duplex check; only touched per transmitter/receiver.
     sent: Vec<u32>,
-    /// This round's receivers: bit `v` of word `v / 64` is set at `v`'s
-    /// first hit (⌈n/64⌉ words, 1/8 B per node). All zero between
-    /// rounds — the delivery sweep clears each word as it walks it, in
-    /// ascending node order. Parallel scatter partitions cut at whole
-    /// words, so each worker owns its words outright.
-    touched_bits: Vec<u64>,
-    /// `(receiver, transmitter)` hit buckets of the transmitter-sharded
-    /// scatter, indexed `[emit worker][receiver range]` and pooled like
-    /// every other scratch: the emit phase fills `shard_hits[w][r]` with
-    /// worker `w`'s hits landing in receiver range `r`, the merge phase
-    /// drains column `r` in worker order (= serial transmitter order).
-    shard_hits: Vec<Vec<Vec<(NodeId, NodeId)>>>,
-    /// The `t − 1` inner receiver-range starts (in nodes) of the
-    /// transmitter-sharded scatter: its emit routes each hit by them and
-    /// its merge cuts at them.
-    shard_starts: Vec<NodeId>,
+    /// The transmitter each node heard this round, written at the node's
+    /// first hit in a worker's [`Heard`] set and read only for a node heard
+    /// exactly once — whose single hit wrote it, so the order in which
+    /// workers store into a collided node's entry never matters. Atomic
+    /// so that shard workers can share it: `Relaxed` stores and loads
+    /// are plain moves, and the scoped-thread join orders every store
+    /// before the delivery sweep.
+    src: Vec<AtomicU32>,
+    /// The round's hits, one [`Heard`] set per scatter worker. Worker
+    /// 0's set serves the serial and receiver-range rounds; the
+    /// transmitter shard gives worker `w` set `w`. All zero between
+    /// rounds — the delivery sweep clears what it reads.
+    heard: Vec<Heard>,
     /// The awake bookkeeping and per-round buffers of the round loop.
     pools: Pools,
 }
@@ -718,11 +697,11 @@ impl<'g, T: Topology> Engine<'g, T> {
         Engine {
             graph,
             cfg,
-            hits: vec![HIT_NEVER; n],
             sent: vec![0; n],
-            touched_bits: vec![0; n.div_ceil(64)],
-            shard_hits: Vec::new(),
-            shard_starts: Vec::new(),
+            src: std::iter::repeat_with(|| AtomicU32::new(0))
+                .take(n)
+                .collect(),
+            heard: vec![Heard::new(n)],
             pools: Pools {
                 is_awake: vec![false; n],
                 list_state: vec![ListState::Unkeyed; n],
@@ -829,9 +808,6 @@ impl<'g, T: Topology> Engine<'g, T> {
             rounds += 1;
             let round = rounds;
             let rstamp = round as u32; // fits: max_rounds < 2³¹
-                                       // `stamp` values for this round: clean reception vs collision.
-            let hit_once = rstamp << 1;
-            let hit_many = hit_once | 1;
             let graph = schedule.topology(round, base);
             if S::ACTIVE {
                 sink.emit(TraceEvent::RoundStart { round });
@@ -887,31 +863,28 @@ impl<'g, T: Topology> Engine<'g, T> {
             contract.settle(&mut pools, awake_count, retired);
 
             // --- transmit phase ---------------------------------------------
-            self.scatter_round(graph, &pools.transmitters, hit_once, hit_many, threads);
+            let scattered = self.scatter_round(graph, &pools.transmitters, threads);
 
             // --- delivery phase ---------------------------------------------
             // Serial, ascending receiver id (the contract shared with
-            // `reference`/`baseline`): the bitmap walk yields exactly this
+            // `reference`/`baseline`): the hit-set fold yields exactly this
             // round's hit nodes in that order. `v` hears iff exactly one
-            // transmitter reached it (a clean `hit_once` stamp), its own
+            // transmitter reached it (not collided), its own
             // radio was not busy transmitting under half-duplex, and its
             // battery has not run out; `on_receive` then draws from the
             // contract's receive stream.
             let mut deliveries = 0u64;
             let mut first_receptions = 0u64;
             if !pools.transmitters.is_empty() {
-                drain_receivers(&mut self.touched_bits, |v| {
+                drain_heard(&mut self.heard[..scattered], |v, collided| {
                     let vi = v as usize;
-                    let HitRecord {
-                        stamp,
-                        source: from,
-                    } = self.hits[vi];
-                    if stamp != hit_once {
+                    if collided {
                         if S::ACTIVE {
                             sink.emit(TraceEvent::Collision { node: v });
                         }
                         return;
                     }
+                    let from = self.src[vi].load(Ordering::Relaxed);
                     if half_duplex && self.sent[vi] == rstamp {
                         return; // v's own radio was busy transmitting
                     }
@@ -1001,40 +974,40 @@ impl<'g, T: Topology> Engine<'g, T> {
         )
     }
 
-    /// Reset the round-stamped per-node state at run start. Round numbers
-    /// restart at 1 every run, so stale stamps from a previous run on
-    /// this engine would alias; and a run that panicked mid-delivery
-    /// leaves receiver bits set.
+    /// Reset the per-node collision state at run start. Round numbers
+    /// restart at 1 every run, so stale `sent` stamps from a previous run
+    /// on this engine would alias; and a run that panicked mid-round
+    /// leaves hits recorded. `src` needs no reset: it is read only for
+    /// a node heard exactly once, whose hit wrote it that round.
     fn reset_round_state(&mut self) {
-        self.hits.fill(HIT_NEVER);
         self.sent.fill(0);
-        self.touched_bits.fill(0);
+        for Heard { bits, hits } in &mut self.heard {
+            bits.fill(0);
+            hits.fill(0);
+        }
     }
 
-    /// The transmit-phase scatter: stamps this round's `hits` records
-    /// from `transmitters` and sets each receiver's bit in `touched_bits`
-    /// at its first hit, fanning out when the round's edge volume pays
-    /// for the scoped-thread spawns — partitioned by receiver range or by
-    /// transmitter shard per [`scatter_plan`].
+    /// The transmit-phase scatter: records this round's hits from
+    /// `transmitters` in the [`Heard`] sets and `src`, fanning out when
+    /// the round's edge volume pays for the scoped-thread spawns —
+    /// partitioned by receiver range or by transmitter shard per
+    /// [`scatter_plan`]. Returns how many workers' sets (`heard[..k]`)
+    /// hold the round's hits, for the delivery sweep to fold.
     ///
     /// Scatter through [`Topology`] queries: for the CSR backend
     /// `for_each_out` monomorphizes to streaming one contiguous
-    /// neighbors array (the pre-generic code), and each target update
-    /// touches exactly one `HitRecord` line. Duplicate-freedom of the
-    /// backend's rows is load-bearing here: a neighbor reported twice
-    /// would flip a clean first hit into a phantom collision. All paths
-    /// compute the same `hits` records and receiver bitmap, so the plan
-    /// heuristic cannot influence results (and therefore neither can
-    /// the thread count).
-    fn scatter_round(
-        &mut self,
-        graph: &T,
-        transmitters: &[NodeId],
-        hit_once: u32,
-        hit_many: u32,
-        threads: usize,
-    ) {
-        let n = self.hits.len();
+    /// neighbors array (the pre-generic code), and each hit reads and
+    /// writes its target's count byte in the worker's set, plus, at the
+    /// worker's first hit of the target, one bitmap word and its `src`
+    /// entry. Duplicate-freedom of the backend's rows is load-bearing
+    /// here: a neighbor reported twice would flip a clean hit into a
+    /// phantom collision. The collision rule depends only on how many
+    /// transmitters reached a node (0, 1 or ≥ 2) and on who the single
+    /// one was, never on the order of the hits, so every path yields the
+    /// same folded state and the plan heuristic cannot influence results
+    /// (and therefore neither can the thread count).
+    fn scatter_round(&mut self, graph: &T, transmitters: &[NodeId], threads: usize) -> usize {
+        let n = self.src.len();
         let plan = if threads > 1 && transmitters.len() > 1 {
             // Edge-volume heuristic on `degree_hint` — exact for CSR,
             // an upper-bound estimate for implicit backends. Purely a
@@ -1052,177 +1025,96 @@ impl<'g, T: Topology> Engine<'g, T> {
         } else {
             ScatterPlan::Serial
         };
-        let t = match plan {
+        let src: &[AtomicU32] = &self.src;
+        match plan {
             ScatterPlan::Serial => {
-                let hits = &mut self.hits;
-                let bits = &mut self.touched_bits;
+                let Heard { bits, hits } = &mut self.heard[0];
+                let (bits, hits): (&mut [u64], &mut [u8]) = (bits, hits);
                 for &u in transmitters {
-                    graph.for_each_out(u, |v| record_hit(hits, bits, 0, v, u, hit_once, hit_many));
+                    graph.for_each_out(u, |v| record_hit(hits, bits, src, 0, v, u));
                 }
-                return;
+                1
             }
-            ScatterPlan::TransmitterShard { threads } => {
-                self.scatter_transmitter_shard(graph, transmitters, hit_once, hit_many, threads);
-                return;
-            }
-            ScatterPlan::ReceiverRange { threads } => threads,
-        };
-        // Receiver-range partition reformulated as a neighbor-*query*
-        // partition: worker `w` owns the bitmap words
-        // `[⌊w·W/t⌋, ⌊(w+1)·W/t⌋)` (`W` = word count) and the nodes they
-        // cover, and is the only writer of that `hits` range and those
-        // words — whole words, so no atomics. Every worker walks the
-        // full transmitter list in the same (serial) order, asking the
-        // topology only for neighbors inside its range — CSR narrows
-        // the sorted row with two binary searches; implicit backends
-        // regenerate the row and filter (O(t·deg) total, the price of
-        // not storing rows — [`scatter_plan`] steers those to the
-        // transmitter shard instead). For any fixed receiver the
-        // sequence of first-hit/collision updates is exactly the serial
-        // one, because rows are duplicate-free and per-row order is
-        // fixed per backend.
-        let words = self.touched_bits.len();
-        let tx: &[NodeId] = transmitters;
-        let mut hits_rest: &mut [HitRecord] = &mut self.hits;
-        let mut bits_rest: &mut [u64] = &mut self.touched_bits;
-        let mut lo_word = 0usize;
-        // One range's worth of work; runs on t − 1 spawned threads plus
-        // the calling thread (which takes the last range instead of
-        // idling at the join — one fewer spawn per round).
-        std::thread::scope(|scope| {
-            for w in 0..t {
-                let hi_word = (w + 1) * words / t;
-                let (lo, hi) = (lo_word * 64, (hi_word * 64).min(n));
-                let (chunk, tail) = std::mem::take(&mut hits_rest).split_at_mut(hi - lo);
-                hits_rest = tail;
-                let (bits, tail) = std::mem::take(&mut bits_rest).split_at_mut(hi_word - lo_word);
-                bits_rest = tail;
-                let mut scatter_range = move || {
-                    for &u in tx {
-                        graph.for_each_out_range(u, lo as NodeId, hi as NodeId, |v| {
-                            record_hit(chunk, bits, lo, v, u, hit_once, hit_many)
-                        });
-                    }
-                };
-                if w + 1 == t {
-                    scatter_range();
-                } else {
-                    scope.spawn(scatter_range);
-                }
-                lo_word = hi_word;
-            }
-        });
-    }
-
-    /// The transmitter-sharded scatter: generate each row **exactly
-    /// once**, then merge hits deterministically.
-    ///
-    /// **Emit** — the transmitter list is cut into `t` contiguous
-    /// shards; worker `w` walks each owned row once via `for_each_out`
-    /// (O(total edges) across all workers — no per-range row replay,
-    /// which is what makes implicit backends scale) and pushes
-    /// `(receiver, transmitter)` records into its own bucket for the
-    /// receiver's merge range, `r = ⌊⌊v/64⌋·t/W⌋` (`W` = bitmap word
-    /// count) — found without a division, as the number of the `t − 1`
-    /// inner range starts `⌈r·W/t⌉·64` (pooled in `shard_starts`) that
-    /// are `≤ v`.
-    ///
-    /// **Merge** — worker `r` exclusively owns the bitmap words
-    /// `[⌈r·W/t⌉, ⌈(r+1)·W/t⌉)` and the `hits` records of the nodes
-    /// they cover — exactly the receivers whose bucket index is `r` —
-    /// and drains buckets `shard_hits[0][r], …, shard_hits[t−1][r]` in
-    /// that order. Shards tile the serial transmitter order and a
-    /// duplicate-free row visits a receiver at most once, so for any
-    /// fixed receiver the merged record sequence *is* the serial hit
-    /// sequence: the first record is the serial first hit (the earliest
-    /// transmitter in poll order), any later record marks the same
-    /// collision the serial loop would. Results are bit-identical to
-    /// serial by construction, independent of thread count and of where
-    /// shard boundaries fall — even mid-collision, with two hitters of
-    /// one receiver in different shards. Costs one extra thread-scope
-    /// barrier per round relative to receiver-range — the price of not
-    /// replaying rows per range.
-    fn scatter_transmitter_shard(
-        &mut self,
-        graph: &T,
-        transmitters: &[NodeId],
-        hit_once: u32,
-        hit_many: u32,
-        t: usize,
-    ) {
-        let n = self.hits.len();
-        let words = self.touched_bits.len();
-        debug_assert!(t >= 2 && t <= words && t <= transmitters.len());
-        if self.shard_hits.len() < t {
-            self.shard_hits.resize_with(t, Vec::new);
-        }
-        for row in &mut self.shard_hits[..t] {
-            if row.len() < t {
-                row.resize_with(t, Vec::new);
-            }
-            for bucket in &mut row[..t] {
-                bucket.clear();
-            }
-        }
-        // Merge range r starts at node ⌈r·W/t⌉·64 (< n, as t ≤ W); the
-        // emit and the merge both cut at these starts.
-        let starts = &mut self.shard_starts;
-        starts.clear();
-        starts.extend((1..t).map(|r| ((r * words).div_ceil(t) * 64) as NodeId));
-        let starts: &[NodeId] = starts;
-        // Emit phase: t − 1 spawned workers plus the calling thread on
-        // the last shard; each worker mutates only its own bucket row.
-        std::thread::scope(|scope| {
-            let mut lo = 0usize;
-            for (w, buckets) in self.shard_hits[..t].iter_mut().enumerate() {
-                let hi = (w + 1) * transmitters.len() / t;
-                let shard = &transmitters[lo..hi];
-                let emit = move |buckets: &mut [Vec<(NodeId, NodeId)>]| {
-                    for &u in shard {
-                        graph.for_each_out(u, |v| {
-                            let r = starts.iter().filter(|&&s| v >= s).count();
-                            buckets[r].push((v, u));
-                        });
-                    }
-                };
-                if w + 1 == t {
-                    emit(buckets);
-                } else {
-                    scope.spawn(move || emit(&mut buckets[..]));
-                }
-                lo = hi;
-            }
-        });
-        // Merge phase: buckets are read-only now; the hits ranges and
-        // bitmap words are disjoint per worker.
-        let shard_hits = &self.shard_hits;
-        let mut hits_rest: &mut [HitRecord] = &mut self.hits;
-        let mut bits_rest: &mut [u64] = &mut self.touched_bits;
-        let mut lo = 0usize;
-        std::thread::scope(|scope| {
-            for r in 0..t {
-                let hi = starts.get(r).map_or(n, |&s| s as usize);
-                let (chunk, tail) = std::mem::take(&mut hits_rest).split_at_mut(hi - lo);
-                hits_rest = tail;
-                let (bits, tail) =
-                    std::mem::take(&mut bits_rest).split_at_mut(hi.div_ceil(64) - lo / 64);
-                bits_rest = tail;
-                let mut merge = move || {
-                    for row in &shard_hits[..t] {
-                        for &(v, u) in &row[r] {
-                            record_hit(chunk, bits, lo, v, u, hit_once, hit_many);
+            ScatterPlan::ReceiverRange { threads: t } => {
+                // Receiver-range partition as a neighbor-*query*
+                // partition: worker `w` owns the bitmap words
+                // `[⌊w·W/t⌋, ⌊(w+1)·W/t⌋)` (`W` = ⌈n/64⌉) of worker 0's
+                // set and the counts of the nodes they cover — whole
+                // words, so no atomics on the set. Every worker walks
+                // the full transmitter list, asking the topology only
+                // for neighbors inside its range — CSR narrows the
+                // sorted row with two binary searches; implicit backends
+                // regenerate the row and filter (O(t·deg) total, the
+                // price of not storing rows — [`scatter_plan`] steers
+                // those to the transmitter shard instead).
+                let Heard { bits, hits } = &mut self.heard[0];
+                let words = bits.len();
+                let mut bits_rest: &mut [u64] = bits;
+                let mut hits_rest: &mut [u8] = hits;
+                let mut lo_word = 0usize;
+                // t − 1 spawned workers plus the calling thread, which
+                // takes the last range instead of idling at the join.
+                std::thread::scope(|scope| {
+                    for w in 0..t {
+                        let hi_word = (w + 1) * words / t;
+                        let (lo, hi) = (lo_word * 64, (hi_word * 64).min(n));
+                        let (bits, tail) =
+                            std::mem::take(&mut bits_rest).split_at_mut(hi_word - lo_word);
+                        bits_rest = tail;
+                        let (hits, tail) = std::mem::take(&mut hits_rest).split_at_mut(hi - lo);
+                        hits_rest = tail;
+                        let mut scatter_range = move || {
+                            for &u in transmitters {
+                                graph.for_each_out_range(u, lo as NodeId, hi as NodeId, |v| {
+                                    record_hit(hits, bits, src, lo, v, u)
+                                });
+                            }
+                        };
+                        if w + 1 == t {
+                            scatter_range();
+                        } else {
+                            scope.spawn(scatter_range);
                         }
+                        lo_word = hi_word;
                     }
-                };
-                if r + 1 == t {
-                    merge();
-                } else {
-                    scope.spawn(merge);
-                }
-                lo = hi;
+                });
+                1
             }
-        });
-        debug_assert_eq!(lo, n, "merge ranges must tile the nodes");
+            ScatterPlan::TransmitterShard { threads: t } => {
+                // Transmitter shard: the transmitter list is cut into
+                // `t` contiguous shards and worker `w` generates each of
+                // its rows exactly once — O(total edges), no per-range
+                // row replay, which is what makes implicit backends
+                // scale — into its own set `heard[w]`. The delivery
+                // sweep folds the workers' sets; no hit is stored or
+                // merged. Extra workers' sets are allocated here, on the
+                // calling thread, the first time a round fans out to
+                // them.
+                if self.heard.len() < t {
+                    self.heard.resize_with(t, || Heard::new(n));
+                }
+                std::thread::scope(|scope| {
+                    let mut lo = 0usize;
+                    for (w, Heard { bits, hits }) in self.heard[..t].iter_mut().enumerate() {
+                        let (bits, hits): (&mut [u64], &mut [u8]) = (bits, hits);
+                        let hi = (w + 1) * transmitters.len() / t;
+                        let shard = &transmitters[lo..hi];
+                        let mut emit = move || {
+                            for &u in shard {
+                                graph.for_each_out(u, |v| record_hit(hits, bits, src, 0, v, u));
+                            }
+                        };
+                        if w + 1 == t {
+                            emit();
+                        } else {
+                            scope.spawn(emit);
+                        }
+                        lo = hi;
+                    }
+                });
+                t
+            }
+        }
     }
 }
 
@@ -1250,17 +1142,21 @@ impl<'g, T: Topology> Engine<'g, T> {
 ///
 /// Both contracts drive the same round loop: decide, a serial commit
 /// sweep in poll (awake-list) order, the scatter/collision phase, and a
-/// serial delivery sweep in ascending receiver order. The scatter fans
-/// out in the partition [`scatter_plan`] picks per backend:
+/// serial delivery sweep in ascending receiver order. A node receives
+/// iff exactly one transmitter reached it, so the scatter records only
+/// order-free state: per worker, which nodes it hit and whether it hit
+/// each once or more, plus the source of each hit. The scatter fans out
+/// in the partition [`scatter_plan`] picks per backend:
 ///
 /// * **Receiver id range** (CSR): each worker streams the full
 ///   transmitter list over the rows but records hits only for its
-///   disjoint node range — no merge step, no atomics.
+///   disjoint range of nodes — no fold; only the sources are shared.
 /// * **Transmitter shard** (implicit backends, whose range queries
 ///   replay whole rows): each worker generates its own shard's rows
-///   exactly once, and a deterministic receiver-keyed merge drains the
-///   buckets in shard order — which *is* the serial transmitter order —
-///   so every receiver resolves to the serial outcome.
+///   exactly once into its own hit set, and the delivery sweep folds
+///   the workers' sets: a node is collided if its hit counts sum to 2
+///   or more. A clean node was hit exactly once, so exactly one worker
+///   wrote its source.
 ///
 /// The contracts differ only in where the coin flips come from:
 ///
@@ -1747,46 +1643,83 @@ impl<P: FusedDecide> StreamContract<P> for PerNodeStreams {
     }
 }
 
-/// Record a hit of `v` by transmitter `u` in a scatter worker's slices:
-/// `hits` holds the records of nodes `base..`, `bits` the bitmap words
-/// covering them (`base` is a multiple of 64, so node `base + i` is bit
-/// `i % 64` of `bits[i / 64]`). The round's first hit stores the source
-/// and sets the node's receiver bit; any later hit marks the collision.
-#[inline(always)]
-fn record_hit(
-    hits: &mut [HitRecord],
-    bits: &mut [u64],
-    base: usize,
-    v: NodeId,
-    u: NodeId,
-    hit_once: u32,
-    hit_many: u32,
-) {
-    let i = v as usize - base;
-    let h = &mut hits[i];
-    if h.stamp | 1 != hit_many {
-        *h = HitRecord {
-            stamp: hit_once,
-            source: u,
-        };
-        bits[i / 64] |= 1 << (i % 64);
-    } else {
-        h.stamp = hit_many;
+/// One scatter worker's record of a round's hits. All zero between
+/// rounds: the delivery sweep clears every word and count it reads.
+struct Heard {
+    /// Bit `v % 64` of word `v / 64` is set at the worker's first hit of
+    /// `v`, so the delivery sweep finds the round's hit nodes in
+    /// ascending order without scanning all `n` (⅛ B per node).
+    bits: Vec<u64>,
+    /// How often the worker hit each node this round, saturated at 2
+    /// (1 B per node). The hit loop decides from this per-node byte, not
+    /// from bits in a word that 64 nodes share: with two bits per node, a
+    /// dense round keeps re-reading words that earlier hits are still
+    /// writing, and the CSR storm bench (`scatter_phase/csr/1t`) ran
+    /// 1.3–1.9× slower.
+    hits: Vec<u8>,
+}
+
+impl Heard {
+    fn new(n: usize) -> Self {
+        Heard {
+            bits: vec![0; n.div_ceil(64)],
+            hits: vec![0; n],
+        }
     }
 }
 
-/// Walk the round's receiver bitmap in ascending node order, calling
-/// `deliver` for every node hit this round, and clear each word as it
-/// is read — so the bitmap is all zero again for the next round. The
-/// delivery sweep of both cores.
+/// Record a hit of `v` by transmitter `u` in a scatter worker's slices of
+/// its [`Heard`] set, which cover the nodes `base..` (`base` is a
+/// multiple of 64, so node `base + i` is `hits[i]` and bit `i % 64` of
+/// `bits[i / 64]`). The worker's first hit of `v` sets its bit and
+/// stores the source; any later one marks `v` heard twice.
+#[inline(always)]
+fn record_hit(
+    hits: &mut [u8],
+    bits: &mut [u64],
+    src: &[AtomicU32],
+    base: usize,
+    v: NodeId,
+    u: NodeId,
+) {
+    let i = v as usize - base;
+    let h = &mut hits[i];
+    if *h == 0 {
+        *h = 1;
+        bits[i / 64] |= 1 << (i % 64);
+        src[v as usize].store(u, Ordering::Relaxed);
+    } else {
+        *h = 2;
+    }
+}
+
+/// Walk the round's hit nodes — the union of the bitmaps of the workers
+/// that scattered it — in ascending order and call `visit(v, collided)`
+/// for each; `collided` is whether two or more transmitters reached `v`,
+/// which holds iff the workers' counts for `v` sum to 2 or more. Clears
+/// every word and count it reads, so the sets are all zero again for the
+/// next round. A round with one worker's set walks it directly; a
+/// transmitter-shard round ORs each further worker's word in first:
+/// O(workers·⌈n/64⌉) words plus O(workers) per hit node. `visit` has one
+/// call site, so the delivery sweep inlines it.
 #[inline]
-fn drain_receivers(bits: &mut [u64], mut deliver: impl FnMut(NodeId)) {
+fn drain_heard(heard: &mut [Heard], mut visit: impl FnMut(NodeId, bool)) {
+    let Some((Heard { bits, hits }, rest)) = heard.split_first_mut() else {
+        return;
+    };
     for (i, word) in bits.iter_mut().enumerate() {
-        let mut w = std::mem::take(word);
-        let base = (i * 64) as NodeId;
-        while w != 0 {
-            deliver(base + w.trailing_zeros());
-            w &= w - 1;
+        let mut once = std::mem::take(word);
+        for other in rest.iter_mut() {
+            once |= std::mem::take(&mut other.bits[i]);
+        }
+        while once != 0 {
+            let v = i * 64 + once.trailing_zeros() as usize;
+            let mut count = u32::from(std::mem::take(&mut hits[v]));
+            for other in rest.iter_mut() {
+                count += u32::from(std::mem::take(&mut other.hits[v]));
+            }
+            visit(v as NodeId, count >= 2);
+            once &= once - 1;
         }
     }
 }
@@ -2889,6 +2822,93 @@ mod tests {
                 scatter_plan(&cfg, FullRowReplay, 8, 1_000, 1, 1 << 20),
                 ScatterPlan::Serial
             );
+        }
+    }
+
+    /// Record each worker's `(receiver, transmitter)` hits into its own
+    /// [`Heard`] set, fold the sets with the delivery sweep's
+    /// `drain_heard`, and return the visits as `(node, Some(source))` for
+    /// a clean node and `(node, None)` for a collided one. Asserts the
+    /// fold leaves every word and count zero.
+    fn fold_hits(n: usize, workers: &[&[(NodeId, NodeId)]]) -> Vec<(NodeId, Option<NodeId>)> {
+        let src: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
+        let mut heard: Vec<Heard> = workers.iter().map(|_| Heard::new(n)).collect();
+        for (Heard { bits, hits }, worker_hits) in heard.iter_mut().zip(workers) {
+            for &(v, u) in worker_hits.iter() {
+                record_hit(hits, bits, &src, 0, v, u);
+            }
+        }
+        let mut visits = Vec::new();
+        drain_heard(&mut heard, |v, collided| {
+            let from = src[v as usize].load(Ordering::Relaxed);
+            visits.push((v, (!collided).then_some(from)));
+        });
+        assert!(
+            heard
+                .iter()
+                .all(|h| h.bits.iter().all(|&w| w == 0) && h.hits.iter().all(|&c| c == 0)),
+            "the fold must clear every word and count it reads"
+        );
+        visits
+    }
+
+    #[test]
+    fn heard_fold_is_order_free_and_ascending() {
+        let n = 200; // four words, the last one partial
+                     // 1 worker: 64 is heard twice within the worker.
+        let one: &[&[(NodeId, NodeId)]] = &[&[(199, 8), (64, 6), (63, 5), (64, 7), (0, 9)]];
+        // 2 workers: 128 is heard once by each.
+        let two: &[&[(NodeId, NodeId)]] = &[&[(128, 2), (63, 1)], &[(199, 5), (128, 4), (64, 3)]];
+        // 3 workers: 64 twice within worker 1, 100 across workers 1 and
+        // 2, 150 across workers 0 and 2 (the middle worker silent).
+        let three: &[&[(NodeId, NodeId)]] = &[
+            &[(150, 9), (65, 2), (63, 1)],
+            &[(64, 3), (100, 5), (64, 4)],
+            &[(199, 7), (100, 6), (130, 8), (150, 10)],
+        ];
+        let clean = |v, u| (v, Some(u));
+        let collided = |v| (v, None);
+        assert_eq!(
+            fold_hits(n, one),
+            [clean(0, 9), clean(63, 5), collided(64), clean(199, 8)]
+        );
+        assert_eq!(
+            fold_hits(n, two),
+            [clean(63, 1), clean(64, 3), collided(128), clean(199, 5)]
+        );
+        assert_eq!(
+            fold_hits(n, three),
+            [
+                clean(63, 1),
+                collided(64),
+                clean(65, 2),
+                collided(100),
+                clean(130, 8),
+                collided(150),
+                clean(199, 7),
+            ]
+        );
+        // Against a naive count, for every split of one hit list over
+        // 1, 2 and 3 workers: the verdict does not depend on the split.
+        let hits: Vec<(NodeId, NodeId)> = (0..300u32)
+            .map(|k| ((k * k * 11 / 5 + k) % n as u32, k))
+            .collect();
+        let mut count = vec![0u32; n];
+        let mut from = vec![0; n];
+        for &(v, u) in &hits {
+            count[v as usize] += 1;
+            from[v as usize] = u;
+        }
+        let want: Vec<_> = (0..n)
+            .filter(|&v| count[v] > 0)
+            .map(|v| (v as NodeId, (count[v] == 1).then_some(from[v])))
+            .collect();
+        assert!(want.iter().any(|w| w.1.is_none()) && want.iter().any(|w| w.1.is_some()));
+        for t in 1..=3 {
+            let cuts: Vec<&[(NodeId, NodeId)]> = (0..t)
+                .map(|w| &hits[w * hits.len() / t..(w + 1) * hits.len() / t])
+                .collect();
+            assert_eq!(fold_hits(n, &cuts), want, "{t} workers");
         }
     }
 

@@ -1,16 +1,16 @@
 //! Counting-allocator pin for the engine's **allocation-free trial
 //! steady state**: after round 1 of a run on a warmed engine, the round
 //! loop performs **zero heap allocations** — every buffer it touches
-//! (stamped hit records, awake bookkeeping, transmitter/touched/event
-//! lists) lives in pools owned by the [`Engine`] and sized to the graph
-//! up front. At `n = 2²⁰` this is what stops a sweep from paying a
-//! multi-MB alloc + zero per trial.
+//! (per-node sources, hit sets, awake bookkeeping, transmitter and
+//! event lists) lives in pools owned by the [`Engine`] and sized to the
+//! graph up front. At `n = 2²⁰` this is what stops a sweep from paying
+//! a multi-MB alloc + zero per trial.
 //!
 //! Scope: the test drives the *serial* paths (`threads = 1`). Parallel
-//! rounds additionally pay OS-level scoped-thread spawns — per-round
-//! thread stacks the engine does not pool — which is a separate,
-//! bounded cost that the receiver-range scatter only takes on when a
-//! round's edge volume already dwarfs it.
+//! rounds additionally pay their scoped-thread spawns (thread stacks
+//! the engine does not pool, plus a constant few hundred bytes of
+//! heap bookkeeping per round); `alloc_shard_scatter.rs` pins that
+//! constant on the transmitter-sharded scatter.
 //!
 //! This file holds exactly one `#[test]`: the counting allocator is
 //! process-global, so a concurrently running test would pollute the

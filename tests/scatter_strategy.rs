@@ -6,10 +6,13 @@
 //! metrics, trace) and the protocol's observable state must equal the
 //! serial run bit for bit.
 //!
-//! The adversarial companion pins the transmitter-sharded merge where
+//! The adversarial companion pins the transmitter-sharded scatter where
 //! it could plausibly break: shard boundaries landing *mid-collision*,
 //! with two or more transmitters hitting one receiver from different
-//! shards.
+//! shards. Since "equals the serial run" is no evidence when the serial
+//! path itself is wrong, the partition edge sizes are also checked
+//! against the naive `reference` oracle, on CSR and on the implicit
+//! backends' materialized CSR.
 
 use adhoc_radio::prelude::*;
 use adhoc_radio::sim::reference::run_reference;
@@ -402,5 +405,71 @@ fn transmitter_shard_boundaries_mid_collision_resolve_serially() {
                 "{strategy:?} x {threads} threads diverged"
             );
         }
+    }
+}
+
+/// The partition edge sizes on the implicit backends, whose default
+/// parallel path is the transmitter shard. Checked against the naive
+/// `reference` oracle on the backend's materialized CSR, which shares no
+/// scatter code with the engine, so a fault common to the serial and
+/// parallel scatter cannot hide. For every size × backend × strategy ×
+/// thread count, with every parallel threshold zeroed:
+///
+/// * the v1 run equals `run_reference` on `materialize()`;
+/// * the v2 run equals its own 1-thread run.
+#[test]
+fn implicit_backends_match_reference_under_parallel_scatter() {
+    fn check<T: Topology>(topo: &T, csr: &DiGraph, seed: u64, label: &str) {
+        let n = Topology::n(topo);
+        let oracle = {
+            let mut proto = CoinProto::new(n);
+            let mut rng = derive_rng(seed, b"scatter-run", 0);
+            let res = run_reference(
+                csr,
+                &mut proto,
+                EngineConfig::with_max_rounds(200),
+                &mut rng,
+            );
+            (res, proto.informed, proto.sent)
+        };
+        let fused_at = |cfg: EngineConfig| {
+            let mut proto = CoinProto::new(n);
+            let res = run_protocol_fused(topo, &mut proto, cfg, seed);
+            (res, proto.informed, proto.sent)
+        };
+        let fused_serial = fused_at(EngineConfig::with_max_rounds(200));
+        for strategy in [
+            ScatterStrategy::TransmitterShard,
+            ScatterStrategy::ReceiverRange,
+        ] {
+            for threads in [2usize, 3, 8] {
+                let cfg = EngineConfig {
+                    par_min_edges: 0,
+                    par_min_edges_implicit: 0,
+                    par_min_awake: 0,
+                    ..EngineConfig::with_max_rounds(200)
+                }
+                .with_scatter_strategy(strategy)
+                .with_threads(threads);
+                let label = format!("{label} n={n} {strategy:?} x {threads} threads");
+                let mut proto = CoinProto::new(n);
+                let mut rng = derive_rng(seed, b"scatter-run", 0);
+                let res = Engine::new(topo, cfg).run(&mut proto).v1(&mut rng);
+                assert_eq!(
+                    oracle,
+                    (res, proto.informed, proto.sent),
+                    "v1 vs reference: {label}"
+                );
+                assert_eq!(fused_serial, fused_at(cfg), "fused vs 1 thread: {label}");
+            }
+        }
+    }
+
+    for n in [63usize, 64, 65, 127, 129, 600] {
+        let seed = 2_000 + n as u64;
+        let gnp = ImplicitGnp::with_expected_degree(n, 8.0, split_seed(seed, b"edge-i", 0));
+        check(&gnp, &gnp.materialize(), seed, "gnp");
+        let grid = ImplicitGrid::with_expected_degree(n, 8.0, &mut derive_rng(seed, b"edge-i", 1));
+        check(&grid, &grid.materialize(), seed, "grid");
     }
 }
