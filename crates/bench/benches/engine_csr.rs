@@ -1,14 +1,9 @@
-//! CSR engine vs. adjacency-list engine, head to head.
+//! The engine on its hot paths, at `n = 10⁴`.
 //!
-//! Both engines execute the *same* protocol with the same RNG stream and
-//! the same stamped-scratch algorithm; the only difference is adjacency
-//! storage — flat CSR slices (`radio_sim::Engine`) vs. per-node heap
-//! `Vec`s (`radio_sim::run_adjlist`). The workload is a collision storm
-//! on `G(n, p)` with every node transmitting each round, which makes the
-//! neighbor-scatter loop dominate: exactly the memory-layout question the
-//! CSR backend answers. The acceptance bar for the storage refactor is
-//! `engine_csr ≥ 1.3 × engine_adjlist` at `n = 10⁴`; CI's perf gate
-//! tracks `engine_csr` against `BENCH_baseline.json`.
+//! `engine_csr/gnp` is the baseline workload: a collision storm on a CSR
+//! `G(n, p)` with every node transmitting each round, so the
+//! neighbor-scatter loop and the delivery sweep dominate. CI's perf gate
+//! tracks every group here against `BENCH_baseline.json`.
 //!
 //! The `engine_energy` group runs the same storm with the `radio-energy`
 //! overlay attached — `txonly` exercises the passthrough fast path
@@ -36,7 +31,7 @@ use radio_graph::generate::gnp_directed;
 use radio_graph::{DiGraph, NodeId};
 use radio_sim::engine::{run_protocol_fused, run_protocol_fused_traced};
 use radio_sim::trace::{RecordingSink, RunHeader};
-use radio_sim::{run_adjlist, Action, AdjListGraph, Engine, EngineConfig, FusedDecide, Protocol};
+use radio_sim::{Action, Engine, EngineConfig, FusedDecide, Protocol};
 use radio_util::derive_rng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -149,7 +144,7 @@ fn cfg() -> EngineConfig {
     EngineConfig::with_max_rounds(ROUNDS)
 }
 
-/// The acceptance-gate size from the storage-refactor issue.
+/// Node count of every workload here.
 const N: usize = 10_000;
 
 fn bench_engine_csr(c: &mut Criterion) {
@@ -162,22 +157,6 @@ fn bench_engine_csr(c: &mut Criterion) {
             let mut p = Storm { n: N };
             let mut rng = derive_rng(1, b"csr-bench", 0);
             black_box(Engine::new(g, cfg()).run(&mut p).v1(&mut rng))
-        });
-    });
-    group.finish();
-}
-
-fn bench_engine_adjlist(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_adjlist");
-    group.sample_size(10);
-    let g = storm_graph(N);
-    let a = AdjListGraph::from_digraph(&g);
-    group.throughput(Throughput::Elements(g.m() as u64 * ROUNDS));
-    group.bench_with_input(BenchmarkId::new("gnp", N), &a, |b, a| {
-        b.iter(|| {
-            let mut p = Storm { n: N };
-            let mut rng = derive_rng(1, b"csr-bench", 0);
-            black_box(run_adjlist(a, &mut p, cfg(), &mut rng))
         });
     });
     group.finish();
@@ -466,7 +445,6 @@ fn bench_topology_neighbors(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine_csr,
-    bench_engine_adjlist,
     bench_engine_par,
     bench_decide_phase,
     bench_engine_fused,

@@ -1,9 +1,10 @@
-//! Criterion benches for the graph generators: the experiment sweeps
-//! build thousands of graphs, so `gnp_directed`'s geometric-skip path and
-//! the geometric generator's grid bucketing are hot.
+//! Criterion bench for graph construction: `gnp_directed`'s geometric-skip
+//! walk straight into the out-CSR, at `n ∈ {2¹², 2¹⁴, 2¹⁶}`. The
+//! experiment sweeps build thousands of these graphs. CI's perf-smoke
+//! job gates `gen_gnp_directed` against `BENCH_baseline.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use radio_graph::generate::{gnp_directed, lower_bound_net, random_geometric, GeoParams};
+use radio_graph::generate::gnp_directed;
 use radio_util::derive_rng;
 use std::hint::black_box;
 
@@ -24,30 +25,5 @@ fn bench_gnp(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_geometric(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gen_random_geometric");
-    for &n in &[4096usize, 16384] {
-        let params = GeoParams::with_expected_degree(n, 30.0);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                black_box(random_geometric(
-                    n,
-                    params.r_min,
-                    &mut derive_rng(i, b"bench", 1),
-                ))
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_lower_bound_net(c: &mut Criterion) {
-    c.bench_function("gen_lower_bound_net_k10_d512", |b| {
-        b.iter(|| black_box(lower_bound_net(10, 512)));
-    });
-}
-
-criterion_group!(benches, bench_gnp, bench_geometric, bench_lower_bound_net);
+criterion_group!(benches, bench_gnp);
 criterion_main!(benches);

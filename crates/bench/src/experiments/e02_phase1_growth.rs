@@ -1,13 +1,14 @@
 //! **E2 — Lemmas 2.3 & 2.4.** Phase-1 growth: the active set multiplies
 //! by a factor in `[d/16, 2d]` per round, landing at `|U_{T+1}| = Θ(d^T)`.
 //!
-//! Ported to the `radio-sim` sweep API: each traced run reports its
-//! per-round growth factors as sweep extras, which aggregate into the
-//! tables here and into `results/sweep_e2.json`.
+//! Ported to the `radio-sim` sweep API: each run reports its per-round
+//! growth factors as sweep extras, which aggregate into the tables here
+//! and into `results/sweep_e2.json`. `|U_{t+1}|` is the number of nodes
+//! first informed in round `t` (see `run_ee_broadcast_growth`).
 
 use crate::common::{broadcast_trial, cell_extra, sweep_note};
 use crate::{Ctx, Report};
-use radio_core::broadcast::ee_random::{run_ee_broadcast_traced, EeBroadcastConfig};
+use radio_core::broadcast::ee_random::{run_ee_broadcast_growth, EeBroadcastConfig};
 use radio_graph::GraphFamily;
 use radio_sim::{Sweep, SweepCell};
 use radio_util::TextTable;
@@ -40,14 +41,9 @@ pub fn run(ctx: &Ctx) -> Report {
     let sweep_report = sweep.run(|cell, graph, seed| {
         let cfg = EeBroadcastConfig::for_gnp(cell.n, cell.p);
         let (t_phase1, d) = phase1_params(cell.n, cell.p);
-        let out = run_ee_broadcast_traced(graph, 0, &cfg, seed);
-        // active_series[r] = |U_{r+2}| after round r+1; |U_1| = 1 (the
-        // source).
-        let series = out
-            .trace
-            .as_ref()
-            .expect("traced run carries a trace")
-            .active_series();
+        // series[r] = |U_{r+2}|, the nodes first informed in round r+1;
+        // |U_1| = 1 (the source).
+        let (out, series) = run_ee_broadcast_growth(graph, 0, &cfg, seed);
         let mut trial = broadcast_trial(&out);
         for round in 0..t_phase1 {
             let prev = if round == 0 {

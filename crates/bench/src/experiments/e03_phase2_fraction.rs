@@ -2,7 +2,7 @@
 //! of the network is active (`|U_{T+2}| > c·n` w.h.p., `p ≤ n^{−2/5}`).
 
 use crate::{Ctx, Report};
-use radio_core::broadcast::ee_random::{run_ee_broadcast_traced, EeBroadcastConfig};
+use radio_core::broadcast::ee_random::{run_ee_broadcast_growth, EeBroadcastConfig};
 use radio_graph::generate::gnp_directed;
 use radio_sim::parallel_trials;
 use radio_stats::SummaryStats;
@@ -26,9 +26,10 @@ pub fn run(ctx: &Ctx) -> Report {
         let t_phase1 = cfg.params.t as usize;
         let fracs = parallel_trials(trials, ctx.seed ^ (n as u64 * delta as u64), |_, seed| {
             let g = gnp_directed(n, p, &mut derive_rng(seed, b"e3-g", 0));
-            let out = run_ee_broadcast_traced(&g, 0, &cfg, seed);
-            let series = out.trace.expect("traced").active_series();
-            // active_series[t_phase1] = |U_{T+2}| (after the Phase-2 round).
+            let (_, series) = run_ee_broadcast_growth(&g, 0, &cfg, seed);
+            // series[t_phase1] = |U_{T+2}|, the nodes first informed in the
+            // Phase-2 round (every Phase-2 node passivates: the default
+            // literal reading).
             series.get(t_phase1).copied().unwrap_or(0) as f64 / n as f64
         });
         let st = SummaryStats::from_slice(&fracs);

@@ -151,6 +151,17 @@ impl EeRandomBroadcast {
         (r != u64::MAX).then_some(r)
     }
 
+    /// The series of [`run_ee_broadcast_growth`], from the informed rounds.
+    fn first_informed_per_round(&self, rounds: u64) -> Vec<u64> {
+        let mut counts = vec![0u64; rounds as usize];
+        for v in 0..self.state.len() as NodeId {
+            if let Some(r @ 1..) = self.informed_round(v) {
+                counts[r as usize - 1] += 1;
+            }
+        }
+        counts
+    }
+
     fn go_passive(&mut self, node: NodeId) {
         if self.state[node as usize] == Some(NodeState::Active) {
             self.state[node as usize] = Some(NodeState::Passive);
@@ -291,18 +302,34 @@ pub fn run_ee_broadcast<T: Topology>(
     cfg: &EeBroadcastConfig,
     seed: u64,
 ) -> BroadcastOutcome {
-    run_ee_broadcast_with(graph, source, cfg, seed, false)
+    run_ee_broadcast_growth(graph, source, cfg, seed).0
 }
 
-/// As [`run_ee_broadcast`], with a per-round trace (for the Lemma 2.3/2.4
-/// growth experiments).
-pub fn run_ee_broadcast_traced<T: Topology>(
+/// As [`run_ee_broadcast`], plus the growth series of Lemmas 2.3–2.5:
+/// entry `r − 1` counts the nodes first informed in round `r`, one entry
+/// per executed round. For `r ≤ T` — and `r = T + 1` under the literal
+/// Phase 2 ([`EeBroadcastConfig::phase2_all_passive`]) — that is
+/// `|U_{r+1}|`: each active node transmits in its next round and then
+/// passivates, so the active set after round `r` is its new receivers.
+pub fn run_ee_broadcast_growth<T: Topology>(
     graph: &T,
     source: NodeId,
     cfg: &EeBroadcastConfig,
     seed: u64,
-) -> BroadcastOutcome {
-    run_ee_broadcast_with(graph, source, cfg, seed, true)
+) -> (BroadcastOutcome, Vec<u64>) {
+    let mut protocol = EeRandomBroadcast::new(graph.n(), source, *cfg);
+    let mut rng = radio_util::derive_rng(seed, b"engine", 0);
+    let run = radio_sim::Engine::new(graph, EngineConfig::with_max_rounds(cfg.schedule_end() + 2))
+        .run(&mut protocol)
+        .v1(&mut rng);
+    let growth = protocol.first_informed_per_round(run.rounds);
+    let out = BroadcastOutcome::from_run(
+        graph.n(),
+        protocol.informed_count(),
+        protocol.broadcast_time(),
+        run,
+    );
+    (out, growth)
 }
 
 /// Run Algorithm 1 under the **v2 determinism contract**
@@ -321,28 +348,6 @@ pub fn run_ee_broadcast_fused<T: Topology>(
     let mut protocol = EeRandomBroadcast::new(graph.n(), source, *cfg);
     let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
     let run = radio_sim::engine::run_protocol_fused(graph, &mut protocol, engine_cfg, seed);
-    BroadcastOutcome::from_run(
-        graph.n(),
-        protocol.informed_count(),
-        protocol.broadcast_time(),
-        run,
-    )
-}
-
-fn run_ee_broadcast_with<T: Topology>(
-    graph: &T,
-    source: NodeId,
-    cfg: &EeBroadcastConfig,
-    seed: u64,
-    traced: bool,
-) -> BroadcastOutcome {
-    let mut protocol = EeRandomBroadcast::new(graph.n(), source, *cfg);
-    let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let mut engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
-    engine_cfg.record_trace = traced;
-    let run = radio_sim::Engine::new(graph, engine_cfg)
-        .run(&mut protocol)
-        .v1(&mut rng);
     BroadcastOutcome::from_run(
         graph.n(),
         protocol.informed_count(),
@@ -498,13 +503,12 @@ mod tests {
         let g = gnp_directed(n, p, &mut derive_rng(8, b"alg1-g", 0));
         let cfg = EeBroadcastConfig::for_gnp(n, p);
         assert_eq!(cfg.params.t, 2);
-        let out = run_ee_broadcast_traced(&g, 0, &cfg, 8);
-        let trace = out.trace.expect("traced run");
-        // During Phase 1 the active-set sizes (|U_{t+1}| after round t)
-        // should grow multiplicatively — Lemma 2.3 promises ≥ d/16.
+        let (_, active) = run_ee_broadcast_growth(&g, 0, &cfg, 8);
+        // During Phase 1 the active-set sizes (|U_{t+1}| after round t,
+        // the nodes first informed in round t) should grow
+        // multiplicatively — Lemma 2.3 promises ≥ d/16.
         let t = cfg.params.t as usize;
         let d = cfg.params.d;
-        let active = trace.active_series();
         for r in 0..t.min(active.len()).saturating_sub(1) {
             let growth = active[r + 1] as f64 / active[r].max(1) as f64;
             assert!(
@@ -514,6 +518,78 @@ mod tests {
                 d / 16.0
             );
         }
+    }
+
+    #[test]
+    fn growth_series_matches_the_phase1_transmitters_of_the_event_stream() {
+        // In Phase 1 the nodes first informed in round r are exactly the
+        // transmitters of round r + 1: every active node transmits in its
+        // next round, and only receivers become active. Checked against
+        // the engine's own `RoundEnd` counts for every Phase-1 round
+        // r < T, under v1 (the series `run_ee_broadcast_growth` returns)
+        // and under v2 at 1 and 3 threads, every parallel path forced.
+        use radio_sim::trace::{RingSink, TraceEvent};
+        use radio_sim::Engine;
+
+        fn transmitters_per_round(sink: &RingSink) -> Vec<u64> {
+            sink.rounds()
+                .map(|r| match r.events.last() {
+                    Some(&TraceEvent::RoundEnd { transmitters, .. }) => transmitters,
+                    other => panic!("round {} ends with {other:?}", r.round),
+                })
+                .collect()
+        }
+
+        let mut checks = 0;
+        for (n, d) in [(4096usize, 16.0), (4096, 32.0), (8192, 16.0), (8192, 32.0)] {
+            let p = d / n as f64;
+            let cfg = EeBroadcastConfig::for_gnp(n, p);
+            let t = cfg.params.t as usize;
+            assert!(t >= 2, "n = {n}, d = {d}: T = {t}");
+            let g = gnp_directed(n, p, &mut derive_rng(n as u64, b"alg1-growth", d as u64));
+            let engine_cfg = |threads| {
+                EngineConfig {
+                    par_min_edges: 0,
+                    par_min_edges_implicit: 0,
+                    par_min_awake: 0,
+                    ..EngineConfig::with_max_rounds(cfg.schedule_end() + 2)
+                }
+                .with_threads(threads)
+            };
+            for seed in 0..2 {
+                let (out, growth) = run_ee_broadcast_growth(&g, 0, &cfg, seed);
+                let mut sink = RingSink::new(usize::MAX);
+                let mut protocol = EeRandomBroadcast::new(n, 0, cfg);
+                let run = Engine::new(&g, engine_cfg(1))
+                    .run(&mut protocol)
+                    .sink(&mut sink)
+                    .v1(&mut derive_rng(seed, b"engine", 0));
+                assert_eq!(run.metrics, out.metrics, "v1 twin of the growth run");
+                let mut cases = vec![(growth, transmitters_per_round(&sink))];
+                for threads in [1, 3] {
+                    let mut sink = RingSink::new(usize::MAX);
+                    let mut protocol = EeRandomBroadcast::new(n, 0, cfg);
+                    let run = Engine::new(&g, engine_cfg(threads))
+                        .run(&mut protocol)
+                        .sink(&mut sink)
+                        .v2(seed);
+                    let growth = protocol.first_informed_per_round(run.rounds);
+                    cases.push((growth, transmitters_per_round(&sink)));
+                }
+                for (growth, transmitters) in cases {
+                    assert_eq!(growth.len(), transmitters.len());
+                    for r in 1..t {
+                        assert_eq!(
+                            growth[r - 1],
+                            transmitters[r],
+                            "n = {n}, d = {d}, seed {seed}: first informed in round {r}"
+                        );
+                        checks += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checks, 36);
     }
 
     #[test]

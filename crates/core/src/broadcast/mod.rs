@@ -33,7 +33,7 @@ pub use windowed::{
     WindowedSpec,
 };
 
-use radio_sim::{EnergyMetrics, EnergyRunResult, Metrics, RunResult, Trace};
+use radio_sim::{EnergyMetrics, EnergyRunResult, Metrics, RunResult};
 
 /// Outcome of a broadcast run, shared by every algorithm in this module.
 #[derive(Debug, Clone)]
@@ -58,8 +58,6 @@ pub struct BroadcastOutcome {
     /// Model-based energy accounting, when the run used an energy overlay
     /// (e.g. [`windowed::run_windowed_energy`]).
     pub energy: Option<EnergyMetrics>,
-    /// Per-round trace when requested.
-    pub trace: Option<Trace>,
 }
 
 impl BroadcastOutcome {
@@ -79,7 +77,6 @@ impl BroadcastOutcome {
             hit_round_cap: run.hit_round_cap,
             metrics: run.metrics,
             energy: None,
-            trace: run.trace,
         }
     }
 

@@ -8,7 +8,7 @@
 //! drive the same round loop (`Engine::run_loop`); they differ only in
 //! where the coin flips come from (the private `StreamContract`).
 
-use crate::metrics::{EnergyMetrics, Metrics, RoundRecord, Trace};
+use crate::metrics::{EnergyMetrics, Metrics};
 use crate::streams::DecideStreams;
 use crate::{Action, FusedDecide, Protocol};
 use hook::{EnergyHook, Epochs, TopologySchedule};
@@ -28,8 +28,6 @@ pub struct EngineConfig {
     /// Half-duplex radios (default, the standard radio model): a node
     /// that transmits in round `t` cannot also receive in round `t`.
     pub half_duplex: bool,
-    /// Record a per-round [`Trace`] (costs one `RoundRecord` per round).
-    pub record_trace: bool,
     /// Log to stderr when a run stops at `max_rounds` without completing.
     /// Defaults to `true` under [`EngineConfig::default`] (whose huge cap
     /// would otherwise silently mask non-terminating protocols) and
@@ -87,7 +85,6 @@ impl Default for EngineConfig {
         EngineConfig {
             max_rounds: 1_000_000,
             half_duplex: true,
-            record_trace: false,
             warn_on_round_cap: true,
             threads: 1,
             par_min_edges: PAR_SCATTER_MIN_EDGES,
@@ -108,12 +105,6 @@ impl EngineConfig {
             warn_on_round_cap: false,
             ..Default::default()
         }
-    }
-
-    /// Enable per-round tracing.
-    pub fn traced(mut self) -> Self {
-        self.record_trace = true;
-        self
     }
 
     /// Override the cap-hit warning.
@@ -176,8 +167,8 @@ pub enum ScatterStrategy {
 /// Result of one simulation run.
 ///
 /// `PartialEq` compares every field (rounds, completion flags, full
-/// per-node metrics, trace) — the equality the CSR-vs-implicit topology
-/// equivalence tests assert bit-for-bit.
+/// per-node metrics) — the equality the CSR-vs-implicit topology
+/// equivalence tests assert bit-for-bit. Per-round history: [`Run::sink`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Rounds executed (equals the completion round, or `max_rounds`).
@@ -189,8 +180,6 @@ pub struct RunResult {
     pub hit_round_cap: bool,
     /// Energy accounting.
     pub metrics: Metrics,
-    /// Per-round records when tracing was enabled.
-    pub trace: Option<Trace>,
 }
 
 /// Result of one simulation run under an energy overlay
@@ -766,7 +755,6 @@ impl<'g, T: Topology> Engine<'g, T> {
         let half_duplex = self.cfg.half_duplex;
         let mut metrics = Metrics::new(n);
         self.reset_round_state();
-        let mut trace = self.cfg.record_trace.then(Trace::default);
 
         // Take the pools for the run (restored at its end). Reset by
         // clear + resize, not `fill`: a run that panicked out (protocol
@@ -867,14 +855,13 @@ impl<'g, T: Topology> Engine<'g, T> {
 
             // --- delivery phase ---------------------------------------------
             // Serial, ascending receiver id (the contract shared with
-            // `reference`/`baseline`): the hit-set fold yields exactly this
+            // `reference`): the hit-set fold yields exactly this
             // round's hit nodes in that order. `v` hears iff exactly one
             // transmitter reached it (not collided), its own
             // radio was not busy transmitting under half-duplex, and its
             // battery has not run out; `on_receive` then draws from the
             // contract's receive stream.
             let mut deliveries = 0u64;
-            let mut first_receptions = 0u64;
             if !pools.transmitters.is_empty() {
                 drain_heard(&mut self.heard[..scattered], |v, collided| {
                     let vi = v as usize;
@@ -892,15 +879,11 @@ impl<'g, T: Topology> Engine<'g, T> {
                         return; // a depleted radio hears nothing
                     }
                     let msg = protocol.payload(from, round);
-                    let informed_before = protocol.informed_count();
                     if E::ACTIVE {
                         hook.charge(v, Duty::Receive, round);
                     }
                     contract.receive(&mut pools, protocol, v, from, round, &msg);
                     deliveries += 1;
-                    if protocol.informed_count() > informed_before {
-                        first_receptions += 1;
-                    }
                     let woke = !pools.is_awake[vi];
                     if S::ACTIVE {
                         sink.emit(TraceEvent::Deliver {
@@ -933,17 +916,6 @@ impl<'g, T: Topology> Engine<'g, T> {
                     awake: awake_count as u64,
                 });
             }
-
-            if let Some(t) = trace.as_mut() {
-                t.rounds.push(RoundRecord {
-                    round,
-                    transmitters: pools.transmitters.len() as u64,
-                    deliveries,
-                    newly_informed: first_receptions,
-                    active: protocol.active_count() as u64,
-                    informed: protocol.informed_count() as u64,
-                });
-            }
         }
 
         // Return the pooled scratch for the next run.
@@ -968,7 +940,6 @@ impl<'g, T: Topology> Engine<'g, T> {
                 completed,
                 hit_round_cap,
                 metrics,
-                trace,
             },
             halted,
         )
@@ -1755,7 +1726,14 @@ mod tests {
     use super::*;
     use radio_graph::generate::{path, star};
     use radio_graph::DiGraph;
+    use radio_trace::{RingSink, RoundEvents};
     use radio_util::derive_rng;
+
+    /// The full event stream a [`RingSink`] with unbounded retention
+    /// recorded — the per-round fingerprint of the bit-identity tests.
+    fn event_stream(sink: &RingSink) -> Vec<RoundEvents> {
+        sink.rounds().cloned().collect()
+    }
 
     /// Test protocol: every informed node transmits unconditionally every
     /// round (naive flooding). On a path this works; on a star the leaves
@@ -2064,17 +2042,31 @@ mod tests {
         let g = path(5);
         let mut p = Flood::new(5, 0);
         let mut rng = derive_rng(8, b"eng", 0);
-        let res = Engine::new(&g, EngineConfig::default().traced())
+        let mut sink = RingSink::new(usize::MAX);
+        let res = Engine::new(&g, EngineConfig::default())
             .run(&mut p)
+            .sink(&mut sink)
             .v1(&mut rng);
-        let t = res.trace.expect("trace requested");
-        assert_eq!(t.rounds.len(), res.rounds as usize);
-        // Informed counts are non-decreasing and end at n.
-        let informed: Vec<u64> = t.rounds.iter().map(|r| r.informed).collect();
-        assert!(informed.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*informed.last().expect("non-empty"), 5);
-        // Exactly one new node per round on a path.
-        assert!(t.rounds.iter().all(|r| r.newly_informed == 1));
+        let rounds = event_stream(&sink);
+        assert_eq!(rounds.len(), res.rounds as usize);
+        // Exactly one first-time delivery per round on a path, and the
+        // run ends with all 5 nodes informed.
+        let mut heard = [true, false, false, false, false];
+        for r in &rounds {
+            let first = r
+                .events
+                .iter()
+                .filter(|e| match **e {
+                    TraceEvent::Deliver { node, .. } => {
+                        !std::mem::replace(&mut heard[node as usize], true)
+                    }
+                    _ => false,
+                })
+                .count();
+            assert_eq!(first, 1, "round {}", r.round);
+        }
+        assert!(heard.iter().all(|&h| h));
+        assert_eq!(p.n_informed, 5);
     }
 
     #[test]
@@ -2227,19 +2219,20 @@ mod tests {
                 par_min_edges: 0,
                 par_min_edges_implicit: 0,
                 par_min_awake: 0,
-                ..EngineConfig::with_max_rounds(200).traced()
+                ..EngineConfig::with_max_rounds(200)
             }
             .with_threads(threads)
         };
         let v2 = |rest: Option<&[&DiGraph]>, threads: usize| {
             let mut eng = Engine::new(&a, forced(threads));
             let mut p = FusedCoin::new(300, 3, 0.3);
-            let run = eng.run(&mut p);
+            let mut sink = RingSink::new(usize::MAX);
+            let run = eng.run(&mut p).sink(&mut sink);
             let res = match rest {
                 None => run.v2(13),
                 Some(rest) => run.schedule(rest.iter().copied(), 2).v2(13),
             };
-            (res, p.informed)
+            (res, p.informed, event_stream(&sink))
         };
         let fixed = v2(None, 1);
         assert_eq!(fixed, v2(Some(&[]), 1));
@@ -2251,7 +2244,11 @@ mod tests {
         // A lazily generated mobility stream runs exactly like the same
         // snapshots collected into a `Vec` — under v1, and under v2 at 1
         // and 3 threads.
-        fn mobile<I>(first: &DiGraph, rest: I, v2_threads: Option<usize>) -> (RunResult, Vec<bool>)
+        fn mobile<I>(
+            first: &DiGraph,
+            rest: I,
+            v2_threads: Option<usize>,
+        ) -> (RunResult, Vec<bool>, Vec<RoundEvents>)
         where
             I: IntoIterator,
             I::Item: Borrow<DiGraph>,
@@ -2260,16 +2257,17 @@ mod tests {
                 par_min_edges: 0,
                 par_min_edges_implicit: 0,
                 par_min_awake: 0,
-                ..EngineConfig::with_max_rounds(200).traced()
+                ..EngineConfig::with_max_rounds(200)
             };
             let mut eng = Engine::new(first, cfg.with_threads(v2_threads.unwrap_or(1)));
             let mut p = FusedCoin::new(300, 3, 0.3);
-            let run = eng.run(&mut p).schedule(rest, 4);
+            let mut sink = RingSink::new(usize::MAX);
+            let run = eng.run(&mut p).sink(&mut sink).schedule(rest, 4);
             let res = match v2_threads {
                 None => run.v1(&mut derive_rng(13, b"eng", 0)),
                 Some(_) => run.v2(13),
             };
-            (res, p.informed)
+            (res, p.informed, event_stream(&sink))
         }
         let stream = || {
             radio_graph::generate::MobileGeometric::new(300, 0.1, 0.05, derive_rng(13, b"mob", 0))
@@ -2703,16 +2701,18 @@ mod tests {
             // Force the parallel path even on this small graph.
             let cfg = EngineConfig {
                 par_min_edges: 0,
-                ..EngineConfig::with_max_rounds(200).traced()
+                ..EngineConfig::with_max_rounds(200)
             };
+            let mut sink = RingSink::new(usize::MAX);
             let res = Engine::new(&g, cfg.with_threads(threads))
                 .run(&mut p)
+                .sink(&mut sink)
                 .v1(&mut rng);
             (
                 res.rounds,
                 res.completed,
                 res.metrics,
-                res.trace,
+                event_stream(&sink),
                 p.informed,
             )
         };
@@ -2998,15 +2998,17 @@ mod tests {
             let cfg = EngineConfig {
                 par_min_edges: 0,
                 par_min_awake: 0, // force the parallel decide path
-                ..EngineConfig::with_max_rounds(200).traced()
+                ..EngineConfig::with_max_rounds(200)
             };
             let mut p = FusedCoin::new(400, 3, 0.35);
-            let res = run_protocol_fused(&g, &mut p, cfg.with_threads(threads), 0xF00D);
+            let mut sink = RingSink::new(usize::MAX);
+            let res =
+                run_protocol_fused_traced(&g, &mut p, cfg.with_threads(threads), 0xF00D, &mut sink);
             (
                 res.rounds,
                 res.completed,
                 res.metrics,
-                res.trace,
+                event_stream(&sink),
                 p.informed,
             )
         };

@@ -34,9 +34,8 @@
 //! `decide`/`on_receive`, in a fixed polling order, so every run is
 //! exactly reproducible. [`reference`](mod@reference) contains a
 //! deliberately naive O(n·deg) second implementation of the collision
-//! semantics against which the optimised engine is property-tested, and
-//! [`baseline`] a third one over `Vec<Vec<NodeId>>` adjacency lists that
-//! doubles as the perf baseline for the CSR engine bench.
+//! semantics — the one oracle the optimised engine is differentially
+//! tested against, energy overlay included.
 //!
 //! [`sweep`] turns the "many seeded trials over a parameter grid"
 //! pattern into a declarative object: cells of
@@ -75,7 +74,6 @@
 //! overlay is a passthrough: per-round charging is skipped and reported
 //! energy equals the transmission counts bit-for-bit.
 
-pub mod baseline;
 pub mod engine;
 pub mod fault;
 pub mod metrics;
@@ -95,13 +93,12 @@ pub use radio_energy as energy;
 /// verification, and first-divergence diffing.
 pub use radio_trace as trace;
 
-pub use baseline::{run_adjlist, AdjListGraph};
 pub use engine::{
     run_protocol_fused, run_protocol_fused_traced, scatter_plan, EnergyRunResult, Engine,
     EngineConfig, Run, RunResult, ScatterPlan, ScatterStrategy,
 };
 pub use fault::{CrashPlan, Faulty};
-pub use metrics::{EnergyMetrics, Metrics, RoundRecord, Trace};
+pub use metrics::{EnergyMetrics, Metrics};
 pub use radio_energy::{
     Battery, Duty, EnergyModel, EnergySession, FadingRadio, LinearRadio, TxOnly,
 };
@@ -167,11 +164,11 @@ pub trait Protocol {
     fn is_complete(&self) -> bool;
 
     /// Number of nodes that hold the broadcast message / all-rumors-goal
-    /// progress indicator. Used for traces and experiment tables.
+    /// progress indicator. Read by the round-cap warning and experiment tables.
     fn informed_count(&self) -> usize;
 
     /// Number of *active* nodes (informed and still willing to transmit) —
-    /// the paper's `|Uₜ|`. Used for the Lemma 2.3/2.4 growth traces.
+    /// the paper's `|Uₜ|`, for callers; the engine never reads it.
     fn active_count(&self) -> usize;
 
     /// Energy-accounting hint: is `node`'s radio powered **off** in
@@ -188,7 +185,7 @@ pub trait Protocol {
     /// The hint affects **energy accounting only**: delivery semantics
     /// are unchanged either way (think of it as a low-power wake-radio
     /// paging channel), so runs stay bit-identical with and without the
-    /// overlay, and the frozen reference/baseline oracles remain valid.
+    /// overlay, and the overlay-free [`reference`](mod@reference) oracle remains valid.
     /// The default — radio always on — is the physically conservative
     /// choice and the correct one for any protocol that may still need
     /// to receive.

@@ -1,11 +1,10 @@
-//! Energy accounting and per-round traces.
+//! Energy accounting.
 //!
 //! The paper measures energy as *"the total (expected) number of
 //! transmissions, or the maximum number of transmissions per node"*
-//! (§1.2). [`Metrics`] tracks both, per run. [`Trace`] captures the
-//! per-round quantities that the §2 analysis reasons about — `|Qₜ|`
-//! (transmitters), newly informed nodes, and the protocol-reported
-//! `|Uₜ|` (active set).
+//! (§1.2). [`Metrics`] tracks both, per run. Per-round quantities —
+//! `|Qₜ|` (transmitters), deliveries, awake nodes — are in a run's event
+//! stream (`radio-trace`, attached with [`Run::sink`](crate::Run::sink)).
 //!
 //! Model-based accounting — total/max/mean *energy* under a pluggable
 //! [`radio_energy::EnergyModel`], per-node residual battery charge, and
@@ -83,55 +82,6 @@ impl Metrics {
     }
 }
 
-/// One round's aggregate counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundRecord {
-    /// 1-based round number.
-    pub round: u64,
-    /// `|Qₜ|` — nodes that transmitted.
-    pub transmitters: u64,
-    /// Collision-free receptions delivered.
-    pub deliveries: u64,
-    /// Receptions that increased the protocol's informed count.
-    pub newly_informed: u64,
-    /// Protocol-reported active-set size `|Uₜ|` *after* the round.
-    pub active: u64,
-    /// Protocol-reported informed count after the round.
-    pub informed: u64,
-}
-
-/// Sequence of per-round records.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Trace {
-    /// Record for every executed round, in order.
-    pub rounds: Vec<RoundRecord>,
-}
-
-impl Trace {
-    /// The informed count after each round.
-    pub fn informed_series(&self) -> Vec<u64> {
-        self.rounds.iter().map(|r| r.informed).collect()
-    }
-
-    /// The transmitter count of each round (`|Qₜ|`).
-    pub fn transmitter_series(&self) -> Vec<u64> {
-        self.rounds.iter().map(|r| r.transmitters).collect()
-    }
-
-    /// The active-set size after each round (`|Uₜ₊₁|`).
-    pub fn active_series(&self) -> Vec<u64> {
-        self.rounds.iter().map(|r| r.active).collect()
-    }
-
-    /// First round (1-based) whose informed count reached `target`, if any.
-    pub fn round_reaching(&self, target: u64) -> Option<u64> {
-        self.rounds
-            .iter()
-            .find(|r| r.informed >= target)
-            .map(|r| r.round)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,35 +104,5 @@ mod tests {
         let m = Metrics::new(0);
         assert_eq!(m.max_transmissions_per_node(), 0);
         assert_eq!(m.mean_transmissions_per_node(), 0.0);
-    }
-
-    #[test]
-    fn trace_round_reaching() {
-        let t = Trace {
-            rounds: vec![
-                RoundRecord {
-                    round: 1,
-                    transmitters: 1,
-                    deliveries: 2,
-                    newly_informed: 2,
-                    active: 2,
-                    informed: 3,
-                },
-                RoundRecord {
-                    round: 2,
-                    transmitters: 2,
-                    deliveries: 4,
-                    newly_informed: 4,
-                    active: 4,
-                    informed: 7,
-                },
-            ],
-        };
-        assert_eq!(t.round_reaching(3), Some(1));
-        assert_eq!(t.round_reaching(7), Some(2));
-        assert_eq!(t.round_reaching(8), None);
-        assert_eq!(t.informed_series(), vec![3, 7]);
-        assert_eq!(t.transmitter_series(), vec![1, 2]);
-        assert_eq!(t.active_series(), vec![2, 4]);
     }
 }

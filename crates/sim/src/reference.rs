@@ -117,7 +117,6 @@ pub fn run_reference<P: Protocol>(
         completed,
         hit_round_cap: !completed && rounds >= cfg.max_rounds,
         metrics,
-        trace: None,
     }
 }
 

@@ -297,14 +297,15 @@ impl Sweep {
     /// Trade trial-level for run-level parallelism: with
     /// `threads_per_run > 1` the trial fan-out runs serially and each
     /// trial is expected to drive the engine with that many intra-run
-    /// scatter workers (`EngineConfig::with_threads(sweep.run_threads())`
-    /// in the runner closure — the sweep machinery never builds engines
+    /// workers (`EngineConfig::with_threads(sweep.run_threads())` in the
+    /// runner closure — the sweep machinery never builds engines
     /// itself). The right trade for *huge* cells, where a single run
     /// saturates memory bandwidth and per-trial rayon tasks would thrash
     /// each other's caches. Either setting produces bit-identical
-    /// reports: run results are thread-count independent by the engine's
-    /// receiver-range-partition contract, and trial seeds depend only on
-    /// `(base_seed, cell, trial)`.
+    /// reports: every scatter partition (receiver range or transmitter
+    /// shard) and, under v2, the parallel decide reproduce the serial
+    /// run, so run results do not depend on the thread count; and trial
+    /// seeds depend only on `(base_seed, cell, trial)`.
     ///
     /// # Panics
     /// Panics if `threads == 0`.

@@ -202,11 +202,12 @@ impl adhoc_radio::sim::Protocol for CoinProto {
 fn run_par_is_bit_identical_to_serial_across_families_and_channels() {
     // The intra-run parallel engine's contract: for every graph family,
     // half-duplex setting, and thread count, a parallel v1 run reproduces the
-    // serial run bit for bit — rounds, completion, the full trace, and
-    // the per-node transmission vector. The scatter partition is by
+    // serial run bit for bit — rounds, completion, the full event
+    // stream, and the per-node transmission vector. The scatter partition is by
     // receiver id range, so this is a property of the construction; the
     // test pins it across the exact surfaces the sweep grids use.
     use adhoc_radio::graph::GraphFamily;
+    use adhoc_radio::sim::trace::{RingSink, RoundEvents};
     use adhoc_radio::sim::{Engine, EngineConfig};
 
     let n = 400;
@@ -227,17 +228,19 @@ fn run_par_is_bit_identical_to_serial_across_families_and_channels() {
                     // Force the parallel path every round, even on this
                     // test-sized graph.
                     par_min_edges: 0,
-                    ..EngineConfig::with_max_rounds(300).traced()
+                    ..EngineConfig::with_max_rounds(300)
                 };
+                let mut sink = RingSink::new(usize::MAX);
                 let res = Engine::new(&g, cfg.with_threads(threads))
                     .run(&mut proto)
+                    .sink(&mut sink)
                     .v1(&mut rng);
                 (
                     res.rounds,
                     res.completed,
                     res.hit_round_cap,
                     res.metrics,
-                    res.trace,
+                    sink.rounds().cloned().collect::<Vec<RoundEvents>>(),
                     proto.informed,
                     proto.sent,
                 )
@@ -300,10 +303,11 @@ fn run_fused_is_bit_identical_across_families_and_channels() {
     // run inside the worker partitioning, and the per-node counter-based
     // streams make every phase order-independent — so for every graph
     // family, half-duplex setting, and thread count, a parallel v2 run
-    // must reproduce the 1-thread v2 run bit for bit (rounds, trace,
-    // per-node transmission vector, informed set).
+    // must reproduce the 1-thread v2 run bit for bit (rounds, event
+    // stream, per-node transmission vector, informed set).
     use adhoc_radio::core::broadcast::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
     use adhoc_radio::graph::GraphFamily;
+    use adhoc_radio::sim::trace::{RingSink, RoundEvents};
     use adhoc_radio::sim::EngineConfig;
 
     let n = 400;
@@ -329,13 +333,15 @@ fn run_fused_is_bit_identical_across_families_and_channels() {
                     // this test-sized graph.
                     par_min_edges: 0,
                     par_min_awake: 0,
-                    ..EngineConfig::with_max_rounds(400).traced()
+                    ..EngineConfig::with_max_rounds(400)
                 };
-                let res = adhoc_radio::sim::engine::run_protocol_fused(
+                let mut sink = RingSink::new(usize::MAX);
+                let res = adhoc_radio::sim::engine::run_protocol_fused_traced(
                     &g,
                     &mut proto,
                     cfg.with_threads(threads),
                     0xF2,
+                    &mut sink,
                 );
                 let informed: Vec<u64> = (0..n as u32).map(|v| proto.informed_round(v)).collect();
                 (
@@ -343,7 +349,7 @@ fn run_fused_is_bit_identical_across_families_and_channels() {
                     res.completed,
                     res.hit_round_cap,
                     res.metrics,
-                    res.trace,
+                    sink.rounds().cloned().collect::<Vec<RoundEvents>>(),
                     informed,
                 )
             };

@@ -1,6 +1,6 @@
 //! Integration tests for the `radio-energy` overlay: the paper-measure
 //! (`TxOnly`) compatibility guarantee, bit-identity of overlay runs
-//! against the frozen adjacency-list oracle, and crash/depletion
+//! against the naive `reference` oracle, and crash/depletion
 //! composition.
 
 use adhoc_radio::core::broadcast::ee_general::GeneralBroadcastConfig;
@@ -8,7 +8,7 @@ use adhoc_radio::core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadca
 use adhoc_radio::core::broadcast::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
 use adhoc_radio::core::gossip::{EeGossip, EeGossipConfig};
 use adhoc_radio::prelude::*;
-use adhoc_radio::sim::baseline::{run_adjlist, AdjListGraph};
+use adhoc_radio::sim::reference::run_reference;
 use adhoc_radio::sim::Protocol;
 use proptest::prelude::*;
 
@@ -175,18 +175,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// With a (battery-less) energy overlay attached, engine runs stay
-    /// bit-identical to the frozen adjacency-list oracle on the same
-    /// seed: the overlay draws from its own RNG stream and never touches
-    /// delivery semantics.
+    /// bit-identical to the naive `reference` oracle on the same graph
+    /// and seed: the overlay draws from its own RNG stream and never
+    /// touches delivery semantics.
     #[test]
-    fn overlay_runs_bit_identical_to_baseline(
+    fn overlay_runs_bit_identical_to_reference(
         n in 16usize..160,
         q in 0.05f64..0.9,
         ratio in 0.0f64..2.0,
         seed in 0u64..1_000_000,
     ) {
         let g = gnp(n, 6.0, seed);
-        let a = AdjListGraph::from_digraph(&g);
         let spec = || WindowedSpec {
             source: ProbSource::Fixed(q),
             window: Some(24),
@@ -197,7 +196,7 @@ proptest! {
         let oracle = {
             let mut p = WindowedBroadcast::new(n, 0, spec());
             let mut rng = derive_rng(seed, b"engine", 0);
-            run_adjlist(&a, &mut p, cfg, &mut rng)
+            run_reference(&g, &mut p, cfg, &mut rng)
         };
         let mut p = WindowedBroadcast::new(n, 0, spec());
         let mut rng = derive_rng(seed, b"engine", 0);

@@ -3,8 +3,8 @@
 //! thread count are pure performance knobs. For every backend
 //! ({CSR, ImplicitGrid, ImplicitGnp}), half-duplex setting, strategy,
 //! and thread count in {1, 2, 4, 8}, the full `RunResult` (rounds,
-//! metrics, trace) and the protocol's observable state must equal the
-//! serial run bit for bit.
+//! metrics), the run's event stream and the protocol's observable state
+//! must equal the serial run bit for bit.
 //!
 //! The adversarial companion pins the transmitter-sharded scatter where
 //! it could plausibly break: shard boundaries landing *mid-collision*,
@@ -113,7 +113,7 @@ fn cfg(strategy: ScatterStrategy, half_duplex: bool) -> EngineConfig {
         half_duplex,
         par_min_edges: 0,
         par_min_edges_implicit: 0,
-        ..EngineConfig::with_max_rounds(200).traced()
+        ..EngineConfig::with_max_rounds(200)
     }
     .with_scatter_strategy(strategy)
 }
@@ -123,7 +123,7 @@ type Fingerprint = (
     bool,
     bool,
     adhoc_radio::sim::Metrics,
-    Option<adhoc_radio::sim::Trace>,
+    Vec<adhoc_radio::trace::RoundEvents>,
     Vec<bool>,
     Vec<u32>,
 );
@@ -137,15 +137,17 @@ fn run_one<T: Topology>(
 ) -> Fingerprint {
     let mut proto = CoinProto::new(Topology::n(t));
     let mut rng = derive_rng(seed, b"scatter-run", 0);
+    let mut sink = RingSink::new(usize::MAX);
     let res = Engine::new(t, cfg(strategy, half_duplex).with_threads(threads))
         .run(&mut proto)
+        .sink(&mut sink)
         .v1(&mut rng);
     (
         res.rounds,
         res.completed,
         res.hit_round_cap,
         res.metrics,
-        res.trace,
+        sink.rounds().cloned().collect(),
         proto.informed,
         proto.sent,
     )

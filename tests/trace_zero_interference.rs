@@ -1,8 +1,9 @@
-//! Zero-interference property of the trace hook: a traced run must be
-//! **bit-identical** to its untraced twin — same rounds, same metrics,
-//! same aggregate trace — for every protocol family, topology family,
-//! engine contract (v1 serial RNG vs fused v2 streams), and thread
-//! count. The sink only observes; it never touches the protocol RNG.
+//! Zero-interference property of the trace hook: a run with a sink
+//! attached must be **bit-identical** to its plain twin — same rounds,
+//! completion flags and per-node metrics (the whole `RunResult`) — for
+//! every protocol family, topology family, engine contract (v1 serial
+//! RNG vs fused v2 streams), and thread count. The sink only observes;
+//! it never touches the protocol RNG.
 //!
 //! Each case also closes the loop: the traced run records to an
 //! in-memory `.rtrc`, and a third identical run re-driven through a
@@ -20,7 +21,7 @@ fn cfg(threads: usize) -> EngineConfig {
     EngineConfig {
         par_min_edges: 0,
         par_min_awake: 0,
-        ..EngineConfig::with_max_rounds(300).traced()
+        ..EngineConfig::with_max_rounds(300)
     }
     .with_threads(threads)
 }
