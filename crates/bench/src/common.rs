@@ -110,11 +110,14 @@ pub fn cell_extra<'a>(
     cell.extras.iter().find(|(k, _)| k == key).map(|(_, s)| s)
 }
 
-/// Note appended to reports whose sweep JSON landed under `results/`.
+/// Note appended to reports that wrote a sweep JSON. It names the file,
+/// not its path, so a report's bytes do not depend on the output
+/// directory.
 pub fn sweep_note(path: &std::path::Path) -> String {
+    let name = path.file_name().unwrap_or(path.as_os_str());
     format!(
         "Machine-readable sweep report: `{}` (see the sweep API in `radio-sim`).",
-        path.display()
+        name.to_string_lossy()
     )
 }
 
