@@ -68,9 +68,6 @@ impl Protocol for Storm {
     fn informed_count(&self) -> usize {
         self.n
     }
-    fn active_count(&self) -> usize {
-        self.n
-    }
 }
 
 /// Coin-flip storm: every node awake and flipping a biased coin every
@@ -117,9 +114,6 @@ impl Protocol for CoinStorm {
         false
     }
     fn informed_count(&self) -> usize {
-        self.n
-    }
-    fn active_count(&self) -> usize {
         self.n
     }
 }

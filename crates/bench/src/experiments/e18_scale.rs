@@ -49,7 +49,7 @@ use crate::{Ctx, Report};
 use radio_core::broadcast::decay::DecayConfig;
 use radio_core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadcast};
 use radio_core::broadcast::flood::FloodConfig;
-use radio_core::broadcast::windowed::run_windowed_fused_traced;
+use radio_core::broadcast::{BroadcastOutcome, WindowedBroadcast};
 use radio_graph::{DiGraph, GraphFamily, ImplicitGnp, ImplicitGrid, Topology};
 use radio_sim::engine::run_protocol_fused_traced;
 use radio_sim::trace::{NullSink, TraceSink};
@@ -155,13 +155,14 @@ fn trial_body_traced<T: Topology, S: TraceSink>(
             let informed = protocol.informed_count();
             TrialResult::from_run(&run, informed == n, informed)
         }
-        "flood" => {
-            let fcfg = FloodConfig::with_prob(flood_q(n), cfg.max_rounds);
-            run_windowed_fused_traced(graph, 0, fcfg.spec(), cfg, seed, sink).to_trial()
-        }
-        "decay" => {
-            let dcfg = DecayConfig::new(n, D_HINT);
-            run_windowed_fused_traced(graph, 0, dcfg.spec(), cfg, seed, sink).to_trial()
+        "flood" | "decay" => {
+            let spec = match alg {
+                "flood" => FloodConfig::with_prob(flood_q(n), cfg.max_rounds).spec(),
+                _ => DecayConfig::new(n, D_HINT).spec(),
+            };
+            let mut protocol = WindowedBroadcast::new(n, 0, spec);
+            let run = run_protocol_fused_traced(graph, &mut protocol, cfg, seed, sink);
+            BroadcastOutcome::from_run(n, &protocol, run).to_trial()
         }
         other => unreachable!("unknown algorithm {other}"),
     };

@@ -12,12 +12,11 @@
 //! — a factor `log(n/D)` above Algorithm 3, which is exactly the gap the
 //! E13 comparison table measures.
 
-use super::windowed::{run_windowed, ProbSource, WindowedSpec};
-use super::BroadcastOutcome;
+use super::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
+use super::{run_v1, BroadcastOutcome};
 use crate::params::lambda as lambda_of;
 use crate::seq::{AlphaKind, KDistribution, SharedSequence};
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::EngineConfig;
 use radio_util::ilog2_ceil;
 
 /// Configuration for the CR baseline.
@@ -104,13 +103,8 @@ pub fn run_cr_broadcast(
         window: cfg.window(),
         early_stop: cfg.early_stop,
     };
-    run_windowed(
-        graph,
-        source,
-        spec,
-        EngineConfig::with_max_rounds(cfg.max_rounds()),
-        seed,
-    )
+    let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
+    run_v1(graph, &mut protocol, cfg.max_rounds(), seed)
 }
 
 #[cfg(test)]

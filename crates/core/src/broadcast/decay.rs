@@ -12,10 +12,9 @@
 //! whole run spends `Θ(D + log n)` messages — linear in `D`, versus
 //! Algorithm 3's `O(log² n / log(n/D))`.
 
-use super::windowed::{run_windowed, ProbSource, WindowedSpec};
-use super::BroadcastOutcome;
+use super::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
+use super::{run_v1, BroadcastOutcome};
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::EngineConfig;
 use radio_util::ilog2_ceil;
 
 /// Configuration for the Decay baseline.
@@ -86,13 +85,8 @@ pub fn run_decay_broadcast(
     seed: u64,
 ) -> BroadcastOutcome {
     assert_eq!(graph.n(), cfg.n, "config n must match the graph");
-    run_windowed(
-        graph,
-        source,
-        cfg.spec(),
-        EngineConfig::with_max_rounds(cfg.max_rounds()),
-        seed,
-    )
+    let mut protocol = WindowedBroadcast::new(graph.n(), source, cfg.spec());
+    run_v1(graph, &mut protocol, cfg.max_rounds(), seed)
 }
 
 #[cfg(test)]

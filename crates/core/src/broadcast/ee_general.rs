@@ -13,12 +13,11 @@
 //! time/energy trade-off, exposed here through
 //! [`GeneralBroadcastConfig::lambda`].
 
-use super::windowed::{run_windowed, ProbSource, WindowedSpec};
-use super::BroadcastOutcome;
+use super::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
+use super::{run_v1, BroadcastOutcome};
 use crate::params::{general_time_scale, lambda as lambda_of};
 use crate::seq::{AlphaKind, KDistribution, SharedSequence};
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::EngineConfig;
 use radio_util::ilog2_ceil;
 
 /// Configuration for Algorithm 3.
@@ -131,13 +130,8 @@ pub fn run_general_broadcast(
         window: Some(cfg.window()),
         early_stop: cfg.early_stop,
     };
-    run_windowed(
-        graph,
-        source,
-        spec,
-        EngineConfig::with_max_rounds(cfg.max_rounds()),
-        seed,
-    )
+    let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
+    run_v1(graph, &mut protocol, cfg.max_rounds(), seed)
 }
 
 #[cfg(test)]

@@ -31,10 +31,10 @@
 //! (default, everyone passivates) or the Phase-3-style reading; the E14
 //! ablation compares them.
 
-use super::{BroadcastOutcome, InformedSet};
+use super::{run_v1, Broadcast, BroadcastOutcome, InformedSet};
 use crate::params::GnpParams;
 use radio_graph::{NodeId, Topology};
-use radio_sim::{Action, EngineConfig, Protocol};
+use radio_sim::{Action, Protocol};
 use rand::Bernoulli;
 use rand_chacha::ChaCha8Rng;
 
@@ -104,7 +104,6 @@ pub struct EeRandomBroadcast {
     /// `None` = uninformed.
     state: Vec<Option<NodeState>>,
     source: NodeId,
-    active: usize,
     /// Defensive double-send detector backing the ≤ 1 invariant.
     sent: Vec<bool>,
     /// Phase-2/3 transmit coins with the threshold precomputed once at
@@ -130,17 +129,11 @@ impl EeRandomBroadcast {
             informed: InformedSet::new(n, source),
             state,
             source,
-            active: 1,
             sent: vec![false; n],
             coin2: Bernoulli::new(cfg.params.q2),
             coin3: Bernoulli::new(cfg.params.q3),
             schedule_end: cfg.schedule_end(),
         }
-    }
-
-    /// First round all nodes were informed, if reached.
-    pub fn broadcast_time(&self) -> Option<u64> {
-        self.informed.complete_round()
     }
 
     /// Round in which `node` was informed (`None` if never; `Some(0)` for
@@ -162,11 +155,9 @@ impl EeRandomBroadcast {
         counts
     }
 
+    /// Only informed nodes are polled, so `node` is active or passive.
     fn go_passive(&mut self, node: NodeId) {
-        if self.state[node as usize] == Some(NodeState::Active) {
-            self.state[node as usize] = Some(NodeState::Passive);
-            self.active -= 1;
-        }
+        self.state[node as usize] = Some(NodeState::Passive);
     }
 
     fn transmit_now(&mut self, node: NodeId) -> Action {
@@ -215,7 +206,6 @@ impl Protocol for EeRandomBroadcast {
             let activation_end = p.t + u64::from(p.use_phase2);
             if round <= activation_end {
                 self.state[node as usize] = Some(NodeState::Active);
-                self.active += 1;
             } else {
                 self.state[node as usize] = Some(NodeState::Passive);
             }
@@ -228,10 +218,6 @@ impl Protocol for EeRandomBroadcast {
 
     fn informed_count(&self) -> usize {
         self.informed.count()
-    }
-
-    fn active_count(&self) -> usize {
-        self.active
     }
 
     fn radio_off(&self, node: NodeId, _round: u64) -> bool {
@@ -287,11 +273,17 @@ impl radio_sim::FusedDecide for EeRandomBroadcast {
             }
             // Sleep from an active node means Phase-2 passivation or the
             // schedule ending; from an already-passive node (re-woken by
-            // a duplicate reception) there is nothing to apply —
-            // `go_passive` is a no-op for non-active nodes either way.
+            // a duplicate reception) there is nothing to apply, and
+            // `go_passive` leaves it passive.
             Action::Sleep => self.go_passive(node),
             Action::Silent => {}
         }
+    }
+}
+
+impl Broadcast for EeRandomBroadcast {
+    fn broadcast_time(&self) -> Option<u64> {
+        self.informed.complete_round()
     }
 }
 
@@ -318,42 +310,9 @@ pub fn run_ee_broadcast_growth<T: Topology>(
     seed: u64,
 ) -> (BroadcastOutcome, Vec<u64>) {
     let mut protocol = EeRandomBroadcast::new(graph.n(), source, *cfg);
-    let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let run = radio_sim::Engine::new(graph, EngineConfig::with_max_rounds(cfg.schedule_end() + 2))
-        .run(&mut protocol)
-        .v1(&mut rng);
-    let growth = protocol.first_informed_per_round(run.rounds);
-    let out = BroadcastOutcome::from_run(
-        graph.n(),
-        protocol.informed_count(),
-        protocol.broadcast_time(),
-        run,
-    );
+    let out = run_v1(graph, &mut protocol, cfg.schedule_end() + 2, seed);
+    let growth = protocol.first_informed_per_round(out.rounds_executed);
     (out, growth)
-}
-
-/// Run Algorithm 1 under the **v2 determinism contract**
-/// ([`radio_sim::Run::v2`]): per-node counter-based decide
-/// streams, bit-identical for every `engine` thread count (set via
-/// `EngineConfig::with_threads` inside — here the default serial
-/// config; use [`radio_sim::engine::run_protocol_fused`] directly for
-/// explicit thread counts). Statistically equivalent to, but not
-/// bit-compatible with, the v1 [`run_ee_broadcast`] on the same seed.
-pub fn run_ee_broadcast_fused<T: Topology>(
-    graph: &T,
-    source: NodeId,
-    cfg: &EeBroadcastConfig,
-    seed: u64,
-) -> BroadcastOutcome {
-    let mut protocol = EeRandomBroadcast::new(graph.n(), source, *cfg);
-    let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
-    let run = radio_sim::engine::run_protocol_fused(graph, &mut protocol, engine_cfg, seed);
-    BroadcastOutcome::from_run(
-        graph.n(),
-        protocol.informed_count(),
-        protocol.broadcast_time(),
-        run,
-    )
 }
 
 #[cfg(test)]
@@ -361,6 +320,8 @@ mod tests {
     use super::*;
     use radio_graph::generate::gnp_directed;
     use radio_graph::DiGraph;
+    use radio_sim::engine::run_protocol_fused;
+    use radio_sim::EngineConfig;
     use radio_util::derive_rng;
 
     fn sparse_instance(n: usize, delta: f64, seed: u64) -> (DiGraph, EeBroadcastConfig) {
@@ -608,7 +569,10 @@ mod tests {
         // (which is structural, so it holds on *every* run).
         for seed in 0..5 {
             let (g, cfg) = sparse_instance(1024, 8.0, seed);
-            let out = run_ee_broadcast_fused(&g, 0, &cfg, seed);
+            let mut protocol = EeRandomBroadcast::new(g.n(), 0, cfg);
+            let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
+            let run = run_protocol_fused(&g, &mut protocol, engine_cfg, seed);
+            let out = BroadcastOutcome::from_run(g.n(), &protocol, run);
             assert!(
                 out.all_informed,
                 "seed {seed}: {}/{} informed",
@@ -620,7 +584,6 @@ mod tests {
 
     #[test]
     fn fused_v2_is_bit_identical_across_thread_counts() {
-        use radio_sim::{engine::run_protocol_fused, EngineConfig, Protocol};
         let (g, cfg) = sparse_instance(512, 8.0, 21);
         let run_at = |threads: usize| {
             let mut protocol = EeRandomBroadcast::new(512, 0, cfg);

@@ -16,10 +16,10 @@
 //! per-node message count is `Θ(D̂)` in Phase 1 alone, which is the
 //! comparison row in table E13.
 
-use super::{BroadcastOutcome, InformedSet};
+use super::{run_v1, Broadcast, BroadcastOutcome, InformedSet};
 use crate::params::GnpParams;
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::{Action, EngineConfig, Protocol};
+use radio_sim::{Action, Protocol};
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
 
@@ -76,7 +76,6 @@ pub struct EgBroadcast {
     informed: InformedSet,
     source: NodeId,
     retired: Vec<bool>,
-    active: usize,
     /// The run constants the polls read, taken from the config once at
     /// construction (each of the derived ones takes `log2`/`powi` work)
     /// instead of on every poll: [`EgBroadcastConfig::early_stop`],
@@ -98,18 +97,12 @@ impl EgBroadcast {
             informed: InformedSet::new(n, source),
             source,
             retired: vec![false; n],
-            active: 1,
             early_stop: cfg.early_stop,
             d_hat: cfg.d_hat(),
             schedule_end: cfg.schedule_end(),
             q2: cfg.q2(),
             q3: cfg.params.q3.min(1.0 / cfg.params.d),
         }
-    }
-
-    /// First round everyone was informed, if reached.
-    pub fn broadcast_time(&self) -> Option<u64> {
-        self.informed.complete_round()
     }
 }
 
@@ -127,7 +120,6 @@ impl Protocol for EgBroadcast {
         let d_hat = self.d_hat;
         if round > self.schedule_end {
             self.retired[node as usize] = true;
-            self.active -= 1;
             return Action::Sleep;
         }
         if round < d_hat {
@@ -146,7 +138,6 @@ impl Protocol for EgBroadcast {
             // phases transmits with probability 1/d".
             if self.informed.informed_round(node) > d_hat {
                 self.retired[node as usize] = true;
-                self.active -= 1;
                 return Action::Sleep;
             }
             if rng.random_bool(self.q3) {
@@ -167,9 +158,7 @@ impl Protocol for EgBroadcast {
         _msg: &Self::Msg,
         _rng: &mut ChaCha8Rng,
     ) {
-        if self.informed.inform(node, round) {
-            self.active += 1;
-        }
+        self.informed.inform(node, round);
     }
 
     fn is_complete(&self) -> bool {
@@ -179,9 +168,11 @@ impl Protocol for EgBroadcast {
     fn informed_count(&self) -> usize {
         self.informed.count()
     }
+}
 
-    fn active_count(&self) -> usize {
-        self.active
+impl Broadcast for EgBroadcast {
+    fn broadcast_time(&self) -> Option<u64> {
+        self.informed.complete_round()
     }
 }
 
@@ -193,17 +184,7 @@ pub fn run_eg_broadcast(
     seed: u64,
 ) -> BroadcastOutcome {
     let mut protocol = EgBroadcast::new(graph.n(), source, *cfg);
-    let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_end() + 2);
-    let run = radio_sim::Engine::new(graph, engine_cfg)
-        .run(&mut protocol)
-        .v1(&mut rng);
-    BroadcastOutcome::from_run(
-        graph.n(),
-        protocol.informed_count(),
-        protocol.broadcast_time(),
-        run,
-    )
+    run_v1(graph, &mut protocol, cfg.schedule_end() + 2, seed)
 }
 
 #[cfg(test)]

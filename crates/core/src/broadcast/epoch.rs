@@ -17,10 +17,10 @@
 //! of hedging across diameter scales), measured against the known-`D`
 //! algorithm in this module's tests.
 
-use super::{BroadcastOutcome, InformedSet};
+use super::{run_v1, Broadcast, BroadcastOutcome, InformedSet};
 use crate::seq::{KDistribution, SharedSequence};
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::{Action, EngineConfig, Protocol};
+use radio_sim::{Action, Protocol};
 use radio_util::ilog2_ceil;
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
@@ -96,7 +96,6 @@ pub struct EpochBroadcast {
     epoch_starts: Vec<u64>,
     /// One shared sequence per epoch.
     sequences: Vec<SharedSequence>,
-    active: usize,
     /// The run constants the polls read, taken from the config once at
     /// construction instead of on every poll:
     /// [`EpochBroadcastConfig::early_stop`],
@@ -129,16 +128,10 @@ impl EpochBroadcast {
             source,
             epoch_starts,
             sequences,
-            active: 1,
             early_stop: cfg.early_stop,
             schedule_rounds: cfg.schedule_rounds(),
             window: cfg.window(),
         }
-    }
-
-    /// First round all nodes were informed, if reached.
-    pub fn broadcast_time(&self) -> Option<u64> {
-        self.informed.complete_round()
     }
 
     /// Epoch index (0-based) containing `round`, or `None` past the end.
@@ -162,7 +155,6 @@ impl Protocol for EpochBroadcast {
 
     fn decide(&mut self, node: NodeId, round: u64, rng: &mut ChaCha8Rng) -> Action {
         let Some(epoch) = self.epoch_of(round) else {
-            self.active -= 1;
             return Action::Sleep;
         };
         let t_u = self.informed.informed_round(node);
@@ -193,9 +185,7 @@ impl Protocol for EpochBroadcast {
         _msg: &Self::Msg,
         _rng: &mut ChaCha8Rng,
     ) {
-        if self.informed.inform(node, round) {
-            self.active += 1;
-        }
+        self.informed.inform(node, round);
     }
 
     fn is_complete(&self) -> bool {
@@ -205,9 +195,11 @@ impl Protocol for EpochBroadcast {
     fn informed_count(&self) -> usize {
         self.informed.count()
     }
+}
 
-    fn active_count(&self) -> usize {
-        self.active
+impl Broadcast for EpochBroadcast {
+    fn broadcast_time(&self) -> Option<u64> {
+        self.informed.complete_round()
     }
 }
 
@@ -219,17 +211,7 @@ pub fn run_epoch_broadcast(
     seed: u64,
 ) -> BroadcastOutcome {
     let mut protocol = EpochBroadcast::new(graph.n(), source, *cfg, seed);
-    let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let engine_cfg = EngineConfig::with_max_rounds(cfg.schedule_rounds() + 1);
-    let run = radio_sim::Engine::new(graph, engine_cfg)
-        .run(&mut protocol)
-        .v1(&mut rng);
-    BroadcastOutcome::from_run(
-        graph.n(),
-        protocol.informed_count(),
-        protocol.broadcast_time(),
-        run,
-    )
+    run_v1(graph, &mut protocol, cfg.schedule_rounds() + 1, seed)
 }
 
 #[cfg(test)]

@@ -10,10 +10,9 @@
 //!   unbounded energy; the paper's algorithms are the disciplined version
 //!   of this idea.
 
-use super::windowed::{run_windowed, ProbSource, WindowedSpec};
-use super::BroadcastOutcome;
+use super::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
+use super::{run_v1, BroadcastOutcome};
 use radio_graph::{DiGraph, NodeId};
-use radio_sim::EngineConfig;
 
 /// Configuration for the flooding baselines.
 #[derive(Debug, Clone, Copy)]
@@ -78,13 +77,8 @@ pub fn run_flood_broadcast(
     cfg: &FloodConfig,
     seed: u64,
 ) -> BroadcastOutcome {
-    run_windowed(
-        graph,
-        source,
-        cfg.spec(),
-        EngineConfig::with_max_rounds(cfg.max_rounds),
-        seed,
-    )
+    let mut protocol = WindowedBroadcast::new(graph.n(), source, cfg.spec());
+    run_v1(graph, &mut protocol, cfg.max_rounds, seed)
 }
 
 #[cfg(test)]

@@ -18,6 +18,14 @@
 //!   round with a probability taken from a [`ProbSource`]. Algorithm 3,
 //!   CR, Decay, flooding and the lower-bound oblivious protocols are all
 //!   instances.
+//!
+//! Every protocol here implements [`Broadcast`], and every v1 entry point
+//! (`run_decay_broadcast`, `run_ee_broadcast`, the lower-bound trials, …)
+//! is one [`run_v1`] call: it builds its protocol, picks its round budget
+//! and hands both over. The entry points stay because they hide each
+//! algorithm's budget and seeded sequence, which callers must not
+//! restate. v2 runs go through [`radio_sim::engine::run_protocol_fused`]
+//! and package the result with [`BroadcastOutcome::from_run`].
 
 pub mod cr;
 pub mod decay;
@@ -29,11 +37,40 @@ pub mod flood;
 pub mod windowed;
 
 pub use windowed::{
-    run_windowed, run_windowed_energy, run_windowed_fused, ProbSource, WindowedBroadcast,
-    WindowedSpec,
+    run_windowed_energy, run_windowed_fused, ProbSource, WindowedBroadcast, WindowedSpec,
 };
 
-use radio_sim::{EnergyMetrics, EnergyRunResult, Metrics, RunResult};
+use radio_graph::Topology;
+use radio_sim::{
+    EnergyMetrics, EnergyRunResult, Engine, EngineConfig, Metrics, Protocol, RunResult,
+};
+
+/// A [`Protocol`] that spreads one message from a source and records
+/// when every node first held it — what [`BroadcastOutcome::from_run`]
+/// reads besides the engine's result.
+pub trait Broadcast: Protocol {
+    /// First (1-based) round after which every node was informed, if
+    /// that happened: the paper's *broadcasting time*.
+    fn broadcast_time(&self) -> Option<u64>;
+}
+
+/// Run `protocol` on `graph` under the v1 contract
+/// ([`radio_sim::Run::v1`]): the engine's default configuration capped
+/// at `max_rounds`, with the one serial stream
+/// `derive_rng(seed, b"engine", 0)`. The outcome packages the run with
+/// the protocol's informed count and broadcast time; the protocol is
+/// left in its final state for callers that read more of it.
+pub fn run_v1<T: Topology, P: Broadcast>(
+    graph: &T,
+    protocol: &mut P,
+    max_rounds: u64,
+    seed: u64,
+) -> BroadcastOutcome {
+    let run = Engine::new(graph, EngineConfig::with_max_rounds(max_rounds))
+        .run(protocol)
+        .v1(&mut radio_util::derive_rng(seed, b"engine", 0));
+    BroadcastOutcome::from_run(graph.n(), protocol, run)
+}
 
 /// Outcome of a broadcast run, shared by every algorithm in this module.
 #[derive(Debug, Clone)]
@@ -61,18 +98,16 @@ pub struct BroadcastOutcome {
 }
 
 impl BroadcastOutcome {
-    /// Assemble from an engine result plus the protocol's own bookkeeping.
-    pub(crate) fn from_run(
-        n: usize,
-        informed: usize,
-        broadcast_time: Option<u64>,
-        run: RunResult,
-    ) -> Self {
+    /// Package the engine's result of a run of `protocol` on an
+    /// `n`-node network, reading the protocol's informed count and
+    /// broadcast time. Works for a run under either contract.
+    pub fn from_run<P: Broadcast>(n: usize, protocol: &P, run: RunResult) -> Self {
+        let informed = protocol.informed_count();
         BroadcastOutcome {
             n,
             informed,
             all_informed: informed == n,
-            broadcast_time,
+            broadcast_time: protocol.broadcast_time(),
             rounds_executed: run.rounds,
             hit_round_cap: run.hit_round_cap,
             metrics: run.metrics,
@@ -81,13 +116,12 @@ impl BroadcastOutcome {
     }
 
     /// As [`BroadcastOutcome::from_run`], from an energy-overlay run.
-    pub(crate) fn from_energy_run(
+    pub(crate) fn from_energy_run<P: Broadcast>(
         n: usize,
-        informed: usize,
-        broadcast_time: Option<u64>,
+        protocol: &P,
         run: EnergyRunResult,
     ) -> Self {
-        let mut out = Self::from_run(n, informed, broadcast_time, run.run);
+        let mut out = Self::from_run(n, protocol, run.run);
         out.energy = Some(run.energy);
         out
     }

@@ -14,7 +14,7 @@
 //! | Probabilistic flooding | fixed `q` | unbounded |
 //! | Lower-bound oblivious algorithms (§4.2 model) | private time-invariant distribution | unbounded |
 
-use super::{BroadcastOutcome, InformedSet};
+use super::{Broadcast, BroadcastOutcome, InformedSet};
 use crate::seq::{KDistribution, SharedSequence};
 use radio_graph::{NodeId, Topology};
 use radio_sim::{Action, EngineConfig, Protocol};
@@ -135,8 +135,6 @@ pub struct WindowedBroadcast {
     spec: WindowedSpec,
     informed: InformedSet,
     source: NodeId,
-    /// Informed nodes that have not yet retired (window still open).
-    active: usize,
     /// This round's transmit coin (set by `begin_round`; `PerNode`
     /// until then, which is the always-correct generic path).
     coin: RoundCoin,
@@ -149,14 +147,8 @@ impl WindowedBroadcast {
             spec,
             informed: InformedSet::new(n, source),
             source,
-            active: 1,
             coin: RoundCoin::PerNode,
         }
-    }
-
-    /// First round all nodes were informed, if reached.
-    pub fn broadcast_time(&self) -> Option<u64> {
-        self.informed.complete_round()
     }
 
     /// Round in which `v` was informed (`u64::MAX` if never; 0 = source).
@@ -194,16 +186,7 @@ impl Protocol for WindowedBroadcast {
         _msg: &Self::Msg,
         _rng: &mut ChaCha8Rng,
     ) {
-        if self.informed.inform(node, round) {
-            self.active += 1;
-        } else if let Some(w) = self.spec.window {
-            // A retired node can be re-woken by a duplicate reception; it
-            // will re-retire on its next poll. Count it active again so the
-            // bookkeeping matches the engine's awake set.
-            if round > self.informed.informed_round(node) + w {
-                self.active += 1;
-            }
-        }
+        self.informed.inform(node, round);
     }
 
     fn is_complete(&self) -> bool {
@@ -212,10 +195,6 @@ impl Protocol for WindowedBroadcast {
 
     fn informed_count(&self) -> usize {
         self.informed.count()
-    }
-
-    fn active_count(&self) -> usize {
-        self.active
     }
 
     fn radio_off(&self, node: NodeId, round: u64) -> bool {
@@ -271,42 +250,24 @@ impl radio_sim::FusedDecide for WindowedBroadcast {
         }
     }
 
-    fn commit_decide(&mut self, _node: NodeId, _round: u64, action: Action) {
-        // The only state `decide` changes is the active count on window
-        // retirement; transmitting and staying silent leave a windowed
-        // node's state untouched.
-        if action == Action::Sleep {
-            self.active -= 1;
-        }
+    /// A no-op: retirement is a function of the informed round, which
+    /// `decide_pure` reads, so no decision changes a windowed node's
+    /// state.
+    fn commit_decide(&mut self, _node: NodeId, _round: u64, _action: Action) {}
+}
+
+impl Broadcast for WindowedBroadcast {
+    fn broadcast_time(&self) -> Option<u64> {
+        self.informed.complete_round()
     }
 }
 
-/// Run a windowed broadcast and package the outcome.
-pub fn run_windowed<T: Topology>(
-    graph: &T,
-    source: NodeId,
-    spec: WindowedSpec,
-    engine_cfg: EngineConfig,
-    seed: u64,
-) -> BroadcastOutcome {
-    let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
-    let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let run = radio_sim::Engine::new(graph, engine_cfg)
-        .run(&mut protocol)
-        .v1(&mut rng);
-    BroadcastOutcome::from_run(
-        graph.n(),
-        protocol.informed_count(),
-        protocol.broadcast_time(),
-        run,
-    )
-}
-
-/// [`run_windowed`] under an energy overlay: duties are charged to
-/// `session` (model costs, optional batteries) and the outcome carries
-/// the [`EnergyMetrics`](radio_sim::EnergyMetrics) report. With no
-/// battery attached the run itself is bit-identical to [`run_windowed`]
-/// on the same seed — the overlay never touches protocol randomness.
+/// A v1 windowed broadcast (the stream [`super::run_v1`] uses) under an
+/// energy overlay: duties are charged to `session` (model costs, optional
+/// batteries) and the outcome carries the
+/// [`EnergyMetrics`](radio_sim::EnergyMetrics) report. With no battery
+/// attached the run itself is bit-identical to the same run without the
+/// overlay — the overlay never touches protocol randomness.
 pub fn run_windowed_energy<T: Topology>(
     graph: &T,
     source: NodeId,
@@ -321,21 +282,16 @@ pub fn run_windowed_energy<T: Topology>(
         .run(&mut protocol)
         .energy(session)
         .v1(&mut rng);
-    BroadcastOutcome::from_energy_run(
-        graph.n(),
-        protocol.informed_count(),
-        protocol.broadcast_time(),
-        run,
-    )
+    BroadcastOutcome::from_energy_run(graph.n(), &protocol, run)
 }
 
-/// [`run_windowed`] under the **v2 determinism contract**
+/// A windowed broadcast under the **v2 determinism contract**
 /// ([`radio_sim::Run::v2`]): every node's coin flips come from
 /// its own counter-based stream derived from `(run_seed, node)`, so the
 /// run is bit-identical for every engine thread count — including
 /// `engine_cfg.threads > 1`, where the decide phase itself fans out.
 /// Statistically equivalent to (but not bit-compatible with) the v1
-/// [`run_windowed`] on the same seed; `tests/v2_equivalence.rs`
+/// [`super::run_v1`] on the same seed; `tests/v2_equivalence.rs`
 /// cross-validates the two.
 pub fn run_windowed_fused<T: Topology>(
     graph: &T,
@@ -344,49 +300,27 @@ pub fn run_windowed_fused<T: Topology>(
     engine_cfg: EngineConfig,
     run_seed: u64,
 ) -> BroadcastOutcome {
-    run_windowed_fused_traced(
-        graph,
-        source,
-        spec,
-        engine_cfg,
-        run_seed,
-        &mut radio_sim::trace::NullSink,
-    )
-}
-
-/// [`run_windowed_fused`] with a [`radio_sim::trace::TraceSink`]
-/// attached: the identical run (the sink only observes — the engine's
-/// zero-interference property holds it to that), with every round's
-/// structured events emitted to `sink` for recording or replay
-/// verification.
-pub fn run_windowed_fused_traced<T: Topology, S: radio_sim::trace::TraceSink>(
-    graph: &T,
-    source: NodeId,
-    spec: WindowedSpec,
-    engine_cfg: EngineConfig,
-    run_seed: u64,
-    sink: &mut S,
-) -> BroadcastOutcome {
     let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
-    let run = radio_sim::engine::run_protocol_fused_traced(
-        graph,
-        &mut protocol,
-        engine_cfg,
-        run_seed,
-        sink,
-    );
-    BroadcastOutcome::from_run(
-        graph.n(),
-        protocol.informed_count(),
-        protocol.broadcast_time(),
-        run,
-    )
+    let run = radio_sim::engine::run_protocol_fused(graph, &mut protocol, engine_cfg, run_seed);
+    BroadcastOutcome::from_run(graph.n(), &protocol, run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broadcast::run_v1;
     use radio_graph::generate::path;
+    use radio_graph::DiGraph;
+
+    /// A v1 windowed broadcast from node 0.
+    fn run(g: &DiGraph, spec: WindowedSpec, max_rounds: u64, seed: u64) -> BroadcastOutcome {
+        run_v1(
+            g,
+            &mut WindowedBroadcast::new(g.n(), 0, spec),
+            max_rounds,
+            seed,
+        )
+    }
 
     fn fixed_spec(q: f64, window: Option<u64>) -> WindowedSpec {
         WindowedSpec {
@@ -399,13 +333,7 @@ mod tests {
     #[test]
     fn fixed_prob_one_crosses_path() {
         let g = path(12);
-        let out = run_windowed(
-            &g,
-            0,
-            fixed_spec(1.0, None),
-            EngineConfig::with_max_rounds(100),
-            1,
-        );
+        let out = run(&g, fixed_spec(1.0, None), 100, 1);
         assert!(out.all_informed);
         assert_eq!(out.broadcast_time, Some(11));
     }
@@ -420,7 +348,7 @@ mod tests {
             window: Some(1),
             early_stop: false,
         };
-        let out = run_windowed(&g, 0, spec, EngineConfig::with_max_rounds(100), 2);
+        let out = run(&g, spec, 100, 2);
         assert!(out.all_informed);
         assert!(out.max_msgs_per_node() <= 1);
     }
@@ -433,7 +361,7 @@ mod tests {
             window: Some(5),
             early_stop: true,
         };
-        let out = run_windowed(&g, 0, spec, EngineConfig::with_max_rounds(50), 3);
+        let out = run(&g, spec, 50, 3);
         assert!(!out.all_informed);
         assert_eq!(out.informed, 1);
         assert_eq!(out.metrics.total_transmissions(), 0);
@@ -500,17 +428,11 @@ mod tests {
     #[test]
     fn deterministic_outcome_per_seed() {
         let g = path(20);
-        let run = |seed| {
-            let out = run_windowed(
-                &g,
-                0,
-                fixed_spec(0.6, None),
-                EngineConfig::with_max_rounds(2000),
-                seed,
-            );
+        let outcome = |seed| {
+            let out = run(&g, fixed_spec(0.6, None), 2000, seed);
             (out.broadcast_time, out.metrics.total_transmissions())
         };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
+        assert_eq!(outcome(7), outcome(7));
+        assert_ne!(outcome(7), outcome(8));
     }
 }

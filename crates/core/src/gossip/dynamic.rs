@@ -202,10 +202,6 @@ impl Protocol for DynamicGossip {
     fn informed_count(&self) -> usize {
         self.reach.iter().filter(|&&r| r == self.n).count()
     }
-
-    fn active_count(&self) -> usize {
-        self.n
-    }
 }
 
 /// Run dynamic gossip; returns per-rumor coverage.

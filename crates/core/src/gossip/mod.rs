@@ -183,10 +183,6 @@ impl Protocol for EeGossip {
     fn informed_count(&self) -> usize {
         self.nodes_complete
     }
-
-    fn active_count(&self) -> usize {
-        self.n
-    }
 }
 
 /// Outcome of a gossip run.

@@ -3,7 +3,7 @@
 //! The paper's lower bounds quantify over *oblivious* algorithms — every
 //! node runs the same rule — using, for Theorem 4.4, a *time-invariant*
 //! probability distribution over send probabilities. Operationally such
-//! an algorithm is exactly a [`WindowedBroadcast`](crate::broadcast::WindowedBroadcast) with an unbounded
+//! an algorithm is exactly a [`WindowedBroadcast`] with an unbounded
 //! window and a [`ProbSource`] that does not depend on the round:
 //!
 //! * **Observation 4.3** (star-chain): any such algorithm needs
@@ -20,11 +20,10 @@
 //! [`thm44_bound`]; experiment E10/E11 tables print measured values next
 //! to them.
 
-use crate::broadcast::windowed::{run_windowed, ProbSource, WindowedSpec};
-use crate::broadcast::BroadcastOutcome;
+use crate::broadcast::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
+use crate::broadcast::{run_v1, BroadcastOutcome};
 use crate::seq::KDistribution;
 use radio_graph::generate::{LowerBoundNet, StarChain};
-use radio_sim::EngineConfig;
 
 /// A time-invariant oblivious algorithm: the object Theorem 4.4
 /// quantifies over.
@@ -65,13 +64,8 @@ pub fn obs43_trial(net: &StarChain, q: f64, budget_rounds: u64, seed: u64) -> Br
         window: None,
         early_stop: true,
     };
-    run_windowed(
-        &net.graph,
-        net.source,
-        spec,
-        EngineConfig::with_max_rounds(budget_rounds),
-        seed,
-    )
+    let mut protocol = WindowedBroadcast::new(net.graph.n(), net.source, spec);
+    run_v1(&net.graph, &mut protocol, budget_rounds, seed)
 }
 
 /// Observation 4.3's bound: `n log₂ n / 2` total transmissions are needed
@@ -96,13 +90,8 @@ pub fn thm44_trial(
         window: None,
         early_stop: true,
     };
-    run_windowed(
-        &net.graph,
-        net.source,
-        spec,
-        EngineConfig::with_max_rounds(budget),
-        seed,
-    )
+    let mut protocol = WindowedBroadcast::new(net.graph.n(), net.source, spec);
+    run_v1(&net.graph, &mut protocol, budget, seed)
 }
 
 /// The Theorem 4.4 round budget `⌈c·D·log₂(n/D)⌉` for `net`.

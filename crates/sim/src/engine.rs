@@ -1792,10 +1792,6 @@ mod tests {
         fn informed_count(&self) -> usize {
             self.n_informed
         }
-
-        fn active_count(&self) -> usize {
-            self.n_informed
-        }
     }
 
     /// Like `Flood` but each node transmits exactly once, then sleeps.
@@ -1848,10 +1844,6 @@ mod tests {
 
         fn informed_count(&self) -> usize {
             self.inner.informed_count()
-        }
-
-        fn active_count(&self) -> usize {
-            self.inner.active_count()
         }
     }
 
@@ -1955,9 +1947,6 @@ mod tests {
             fn informed_count(&self) -> usize {
                 2
             }
-            fn active_count(&self) -> usize {
-                2
-            }
         }
 
         let mut p = AlwaysSend;
@@ -2002,9 +1991,6 @@ mod tests {
                 false
             }
             fn informed_count(&self) -> usize {
-                2
-            }
-            fn active_count(&self) -> usize {
                 2
             }
         }
@@ -2108,9 +2094,6 @@ mod tests {
                 self.n_informed == self.informed.len()
             }
             fn informed_count(&self) -> usize {
-                self.n_informed
-            }
-            fn active_count(&self) -> usize {
                 self.n_informed
             }
         }
@@ -2476,9 +2459,6 @@ mod tests {
             fn informed_count(&self) -> usize {
                 self.inner.informed_count()
             }
-            fn active_count(&self) -> usize {
-                self.inner.active_count()
-            }
             fn radio_off(&self, node: NodeId, _round: u64) -> bool {
                 self.inner.sent[node as usize]
             }
@@ -2681,9 +2661,6 @@ mod tests {
                 self.n_informed == self.informed.len()
             }
             fn informed_count(&self) -> usize {
-                self.n_informed
-            }
-            fn active_count(&self) -> usize {
                 self.n_informed
             }
         }
@@ -2967,9 +2944,6 @@ mod tests {
         fn informed_count(&self) -> usize {
             self.n_informed
         }
-        fn active_count(&self) -> usize {
-            self.n_informed
-        }
     }
 
     impl FusedDecide for FusedCoin {
@@ -3106,9 +3080,6 @@ mod tests {
                 false
             }
             fn informed_count(&self) -> usize {
-                1
-            }
-            fn active_count(&self) -> usize {
                 1
             }
         }

@@ -156,10 +156,6 @@ impl<P: Protocol> Protocol for Faulty<P> {
         self.inner.informed_count()
     }
 
-    fn active_count(&self) -> usize {
-        self.inner.active_count()
-    }
-
     fn radio_off(&self, node: NodeId, round: u64) -> bool {
         // A crashed radio is powered down for good; otherwise defer to
         // the wrapped protocol's duty-cycling.
@@ -213,9 +209,6 @@ mod tests {
             self.count == self.informed.len()
         }
         fn informed_count(&self) -> usize {
-            self.count
-        }
-        fn active_count(&self) -> usize {
             self.count
         }
     }

@@ -167,9 +167,16 @@ pub trait Protocol {
     /// progress indicator. Read by the round-cap warning and experiment tables.
     fn informed_count(&self) -> usize;
 
-    /// Number of *active* nodes (informed and still willing to transmit) —
-    /// the paper's `|Uₜ|`, for callers; the engine never reads it.
-    fn active_count(&self) -> usize;
+    /// Number of *active* nodes (informed and still willing to transmit).
+    ///
+    /// No in-tree protocol tracks it and nothing reads it, the engine
+    /// included: Algorithm 1's active-set sizes `|Uₜ|` come from
+    /// `radio_core::broadcast::ee_random::run_ee_broadcast_growth`. The
+    /// default returns 0; the method stays only so that existing impls
+    /// compile.
+    fn active_count(&self) -> usize {
+        0
+    }
 
     /// Energy-accounting hint: is `node`'s radio powered **off** in
     /// `round`?

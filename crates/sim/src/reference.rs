@@ -185,9 +185,6 @@ mod tests {
         fn informed_count(&self) -> usize {
             self.n_informed
         }
-        fn active_count(&self) -> usize {
-            self.n_informed
-        }
     }
 
     #[test]
@@ -270,9 +267,6 @@ mod tests {
         }
         fn informed_count(&self) -> usize {
             self.known.iter().filter(|s| s.is_full()).count()
-        }
-        fn active_count(&self) -> usize {
-            self.known.len()
         }
     }
 

@@ -868,9 +868,6 @@ mod tests {
         fn informed_count(&self) -> usize {
             self.n_informed
         }
-        fn active_count(&self) -> usize {
-            self.n_informed
-        }
     }
 
     fn flood_runner(cell: &SweepCell, graph: &DiGraph, seed: u64) -> TrialResult {

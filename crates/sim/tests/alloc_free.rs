@@ -118,9 +118,6 @@ impl Protocol for Coin {
     fn informed_count(&self) -> usize {
         self.n_informed
     }
-    fn active_count(&self) -> usize {
-        self.n_informed
-    }
 }
 
 impl FusedDecide for Coin {

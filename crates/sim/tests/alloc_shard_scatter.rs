@@ -105,9 +105,6 @@ impl Protocol for GrowingStorm {
     fn informed_count(&self) -> usize {
         0
     }
-    fn active_count(&self) -> usize {
-        N
-    }
 }
 
 /// Bytes allocated in each of rounds 2 ..= ROUNDS − 1 of a storm on a

@@ -90,9 +90,7 @@ pub mod prelude {
     pub use radio_core::broadcast::cr::{run_cr_broadcast, CrBroadcastConfig};
     pub use radio_core::broadcast::decay::{run_decay_broadcast, DecayConfig};
     pub use radio_core::broadcast::ee_general::{run_general_broadcast, GeneralBroadcastConfig};
-    pub use radio_core::broadcast::ee_random::{
-        run_ee_broadcast, run_ee_broadcast_fused, EeBroadcastConfig,
-    };
+    pub use radio_core::broadcast::ee_random::{run_ee_broadcast, EeBroadcastConfig};
     pub use radio_core::broadcast::eg::{run_eg_broadcast, EgBroadcastConfig};
     pub use radio_core::broadcast::epoch::{run_epoch_broadcast, EpochBroadcastConfig};
     pub use radio_core::broadcast::flood::{run_flood_broadcast, FloodConfig};

@@ -193,9 +193,6 @@ impl adhoc_radio::sim::Protocol for CoinProto {
     fn informed_count(&self) -> usize {
         self.n_informed
     }
-    fn active_count(&self) -> usize {
-        self.n_informed
-    }
 }
 
 #[test]

@@ -77,9 +77,6 @@ impl adhoc_radio::sim::Protocol for CoinProto {
     fn informed_count(&self) -> usize {
         self.n_informed
     }
-    fn active_count(&self) -> usize {
-        self.n_informed
-    }
 }
 
 impl FusedDecide for CoinProto {
@@ -297,9 +294,6 @@ impl adhoc_radio::sim::Protocol for ListedStorm {
     }
     fn informed_count(&self) -> usize {
         0
-    }
-    fn active_count(&self) -> usize {
-        self.is_tx.len()
     }
 }
 

@@ -391,9 +391,6 @@ impl Protocol for ReceiveCoin {
     fn informed_count(&self) -> usize {
         self.ever_listed.iter().filter(|&&b| b).count()
     }
-    fn active_count(&self) -> usize {
-        self.armed.iter().filter(|&&b| b).count()
-    }
 }
 
 impl FusedDecide for ReceiveCoin {
