@@ -91,13 +91,6 @@ impl Compiled {
         self.sweep.run_cell_raw_par(cell_index, &runner)
     }
 
-    /// [`Compiled::run_cell`] without the rayon fan-out — the 1-thread
-    /// reference for determinism checks.
-    pub fn run_cell_serial(&self, cell_index: usize, plan: Option<&TracePlan>) -> CellResults {
-        let runner = |cell: &SweepCell, seed: u64| self.one_trial(cell, seed, plan);
-        self.sweep.run_cell_raw(cell_index, &runner)
-    }
-
     /// Run every cell in order and aggregate — the in-memory
     /// (checkpoint-free) path the experiment harness uses.
     pub fn run_report(&self) -> SweepReport {

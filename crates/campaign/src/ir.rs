@@ -155,18 +155,6 @@ impl ProtocolSpec {
             ProtocolSpec::EnergyLifetime { .. } => "energy_lifetime",
         }
     }
-
-    /// Whether the kernel works purely through the [`Topology`]
-    /// interface (never touches the edge list or regenerates CSR
-    /// snapshots itself) and so supports the implicit-grid backend.
-    ///
-    /// [`Topology`]: radio_graph::Topology
-    pub fn supports_implicit(&self) -> bool {
-        matches!(
-            self,
-            ProtocolSpec::FaultyBroadcast { .. } | ProtocolSpec::EnergyLifetime { .. }
-        )
-    }
 }
 
 /// Optional `trace` block: capped per-cell `.rtrc` capture, spec hash

@@ -284,11 +284,6 @@ impl EnergyMetrics {
         }
     }
 
-    /// Energy spent by `node`.
-    pub fn energy_of(&self, node: NodeId) -> f64 {
-        self.spent[node as usize]
-    }
-
     /// Residual charge of `node`, if batteries were attached.
     pub fn residual_charge(&self, node: NodeId) -> Option<f64> {
         self.residual.as_ref().map(|r| r[node as usize])

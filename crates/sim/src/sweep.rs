@@ -436,34 +436,6 @@ impl Sweep {
         }
     }
 
-    /// [`Sweep::run_cell`] with rayon fan-out over the cell's trials —
-    /// the cell-granular execution hook the campaign runner drives: it
-    /// checkpoints between cells, so parallelism has to live *inside*
-    /// the cell. Seeds and aggregation are identical to `run_cell`
-    /// (trial seeds depend only on `(base_seed, cell, trial)`), so the
-    /// two produce bit-identical results.
-    ///
-    /// # Panics
-    /// Panics if `cell_index` is out of range.
-    pub fn run_cell_par<F>(&self, cell_index: usize, runner: &F) -> CellResults
-    where
-        F: Fn(&SweepCell, &DiGraph, u64) -> TrialResult + Sync,
-    {
-        assert!(cell_index < self.cells.len(), "cell index out of range");
-        if self.threads_per_run > 1 {
-            // Run-level parallelism owns the cores (see
-            // `with_threads_per_run`): keep the trial loop serial.
-            return self.run_cell(cell_index, runner);
-        }
-        CellResults {
-            cell: self.cells[cell_index].clone(),
-            trials: (0..self.trials)
-                .into_par_iter()
-                .map(|t| self.one_trial(cell_index * self.trials + t, runner))
-                .collect(),
-        }
-    }
-
     /// [`Sweep::run_cell`] without the machinery-side graph generation:
     /// the runner receives only `(cell, trial_seed)` and owns topology
     /// construction. This is the hook for backends the sweep cannot
@@ -990,13 +962,11 @@ mod tests {
         let by_collect = sw.collect(flood_runner);
         for (idx, collected) in by_collect.iter().enumerate() {
             let serial = sw.run_cell(idx, &flood_runner);
-            let par = sw.run_cell_par(idx, &flood_runner);
             assert_eq!(serial.trials, collected.trials, "cell {idx}");
-            assert_eq!(par.trials, serial.trials, "cell {idx} par");
         }
-        // Feeding run_cell_par outputs to report() reproduces run().
+        // Feeding run_cell outputs to report() reproduces run().
         let cells: Vec<CellResults> = (0..sw.cells().len())
-            .map(|i| sw.run_cell_par(i, &flood_runner))
+            .map(|i| sw.run_cell(i, &flood_runner))
             .collect();
         assert_eq!(
             sw.report(&cells).to_json_string(),

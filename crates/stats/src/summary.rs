@@ -90,11 +90,6 @@ impl SummaryStats {
             1.96 * self.std / (self.n as f64).sqrt()
         }
     }
-
-    /// `"12.3 ± 0.4"` rendering for tables.
-    pub fn mean_pm(&self) -> String {
-        format!("{:.1} ± {:.1}", self.mean, self.ci95_half_width())
-    }
 }
 
 #[cfg(test)]

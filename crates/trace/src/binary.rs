@@ -268,11 +268,6 @@ impl Recording {
         out
     }
 
-    /// Write the encoded form to `path`.
-    pub fn write_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
     /// Decode a complete `.rtrc` file, validating the footer.
     pub fn from_bytes(bytes: &[u8]) -> Result<Recording, String> {
         let rec = Self::decode(bytes, true)?;

@@ -89,11 +89,6 @@ impl<'r> ReplayVerifier<'r> {
         self.divergence
     }
 
-    /// Events that matched before any divergence.
-    pub fn verified_events(&self) -> u64 {
-        self.verified
-    }
-
     fn expected(&self) -> Option<TraceEvent> {
         self.rec
             .rounds

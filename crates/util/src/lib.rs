@@ -48,13 +48,6 @@ pub fn ilog2_ceil(x: u64) -> u32 {
     }
 }
 
-/// Natural-valued `log2` as `f64`, the form used in all of the paper's
-/// parameter formulas (`T = ⌊log n / log d⌋`, `λ = log(n/D)`, …).
-#[inline]
-pub fn log2f(x: f64) -> f64 {
-    x.log2()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,13 +44,6 @@ impl TextTable {
         }
     }
 
-    /// Override column alignments (length must match the header count).
-    pub fn with_aligns(mut self, aligns: &[Align]) -> Self {
-        assert_eq!(aligns.len(), self.headers.len());
-        self.aligns = aligns.to_vec();
-        self
-    }
-
     /// Append one row of pre-formatted cells.
     ///
     /// # Panics
@@ -65,13 +58,6 @@ impl TextTable {
         );
         self.rows
             .push(cells.iter().map(|c| c.as_ref().to_string()).collect());
-        self
-    }
-
-    /// Append one row of already-owned cells.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len());
-        self.rows.push(cells);
         self
     }
 
