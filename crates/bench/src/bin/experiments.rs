@@ -72,7 +72,8 @@ fn main() {
 fn usage() {
     eprintln!(
         "usage: experiments [--quick] [--seed N] [--out DIR] <e1..e18 | e18i | all>...\n\
-         Regenerates the paper's tables/figures; see DESIGN.md §5 for the index."
+         Regenerates the paper's tables/figures; the README's \"Paper experiments\"\n\
+         table is the index."
     );
 }
 

@@ -1,4 +1,5 @@
-//! **E14 — Ablations.** The design choices DESIGN.md calls out:
+//! **E14 — Ablations.** The design choices the paper leaves open or
+//! the implementation fixes:
 //! (a) the two readings of Phase 2's passivation wording;
 //! (b) Phase-3 length β;
 //! (c) Algorithm 3 with a shared vs a private random sequence;

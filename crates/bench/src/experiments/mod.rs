@@ -1,4 +1,5 @@
-//! One module per experiment; ids match `DESIGN.md` §5.
+//! One module per experiment; ids match the README's "Paper experiments"
+//! table and the committed `results/<id>.md` reports.
 
 pub mod e01_alg1_theorem21;
 pub mod e02_phase1_growth;

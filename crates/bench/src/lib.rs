@@ -1,16 +1,17 @@
 //! Benchmark and experiment harness for the `adhoc-radio` reproduction.
 //!
 //! Every table and figure of the paper maps to an experiment `E1..E18`
-//! (see `DESIGN.md` §5 for the index). The [`experiments`] modules
-//! regenerate them; run
+//! (the README's "Paper experiments" table is the index). The
+//! [`experiments`] modules regenerate them; run
 //!
 //! ```sh
 //! cargo run --release -p radio-bench --bin experiments -- all
 //! cargo run --release -p radio-bench --bin experiments -- e7 e8
 //! ```
 //!
-//! Each experiment prints a markdown table (pasteable into
-//! `EXPERIMENTS.md`) and writes the same content to `results/<id>.md`.
+//! Each experiment prints a markdown report and writes the same content
+//! to `results/<id>.md`, where it is committed; the `paper_fidelity`
+//! test checks e1–e17 against those bytes.
 //! Criterion micro-benchmarks of the substrate live under `benches/`.
 
 pub mod bench_diff;

@@ -8,9 +8,9 @@
 //!
 //! [`KDistribution`] represents such a distribution, including the
 //! reconstruction of the paper's `α` ([`KDistribution::paper_alpha`]) and
-//! of Czumaj–Rytter's `α'` ([`KDistribution::cr_alpha`]); see `DESIGN.md`
-//! §4.3 for the reconstruction argument. The stated properties of `α` —
-//! the Figure 1 relations — are unit- and property-tested in this module:
+//! of Czumaj–Rytter's `α'` ([`KDistribution::cr_alpha`]). The stated
+//! properties of `α` — the Figure 1 relations — are unit- and
+//! property-tested in this module:
 //!
 //! * `1/(2 log n) ≤ α_k` for all `1 ≤ k ≤ log n`;
 //! * `α_k ≤ 1/(4λ)` (wherever consistent with the floor, i.e. `λ ≤ log n / 2`);

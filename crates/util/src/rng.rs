@@ -6,8 +6,8 @@
 //! 64-bit seeds for sub-streams: one per trial, one per shared broadcast
 //! sequence, one per node where needed. The derived seeds feed
 //! [`rand_chacha::ChaCha8Rng`], a counter-mode generator whose output is
-//! stable across library versions — important because `EXPERIMENTS.md`
-//! records concrete numbers.
+//! stable across library versions — important because the committed
+//! `results/<id>.md` reports record concrete numbers.
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness prints paper-style tables (one per
 //! theorem/figure); this module renders them with column alignment and a
-//! GitHub-markdown-compatible delimiter row so the output can be pasted
-//! into `EXPERIMENTS.md` verbatim.
+//! GitHub-markdown-compatible delimiter row, so the `results/<id>.md`
+//! reports render as markdown tables.
 
 /// Column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

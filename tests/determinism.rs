@@ -1,7 +1,7 @@
 //! Reproducibility guarantees: every run is a pure function of
 //! `(graph, config, seed)`, and the parallel trial runner is oblivious to
-//! scheduling. These properties are what make `EXPERIMENTS.md` numbers
-//! regenerable.
+//! scheduling. These properties are what make the committed
+//! `results/<id>.md` numbers regenerable.
 
 use adhoc_radio::core::gossip::{run_ee_gossip, EeGossipConfig};
 use adhoc_radio::graph::analysis::diameter_from;
