@@ -6,7 +6,8 @@
 //! * every file the run writes equals `results/<name>`, and
 //! * it writes exactly the files committed for that experiment.
 //!
-//! e18 and e18i are left out: they run at n = 2¹⁸–2²¹ by default.
+//! e18 and e18i are left out: their reports record wall-clock times, and
+//! e18 runs at n = 2¹⁸–2²¹ by default.
 //!
 //! Ignored by default (about a minute in release on a 2-vCPU host, most
 //! of it e1 and e14; far longer in debug); run with
