@@ -10,7 +10,7 @@
 //! (contractually near-zero overhead vs `engine_csr`), `linear` the full
 //! per-round duty charging — so the CI gate also pins the overlay's
 //! overhead on the CSR hot path. The `engine_par` group runs it through
-//! the intra-run parallel scatter at 2 and 8 receiver-range workers
+//! the intra-run parallel scatter at 2 and 8 transmitter-shard workers
 //! (`EngineConfig::with_threads`), gating the parallel path's cost the
 //! same way.
 //!
@@ -19,9 +19,9 @@
 //! serial stream vs v2 per-node counter-based streams), and
 //! `engine_fused/{1t,8t}` runs a v2 run end to end on the storm
 //! graph. The `scatter_phase/{csr,grid,gnp}/{1t,8t}` group pins the
-//! scatter partition strategies per backend: receiver-range on CSR,
-//! transmitter-sharded on the implicit topologies (the `Auto` plan's
-//! choice either way). Thread-scaling entries (`engine_par` /
+//! transmitter-sharded scatter per backend: stored rows on CSR, rows
+//! regenerated per query on the implicit topologies. Thread-scaling
+//! entries (`engine_par` /
 //! `engine_fused` / `scatter_phase` `<k>t`, k > 1) are gated only
 //! between equal-`host_threads` runs — see `bench_compare`.
 
@@ -158,14 +158,14 @@ fn bench_engine_csr(c: &mut Criterion) {
 
 fn bench_engine_par(c: &mut Criterion) {
     // The same storm through the intra-run parallel scatter
-    // (receiver-range partition, bit-identical to `engine_csr/gnp` by
-    // the engine's determinism contract) at 2 and 8 workers. On a
+    // (transmitter shard, bit-identical to `engine_csr/gnp` by the
+    // engine's determinism contract) at 2 and 8 workers. On a
     // multi-core box this is where the scatter's random per-hit writes
     // (hit counts and sources) — the dominant cost at scale — spread
     // across cores; on a single-core runner it instead pins the
-    // partition overhead (duplicate row binary-searches plus
-    // scoped-thread spawns), which the CI gate keeps from regressing
-    // either way.
+    // fan-out overhead (scoped-thread spawns plus the delivery sweep's
+    // fold of every worker's hit set), which the CI gate keeps from
+    // regressing either way.
     let mut group = c.benchmark_group("engine_par");
     group.sample_size(10);
     let g = storm_graph(N);
@@ -228,11 +228,12 @@ fn bench_decide_phase(c: &mut Criterion) {
 }
 
 fn bench_engine_fused(c: &mut Criterion) {
-    // The fused v2 engine end to end — parallel decide + receiver-range
-    // scatter + serial delivery — on the coin storm over the Gnp graph,
-    // at 1 and 8 workers. On a multi-core box the 8t entry measures the
-    // whole-round speedup v2 unlocks (decide was the Amdahl cap of
-    // engine_par); on a single-core runner it pins the fan-out overhead.
+    // The fused v2 engine end to end — parallel decide, transmitter-
+    // sharded scatter, serial delivery — on the coin storm over the Gnp
+    // graph, at 1 and 8 workers. On a multi-core box the 8t entry
+    // measures the whole-round speedup v2 unlocks (decide was the Amdahl
+    // cap of engine_par); on a single-core runner it pins the fan-out
+    // overhead.
     // `bench_compare` gates the 8t entry only between equal-core hosts
     // (the baseline records `host_threads`).
     let mut group = c.benchmark_group("engine_fused");
@@ -330,19 +331,17 @@ fn bench_engine_energy(c: &mut Criterion) {
 }
 
 fn bench_scatter_phase(c: &mut Criterion) {
-    // The scatter/collision phase per partition strategy: the same
-    // always-transmit storm driven through the v1 engine at 1 and 8
-    // workers, per backend. On `csr` the engine's `Auto` plan picks the
-    // receiver-range partition (rows are O(1) to narrow to a receiver
-    // range); on the implicit backends (`grid`, `gnp`) a range query
-    // costs a full row replay, so `Auto` picks the transmitter-sharded
-    // partition — each worker generates its shard's rows exactly once
-    // into its own hit set, and the delivery sweep folds the sets. On a
-    // multi-core host the `8t` entries are where the shard path earns
-    // its keep (the ≥ 3× acceptance bar lives in the baseline's
-    // `host_threads: 8` profile); on a single-core runner they pin the
-    // spawn and fold overhead instead. `<k>t` entries gate only between
-    // equal-`host_threads` runs, like `engine_par`.
+    // The scatter/collision phase per backend: the same always-transmit
+    // storm driven through the v1 engine at 1 and 8 workers. The `8t`
+    // entries take the transmitter shard on every backend — each worker
+    // generates its shard's rows exactly once into its own hit set, and
+    // the delivery sweep folds the sets — reading stored rows on `csr`
+    // and regenerating every row per query on the implicit backends
+    // (`grid`, `gnp`). On a multi-core host the `8t` entries are where
+    // the shard path earns its keep (the ≥ 3× acceptance bar lives in the
+    // baseline's `host_threads: 8` profile); on a single-core runner they
+    // pin the spawn and fold overhead instead. `<k>t` entries gate only
+    // between equal-`host_threads` runs, like `engine_par`.
     use radio_graph::{ImplicitGnp, ImplicitGrid, Topology};
 
     fn bench_backend<T: Topology>(

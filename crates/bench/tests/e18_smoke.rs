@@ -111,14 +111,13 @@ fn fused_8t_beats_1t_wall_clock_at_2_pow_16() {
 }
 
 /// The transmitter-sharded scatter's acceptance bar: on an *implicit*
-/// backend — where the receiver-range partition would replay every row
-/// per worker and lose to serial — a v2 run at 8 threads must
-/// beat 1 thread wall-clock at `n = 2²⁰` on a multi-core host. The
-/// `Auto` scatter plan routes `ImplicitGnp` to the shard path via its
-/// `RangeQueryCost::FullRowReplay` hint, so this drives exactly the
-/// sharded emit and the hit-set fold. On a single-core host the
-/// speedup assertion skips (bit-identity is still checked — there is
-/// nothing to win, and `BENCH_baseline.json`'s provisional
+/// backend, which regenerates every row it is asked for, a v2 run at 8
+/// threads must beat 1 thread wall-clock at `n = 2²⁰` on a multi-core
+/// host. Each worker generates its own shard's rows exactly once, so
+/// this drives exactly the sharded emit and the hit-set fold, fanned out
+/// from `ImplicitGnp`'s lower implicit edge threshold. On a single-core
+/// host the speedup assertion skips (bit-identity is still checked —
+/// there is nothing to win, and `BENCH_baseline.json`'s provisional
 /// `host_threads: 8` profile carries the ≥3× expectation until a
 /// multi-core runner records real numbers). Ignored by default — run in
 /// release:

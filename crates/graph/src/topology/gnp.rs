@@ -181,20 +181,8 @@ impl Topology for ImplicitGnp {
         self.walk_row(&mut rng, u, f);
     }
 
-    #[inline]
-    fn for_each_out_range<F: FnMut(NodeId)>(&self, u: NodeId, lo: NodeId, hi: NodeId, mut f: F) {
-        // No stored row: replay the walk and filter. Rows ascend, so we
-        // could early-exit at hi, but the walk past hi costs the same
-        // O(deg) it saves and keeping one code path is simpler to audit.
-        self.for_each_out(u, |v| {
-            if v >= lo && v < hi {
-                f(v);
-            }
-        });
-    }
-
-    /// Range queries replay the whole row (above): tell the engine to
-    /// shard by transmitter, not by receiver range.
+    /// No stored row: every query replays the walk, so the engine's
+    /// scatter fans out at its lower implicit edge threshold.
     #[inline]
     fn range_query_cost(&self) -> RangeQueryCost {
         RangeQueryCost::FullRowReplay
@@ -304,19 +292,6 @@ mod tests {
         let mean: f64 = 1000.0 * 999.0 * 0.005;
         let sd = (mean * 0.995).sqrt();
         assert!((m - mean).abs() < 6.0 * sd, "m = {m}, expected ≈ {mean}");
-    }
-
-    #[test]
-    fn range_queries_tile_the_row() {
-        let t = ImplicitGnp::new(600, 0.04, 3);
-        for u in (0..600).step_by(41) {
-            let full = row(&t, u as NodeId);
-            let mut tiled = Vec::new();
-            for (lo, hi) in [(0u32, 200), (200, 450), (450, 600)] {
-                t.for_each_out_range(u as NodeId, lo, hi, |v| tiled.push(v));
-            }
-            assert_eq!(tiled, full, "u = {u}");
-        }
     }
 
     #[test]

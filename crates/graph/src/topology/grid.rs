@@ -265,23 +265,8 @@ impl Topology for ImplicitGrid {
         });
     }
 
-    #[inline]
-    fn for_each_out_range<F: FnMut(NodeId)>(&self, u: NodeId, lo: NodeId, hi: NodeId, mut f: F) {
-        // No stored row to narrow: regenerate and filter. Candidates
-        // arrive in bucket-scan order, so the relative order of
-        // survivors matches `for_each_out`, as the contract requires.
-        let pu = self.pos[u as usize];
-        self.grid.for_each_candidate_bucket(pu, |bucket| {
-            for &v in bucket {
-                if v != u && v >= lo && v < hi && torus_dist2(pu, self.pos[v as usize]) <= self.r2 {
-                    f(v);
-                }
-            }
-        });
-    }
-
-    /// Range queries rescan every candidate bucket (above): tell the
-    /// engine to shard by transmitter, not by receiver range.
+    /// No stored row: every query rescans the candidate buckets, so the
+    /// engine's scatter fans out at its lower implicit edge threshold.
     #[inline]
     fn range_query_cost(&self) -> RangeQueryCost {
         RangeQueryCost::FullRowReplay
@@ -383,23 +368,6 @@ mod tests {
                 assert_eq!(mine, g.out_neighbors(u), "r = {r}, u = {u}");
             }
             assert_eq!(t.materialize(), g, "r = {r}");
-        }
-    }
-
-    #[test]
-    fn range_queries_tile_the_row() {
-        let t = ImplicitGrid::generate(300, 0.45, &mut derive_rng(43, b"grid", 0));
-        for u in (0..300).step_by(23) {
-            let full = row(&t, u as NodeId);
-            let mut tiled = Vec::new();
-            for (lo, hi) in [(0u32, 77), (77, 150), (150, 300)] {
-                t.for_each_out_range(u as NodeId, lo, hi, |v| tiled.push(v));
-            }
-            let mut full_s = full.clone();
-            let mut tiled_s = tiled.clone();
-            full_s.sort_unstable();
-            tiled_s.sort_unstable();
-            assert_eq!(full_s, tiled_s, "u = {u}");
         }
     }
 

@@ -33,18 +33,15 @@
 //! grid scan had to be dedup-fixed before `ImplicitGrid` could reuse
 //! it — see [`grid`].)
 //!
-//! Implicit backends answer range queries by regenerating the full row
-//! and filtering, so a `t`-way *receiver-range* partitioned scatter
-//! costs O(t·deg) regeneration work instead of CSR's
-//! O(deg + t·log deg) — the price of not storing the row. Backends
-//! advertise this through [`Topology::range_query_cost`]: the engine
-//! keeps the receiver-range partition where narrowing is cheap
-//! ([`RangeQueryCost::Narrowed`], CSR) and switches to a
-//! transmitter-sharded partition — each row generated exactly once,
-//! into per-worker hit sets that the engine folds — where a range
-//! query replays the whole row ([`RangeQueryCost::FullRowReplay`], both
-//! implicit backends). Rows are pure functions of the backend value, so
-//! either partition stays bit-identical for every thread count.
+//! The engine's scatter shards each round's transmitters over its
+//! workers, so every backend generates each transmitter's row exactly
+//! once per round, into per-worker hit sets that the engine folds. What
+//! a row costs differs: CSR reads a stored row, the implicit backends
+//! regenerate it on every query. Backends advertise which through
+//! [`Topology::range_query_cost`], and the engine uses the hint only to
+//! pick the edge volume at which a round fans out. Rows are pure
+//! functions of the backend value, so runs stay bit-identical for every
+//! thread count.
 
 pub mod gnp;
 pub mod grid;
@@ -54,29 +51,28 @@ pub use grid::{GridIndex, ImplicitGrid};
 
 use crate::{DiGraph, NodeId};
 
-/// What a [`Topology::for_each_out_range`] query costs relative to the
-/// full row — the capability hint the engine's scatter phase uses to
-/// pick its partition strategy (see the module docs).
+/// Whether a backend reads its rows from storage or regenerates them on
+/// every query — the hint from which the engine's scatter chooses its
+/// fan-out threshold, and nothing else (see the module docs).
 ///
 /// This is a *performance* hint only: it must never affect which
 /// neighbors a query visits, so a wrong value costs speed, not
 /// correctness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RangeQueryCost {
-    /// The backend narrows to `[lo, hi)` without touching the rest of
-    /// the row (CSR: two binary searches). Receiver-range partitioning
-    /// is cheap.
+    /// Stored rows (CSR): a query reads the row. The scatter fans out
+    /// at the CSR edge threshold. The default.
     Narrowed,
-    /// The backend answers a range query by regenerating the whole row
-    /// and filtering, so `t` range workers pay `t×` the generation
-    /// work. Prefer transmitter-sharded partitioning.
+    /// Rows regenerated on every query (the implicit backends): every
+    /// edge carries generation work, so the scatter fans out at a lower
+    /// edge volume.
     FullRowReplay,
 }
 
 /// A directed radio topology, addressed purely through out-neighbor
 /// queries (`u → v` means "`v` hears `u`").
 ///
-/// `Sync` is required because the engine's partitioned scatter phase
+/// `Sync` is required because the engine's sharded scatter phase
 /// issues queries from worker threads against `&self`.
 pub trait Topology: Sync {
     /// Number of nodes.
@@ -92,13 +88,24 @@ pub trait Topology: Sync {
     fn for_each_out<F: FnMut(NodeId)>(&self, u: NodeId, f: F);
 
     /// Visit exactly the out-neighbors `v` of `u` with `lo ≤ v < hi`,
-    /// in the same relative order as [`for_each_out`](Self::for_each_out).
-    fn for_each_out_range<F: FnMut(NodeId)>(&self, u: NodeId, lo: NodeId, hi: NodeId, f: F);
+    /// in the same relative order as [`for_each_out`](Self::for_each_out):
+    /// provided as `for_each_out` filtered to the range. The engine no
+    /// longer calls it — its scatter reads whole rows — and it stays so
+    /// that existing impls compile: perfbench's `CountingTopology`
+    /// overrides it.
+    fn for_each_out_range<F: FnMut(NodeId)>(&self, u: NodeId, lo: NodeId, hi: NodeId, mut f: F) {
+        self.for_each_out(u, |v| {
+            if lo <= v && v < hi {
+                f(v);
+            }
+        });
+    }
 
-    /// How much a range query costs relative to the full row; must not
-    /// affect results. Defaults to [`RangeQueryCost::Narrowed`] —
-    /// backends whose range queries replay the whole row should
-    /// override.
+    /// Whether this backend stores its rows or regenerates them per
+    /// query; the engine's scatter uses it only to choose its fan-out
+    /// threshold, and it must not affect results. Defaults to
+    /// [`RangeQueryCost::Narrowed`] — backends that regenerate rows on
+    /// every query should override.
     fn range_query_cost(&self) -> RangeQueryCost {
         RangeQueryCost::Narrowed
     }
@@ -118,19 +125,6 @@ impl Topology for DiGraph {
     #[inline]
     fn for_each_out<F: FnMut(NodeId)>(&self, u: NodeId, mut f: F) {
         for &v in self.out_neighbors(u) {
-            f(v);
-        }
-    }
-
-    /// CSR rows are sorted, so the range is narrowed with two binary
-    /// searches — exactly the partitioned-scatter fast path the engine
-    /// used before it went generic.
-    #[inline]
-    fn for_each_out_range<F: FnMut(NodeId)>(&self, u: NodeId, lo: NodeId, hi: NodeId, mut f: F) {
-        let row = self.out_neighbors(u);
-        let s = row.partition_point(|&v| v < lo);
-        let e = s + row[s..].partition_point(|&v| v < hi);
-        for &v in &row[s..e] {
             f(v);
         }
     }
@@ -156,28 +150,6 @@ mod tests {
         for u in 0..200 as NodeId {
             assert_eq!(row(&g, u), g.out_neighbors(u));
             assert_eq!(g.degree_hint(u), g.out_degree(u) as u64);
-        }
-    }
-
-    #[test]
-    fn digraph_range_query_partitions_the_row() {
-        let g = gnp_directed(300, 0.04, &mut derive_rng(32, b"topo", 0));
-        for u in (0..300).step_by(17) {
-            let full = row(&g, u as NodeId);
-            // Any 3-way split reassembles the full row in order.
-            for (lo, hi) in [(0, 100), (100, 200), (200, 300)]
-                .iter()
-                .map(|&(a, b)| (a as NodeId, b as NodeId))
-            {
-                let mut part = Vec::new();
-                g.for_each_out_range(u as NodeId, lo, hi, |v| part.push(v));
-                let want: Vec<NodeId> = full
-                    .iter()
-                    .copied()
-                    .filter(|&v| v >= lo && v < hi)
-                    .collect();
-                assert_eq!(part, want);
-            }
         }
     }
 

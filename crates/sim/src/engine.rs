@@ -37,38 +37,33 @@ pub struct EngineConfig {
     pub warn_on_round_cap: bool,
     /// Worker threads for the *intra-run* parallel phases (`1` = fully
     /// serial, the default), and the only way to set a run's worker
-    /// count: the scatter/collision phase, partitioned by receiver id
-    /// range or by transmitter shard as [`scatter_plan`] picks per
-    /// backend, and — under the v2 contract ([`Run::v2`]) — the decide
-    /// phase, fanned out over awake-list chunks. Every partition
-    /// reproduces the serial outcome, so any thread count produces
-    /// bit-identical runs — see [`Run`] for the determinism contracts.
+    /// count: the scatter/collision phase, sharded by transmitter over
+    /// as many workers as [`scatter_plan`] gives the round, and — under
+    /// the v2 contract ([`Run::v2`]) — the decide phase, fanned out over
+    /// awake-list chunks. Every fan-out reproduces the serial outcome,
+    /// so any thread count produces bit-identical runs — see [`Run`] for
+    /// the determinism contracts.
     pub threads: usize,
     /// Minimum per-round edge volume (Σ out-degree over the round's
-    /// transmitters) before the **receiver-range** scatter fans out;
-    /// below it the round stays serial because scoped-thread spawn
-    /// overhead would beat any cache-miss savings. Purely a performance
-    /// threshold — both paths compute identical state, so it never
-    /// affects results. Tests force the parallel path with `0`.
+    /// transmitters) before the scatter fans out on a backend that
+    /// stores its rows ([`RangeQueryCost::Narrowed`], CSR); below it the
+    /// round stays serial because the scoped-thread spawns and the
+    /// delivery sweep's fold of every worker's hit set would beat the
+    /// parallel savings. Purely a performance threshold — every worker
+    /// count computes identical state, so it never affects results.
+    /// Tests force the parallel path with `0`.
     pub par_min_edges: u64,
-    /// Minimum per-round edge volume before the **transmitter-sharded**
-    /// scatter fans out (the strategy picked for
-    /// [`RangeQueryCost::FullRowReplay`] backends). Lower than
-    /// [`par_min_edges`]: on implicit backends `degree_hint` is an
-    /// upper-bound estimate and each edge carries row-*regeneration*
-    /// work, so the fan-out pays sooner for its spawns and for the
-    /// delivery sweep's fold of every worker's hit set — O(t·⌈n/64⌉)
+    /// Minimum per-round edge volume before the scatter fans out on a
+    /// backend that regenerates its rows on every query
+    /// ([`RangeQueryCost::FullRowReplay`], the implicit backends). Lower
+    /// than [`par_min_edges`]: there `degree_hint` is an upper-bound
+    /// estimate and each edge carries row-generation work, so the
+    /// fan-out pays sooner for its spawns and for the fold — O(t·⌈n/64⌉)
     /// words per fanned-out round. Purely a performance threshold, like
     /// [`par_min_edges`]; tests force the parallel path with `0`.
     ///
     /// [`par_min_edges`]: EngineConfig::par_min_edges
     pub par_min_edges_implicit: u64,
-    /// Which parallel scatter partition to use when a round fans out;
-    /// `Auto` (the default) picks per backend via
-    /// [`Topology::range_query_cost`]. Every strategy produces
-    /// bit-identical results — the overrides exist for tests and
-    /// benchmarks that pin one path.
-    pub scatter_strategy: ScatterStrategy,
     /// Minimum awake-list length before the v2 decide phase
     /// ([`Run::v2`]) fans out; below it the round's
     /// decisions are evaluated serially. Like [`par_min_edges`] this is
@@ -89,7 +84,6 @@ impl Default for EngineConfig {
             threads: 1,
             par_min_edges: PAR_SCATTER_MIN_EDGES,
             par_min_edges_implicit: PAR_SCATTER_MIN_EDGES_IMPLICIT,
-            scatter_strategy: ScatterStrategy::Auto,
             par_min_awake: PAR_DECIDE_MIN_AWAKE,
         }
     }
@@ -127,41 +121,6 @@ impl EngineConfig {
         self.threads = threads;
         self
     }
-
-    /// Pin the parallel scatter partition strategy (chainable). Results
-    /// are bit-identical under every strategy; this exists for tests
-    /// and benches that must exercise one specific path.
-    pub fn with_scatter_strategy(mut self, strategy: ScatterStrategy) -> Self {
-        self.scatter_strategy = strategy;
-        self
-    }
-}
-
-/// Which partition the parallel scatter phase uses when a round's edge
-/// volume justifies fanning out. All strategies compute the same
-/// collision state — who was heard, who was heard twice, and the source
-/// of every node heard once; see [`Run`]'s determinism contracts — so
-/// this knob can trade speed but never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScatterStrategy {
-    /// Pick per backend from [`Topology::range_query_cost`]:
-    /// receiver-range where range queries narrow cheaply (CSR),
-    /// transmitter-sharded where they replay the full row (implicit
-    /// backends). The default.
-    Auto,
-    /// Always partition by receiver id range: each worker owns a range
-    /// of nodes (whole 64-node words) and asks the topology for in-range
-    /// neighbors of
-    /// every transmitter. Optimal for CSR (two binary searches per
-    /// row); O(t·edges) row regeneration on implicit backends.
-    ReceiverRange,
-    /// Always partition by transmitter shard: each worker generates its
-    /// own transmitters' rows exactly once — O(edges) total — into its
-    /// own hit set (a bitmap and per-node hit counts), and the delivery
-    /// sweep folds the workers' sets. Whether a node was heard zero,
-    /// one or several times does not depend on the order of its hits,
-    /// so the fold needs no merge of hit records.
-    TransmitterShard,
 }
 
 /// Result of one simulation run.
@@ -386,44 +345,22 @@ const PAR_SCATTER_MIN_EDGES_IMPLICIT: u64 = 2_048;
 /// host-dependent, so measure before lowering it.
 const PAR_DECIDE_MIN_AWAKE: usize = 2_048;
 
-/// The resolved decision for one scatter round: which path runs, with
-/// how many workers. Produced by [`scatter_plan`]; public so the path
-/// selection is unit-testable without driving a full run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScatterPlan {
-    /// Below the strategy's edge threshold (or nothing to fan out):
-    /// one transmitter-order pass on the calling thread.
-    Serial,
-    /// Receiver-range partition over `threads` workers.
-    ReceiverRange {
-        /// Worker count, capped at the receiver bitmap's word count
-        /// ⌈n/64⌉ (ranges are whole words).
-        threads: usize,
-    },
-    /// Transmitter-sharded scatter over `threads` workers, each into its
-    /// own hit set.
-    TransmitterShard {
-        /// Worker count, capped at the bitmap word and transmitter
-        /// counts.
-        threads: usize,
-    },
-}
-
-/// Pick the scatter path for one round — a pure function of the config,
-/// the backend's [`RangeQueryCost`] hint, and the round's shape, so the
-/// heuristic is testable in isolation. Strategy first ([`Auto`] resolves
-/// via the cost hint), then that strategy's own edge threshold: implicit
-/// backends gate on [`par_min_edges_implicit`] because their
-/// `degree_hint` is an upper-bound estimate and every edge carries
-/// generation work, CSR on [`par_min_edges`]. Never affects results —
-/// every plan yields the same collision state for the delivery sweep.
+/// How many transmitter-shard workers one scatter round uses, `1`
+/// meaning serial — a pure function of the config, the backend's
+/// [`RangeQueryCost`] hint and the round's shape, so the heuristic is
+/// testable in isolation. The hint picks the edge threshold: stored
+/// rows ([`RangeQueryCost::Narrowed`], CSR) gate on [`par_min_edges`],
+/// rows regenerated on every query ([`RangeQueryCost::FullRowReplay`])
+/// on the lower [`par_min_edges_implicit`], because their `degree_hint`
+/// is an upper-bound estimate and every edge carries generation work.
+/// Never affects results — every worker count yields the same collision
+/// state for the delivery sweep.
 ///
-/// The receiver-range partition cuts the node range at whole 64-node
-/// bitmap words; both parallel plans cap the worker count at ⌈n/64⌉ (for
-/// the transmitter shard this bounds the delivery sweep's O(t·⌈n/64⌉)
-/// word fold), and a graph of at most 64 nodes always scatters serially.
+/// The count is capped at the transmitter count (more workers would
+/// idle with empty shards) and at ⌈n/64⌉ (each worker adds that many
+/// bitmap words to the delivery sweep's fold). A single thread, a
+/// single transmitter or a graph of at most 64 nodes scatters serially.
 ///
-/// [`Auto`]: ScatterStrategy::Auto
 /// [`par_min_edges`]: EngineConfig::par_min_edges
 /// [`par_min_edges_implicit`]: EngineConfig::par_min_edges_implicit
 pub fn scatter_plan(
@@ -433,35 +370,19 @@ pub fn scatter_plan(
     n: usize,
     transmitters: usize,
     edges: u64,
-) -> ScatterPlan {
+) -> usize {
     let words = n.div_ceil(64);
     if threads <= 1 || transmitters <= 1 || words <= 1 {
-        return ScatterPlan::Serial;
+        return 1;
     }
-    let shard = match cfg.scatter_strategy {
-        ScatterStrategy::Auto => cost == RangeQueryCost::FullRowReplay,
-        ScatterStrategy::ReceiverRange => false,
-        ScatterStrategy::TransmitterShard => true,
-    };
-    let min_edges = if shard {
-        cfg.par_min_edges_implicit
-    } else {
-        cfg.par_min_edges
+    let min_edges = match cost {
+        RangeQueryCost::Narrowed => cfg.par_min_edges,
+        RangeQueryCost::FullRowReplay => cfg.par_min_edges_implicit,
     };
     if edges < min_edges {
-        return ScatterPlan::Serial;
+        return 1;
     }
-    if shard {
-        // More workers than transmitters would leave some idle with
-        // empty shards; each worker adds ⌈n/64⌉ words to the fold.
-        ScatterPlan::TransmitterShard {
-            threads: threads.min(words).min(transmitters),
-        }
-    } else {
-        ScatterPlan::ReceiverRange {
-            threads: threads.min(words),
-        }
-    }
+    threads.min(words).min(transmitters)
 }
 
 /// A non-silent outcome of the decide phase, tagged onto the node it
@@ -634,11 +555,11 @@ struct Pools {
 /// Generic over the [`Topology`] backend, with the CSR [`DiGraph`] as
 /// the default type parameter so existing `Engine` mentions and
 /// `Engine::new(&graph, …)` call sites compile unchanged. The engine
-/// only ever asks the topology "who hears `u`?" ([`Topology::for_each_out`]
-/// and its receiver-range variant), so monomorphization over `DiGraph`
+/// only ever asks the topology "who hears `u`?"
+/// ([`Topology::for_each_out`]), so monomorphization over `DiGraph`
 /// produces exactly the pre-generic flat-CSR scatter, while the
 /// implicit backends (`ImplicitGrid`, `ImplicitGnp`) answer the same
-/// queries without ever materialising O(m) edge storage.
+/// query without ever materialising O(m) edge storage.
 ///
 /// **Allocation-free steady state:** every piece of per-run scratch —
 /// the per-node sources, the per-worker hit sets, the awake
@@ -651,11 +572,10 @@ struct Pools {
 /// runs the serial path). A fanned-out round additionally pays its
 /// scoped-thread spawns, whose bookkeeping is a constant few hundred
 /// bytes per round, independent of the round's hit volume
-/// (`crates/sim/tests/alloc_shard_scatter.rs` pins this on the
-/// transmitter shard). The extra shard workers' hit sets are created at
-/// the first round that fans out to them. At `n = 2²⁰` the pools save a
-/// multi-MB alloc + zero per trial that the pre-pool engine paid on
-/// every run.
+/// (`crates/sim/tests/alloc_shard_scatter.rs` pins this). The extra
+/// shard workers' hit sets are created at the first round that fans out
+/// to them. At `n = 2²⁰` the pools save a multi-MB alloc + zero per
+/// trial that the pre-pool engine paid on every run.
 pub struct Engine<'g, T: Topology = DiGraph> {
     graph: &'g T,
     cfg: EngineConfig,
@@ -670,10 +590,10 @@ pub struct Engine<'g, T: Topology = DiGraph> {
     /// are plain moves, and the scoped-thread join orders every store
     /// before the delivery sweep.
     src: Vec<AtomicU32>,
-    /// The round's hits, one [`Heard`] set per scatter worker. Worker
-    /// 0's set serves the serial and receiver-range rounds; the
-    /// transmitter shard gives worker `w` set `w`. All zero between
-    /// rounds — the delivery sweep clears what it reads.
+    /// The round's hits, one [`Heard`] set per scatter worker: shard
+    /// worker `w` writes set `w`, and a serial round uses set 0 alone.
+    /// All zero between rounds — the delivery sweep clears what it
+    /// reads.
     heard: Vec<Heard>,
     /// The awake bookkeeping and per-round buffers of the round loop.
     pools: Pools,
@@ -959,31 +879,35 @@ impl<'g, T: Topology> Engine<'g, T> {
     }
 
     /// The transmit-phase scatter: records this round's hits from
-    /// `transmitters` in the [`Heard`] sets and `src`, fanning out when
-    /// the round's edge volume pays for the scoped-thread spawns —
-    /// partitioned by receiver range or by transmitter shard per
-    /// [`scatter_plan`]. Returns how many workers' sets (`heard[..k]`)
-    /// hold the round's hits, for the delivery sweep to fold.
+    /// `transmitters` in the [`Heard`] sets and `src`, sharding the
+    /// transmitter list over as many workers as [`scatter_plan`] gives
+    /// the round — one, on the calling thread, unless the round's edge
+    /// volume pays for the scoped-thread spawns. Returns that worker
+    /// count `k`: the round's hits sit in `heard[..k]`, for the delivery
+    /// sweep to fold.
     ///
-    /// Scatter through [`Topology`] queries: for the CSR backend
-    /// `for_each_out` monomorphizes to streaming one contiguous
-    /// neighbors array (the pre-generic code), and each hit reads and
-    /// writes its target's count byte in the worker's set, plus, at the
-    /// worker's first hit of the target, one bitmap word and its `src`
-    /// entry. Duplicate-freedom of the backend's rows is load-bearing
-    /// here: a neighbor reported twice would flip a clean hit into a
-    /// phantom collision. The collision rule depends only on how many
-    /// transmitters reached a node (0, 1 or ≥ 2) and on who the single
-    /// one was, never on the order of the hits, so every path yields the
-    /// same folded state and the plan heuristic cannot influence results
-    /// (and therefore neither can the thread count).
+    /// Worker `w` takes the `w`-th of `k` contiguous shards of the
+    /// transmitter list and generates each of its rows exactly once —
+    /// O(total edges) on every backend — into its own set `heard[w]`.
+    /// For the CSR backend `for_each_out` monomorphizes to streaming one
+    /// contiguous neighbors array (the pre-generic code), and each hit
+    /// reads and writes its target's count byte in the worker's set,
+    /// plus, at the worker's first hit of the target, one bitmap word
+    /// and its `src` entry. Duplicate-freedom of the backend's rows is
+    /// load-bearing here: a neighbor reported twice would flip a clean
+    /// hit into a phantom collision. The collision rule depends only on
+    /// how many transmitters reached a node (0, 1 or ≥ 2) and on who the
+    /// single one was, never on the order of the hits or on where the
+    /// shard cuts fall, so every worker count yields the same folded
+    /// state and neither the plan nor the thread count can influence
+    /// results.
     fn scatter_round(&mut self, graph: &T, transmitters: &[NodeId], threads: usize) -> usize {
         let n = self.src.len();
-        let plan = if threads > 1 && transmitters.len() > 1 {
+        let t = if threads > 1 && transmitters.len() > 1 {
             // Edge-volume heuristic on `degree_hint` — exact for CSR,
             // an upper-bound estimate for implicit backends. Purely a
-            // perf threshold: it picks a path, never changes what the
-            // path computes.
+            // perf threshold: it sizes the fan-out, never changes what
+            // the workers compute.
             let edges: u64 = transmitters.iter().map(|&u| graph.degree_hint(u)).sum();
             scatter_plan(
                 &self.cfg,
@@ -994,98 +918,44 @@ impl<'g, T: Topology> Engine<'g, T> {
                 edges,
             )
         } else {
-            ScatterPlan::Serial
+            1
         };
         let src: &[AtomicU32] = &self.src;
-        match plan {
-            ScatterPlan::Serial => {
-                let Heard { bits, hits } = &mut self.heard[0];
-                let (bits, hits): (&mut [u64], &mut [u8]) = (bits, hits);
-                for &u in transmitters {
-                    graph.for_each_out(u, |v| record_hit(hits, bits, src, 0, v, u));
-                }
-                1
+        if t == 1 {
+            let Heard { bits, hits } = &mut self.heard[0];
+            let (bits, hits): (&mut [u64], &mut [u8]) = (bits, hits);
+            for &u in transmitters {
+                graph.for_each_out(u, |v| record_hit(hits, bits, src, v, u));
             }
-            ScatterPlan::ReceiverRange { threads: t } => {
-                // Receiver-range partition as a neighbor-*query*
-                // partition: worker `w` owns the bitmap words
-                // `[⌊w·W/t⌋, ⌊(w+1)·W/t⌋)` (`W` = ⌈n/64⌉) of worker 0's
-                // set and the counts of the nodes they cover — whole
-                // words, so no atomics on the set. Every worker walks
-                // the full transmitter list, asking the topology only
-                // for neighbors inside its range — CSR narrows the
-                // sorted row with two binary searches; implicit backends
-                // regenerate the row and filter (O(t·deg) total, the
-                // price of not storing rows — [`scatter_plan`] steers
-                // those to the transmitter shard instead).
-                let Heard { bits, hits } = &mut self.heard[0];
-                let words = bits.len();
-                let mut bits_rest: &mut [u64] = bits;
-                let mut hits_rest: &mut [u8] = hits;
-                let mut lo_word = 0usize;
-                // t − 1 spawned workers plus the calling thread, which
-                // takes the last range instead of idling at the join.
-                std::thread::scope(|scope| {
-                    for w in 0..t {
-                        let hi_word = (w + 1) * words / t;
-                        let (lo, hi) = (lo_word * 64, (hi_word * 64).min(n));
-                        let (bits, tail) =
-                            std::mem::take(&mut bits_rest).split_at_mut(hi_word - lo_word);
-                        bits_rest = tail;
-                        let (hits, tail) = std::mem::take(&mut hits_rest).split_at_mut(hi - lo);
-                        hits_rest = tail;
-                        let mut scatter_range = move || {
-                            for &u in transmitters {
-                                graph.for_each_out_range(u, lo as NodeId, hi as NodeId, |v| {
-                                    record_hit(hits, bits, src, lo, v, u)
-                                });
-                            }
-                        };
-                        if w + 1 == t {
-                            scatter_range();
-                        } else {
-                            scope.spawn(scatter_range);
-                        }
-                        lo_word = hi_word;
-                    }
-                });
-                1
-            }
-            ScatterPlan::TransmitterShard { threads: t } => {
-                // Transmitter shard: the transmitter list is cut into
-                // `t` contiguous shards and worker `w` generates each of
-                // its rows exactly once — O(total edges), no per-range
-                // row replay, which is what makes implicit backends
-                // scale — into its own set `heard[w]`. The delivery
-                // sweep folds the workers' sets; no hit is stored or
-                // merged. Extra workers' sets are allocated here, on the
-                // calling thread, the first time a round fans out to
-                // them.
-                if self.heard.len() < t {
-                    self.heard.resize_with(t, || Heard::new(n));
-                }
-                std::thread::scope(|scope| {
-                    let mut lo = 0usize;
-                    for (w, Heard { bits, hits }) in self.heard[..t].iter_mut().enumerate() {
-                        let (bits, hits): (&mut [u64], &mut [u8]) = (bits, hits);
-                        let hi = (w + 1) * transmitters.len() / t;
-                        let shard = &transmitters[lo..hi];
-                        let mut emit = move || {
-                            for &u in shard {
-                                graph.for_each_out(u, |v| record_hit(hits, bits, src, 0, v, u));
-                            }
-                        };
-                        if w + 1 == t {
-                            emit();
-                        } else {
-                            scope.spawn(emit);
-                        }
-                        lo = hi;
-                    }
-                });
-                t
-            }
+            return 1;
         }
+        // Extra workers' sets are allocated here, on the calling thread,
+        // the first time a round fans out to them.
+        if self.heard.len() < t {
+            self.heard.resize_with(t, || Heard::new(n));
+        }
+        // t − 1 spawned workers plus the calling thread, which takes the
+        // last shard instead of idling at the join.
+        std::thread::scope(|scope| {
+            let mut lo = 0usize;
+            for (w, Heard { bits, hits }) in self.heard[..t].iter_mut().enumerate() {
+                let (bits, hits): (&mut [u64], &mut [u8]) = (bits, hits);
+                let hi = (w + 1) * transmitters.len() / t;
+                let shard = &transmitters[lo..hi];
+                let mut emit = move || {
+                    for &u in shard {
+                        graph.for_each_out(u, |v| record_hit(hits, bits, src, v, u));
+                    }
+                };
+                if w + 1 == t {
+                    emit();
+                } else {
+                    scope.spawn(emit);
+                }
+                lo = hi;
+            }
+        });
+        t
     }
 }
 
@@ -1116,18 +986,13 @@ impl<'g, T: Topology> Engine<'g, T> {
 /// serial delivery sweep in ascending receiver order. A node receives
 /// iff exactly one transmitter reached it, so the scatter records only
 /// order-free state: per worker, which nodes it hit and whether it hit
-/// each once or more, plus the source of each hit. The scatter fans out
-/// in the partition [`scatter_plan`] picks per backend:
-///
-/// * **Receiver id range** (CSR): each worker streams the full
-///   transmitter list over the rows but records hits only for its
-///   disjoint range of nodes — no fold; only the sources are shared.
-/// * **Transmitter shard** (implicit backends, whose range queries
-///   replay whole rows): each worker generates its own shard's rows
-///   exactly once into its own hit set, and the delivery sweep folds
-///   the workers' sets: a node is collided if its hit counts sum to 2
-///   or more. A clean node was hit exactly once, so exactly one worker
-///   wrote its source.
+/// each once or more, plus the source of each hit. On every backend a
+/// round that fans out shards the transmitter list over the workers
+/// [`scatter_plan`] gives it: each worker generates its own shard's rows
+/// exactly once into its own hit set, and the delivery sweep folds the
+/// workers' sets — a node is collided if its hit counts sum to 2 or
+/// more. A clean node was hit exactly once, so exactly one worker wrote
+/// its source.
 ///
 /// The contracts differ only in where the coin flips come from:
 ///
@@ -1142,7 +1007,7 @@ impl<'g, T: Topology> Engine<'g, T> {
 ///   non-silent decisions in poll order ([`FusedDecide::commit_decide`]).
 ///   `on_receive` draws from the receiver's own receive lane.
 ///
-/// Either way every partition reproduces the serial outcome, so runs are
+/// Either way every fan-out reproduces the serial outcome, so runs are
 /// **bit-identical for every thread count, by construction**. A v1 and a
 /// v2 run of the same `(protocol, seed)` produce *different*
 /// (statistically equivalent) trajectories: the stream layouts differ;
@@ -1639,26 +1504,18 @@ impl Heard {
     }
 }
 
-/// Record a hit of `v` by transmitter `u` in a scatter worker's slices of
-/// its [`Heard`] set, which cover the nodes `base..` (`base` is a
-/// multiple of 64, so node `base + i` is `hits[i]` and bit `i % 64` of
-/// `bits[i / 64]`). The worker's first hit of `v` sets its bit and
-/// stores the source; any later one marks `v` heard twice.
+/// Record a hit of `v` by transmitter `u` in a scatter worker's
+/// [`Heard`] set, given as its `hits` and `bits`. The worker's first hit
+/// of `v` sets its bit and stores the source; any later one marks `v`
+/// heard twice.
 #[inline(always)]
-fn record_hit(
-    hits: &mut [u8],
-    bits: &mut [u64],
-    src: &[AtomicU32],
-    base: usize,
-    v: NodeId,
-    u: NodeId,
-) {
-    let i = v as usize - base;
+fn record_hit(hits: &mut [u8], bits: &mut [u64], src: &[AtomicU32], v: NodeId, u: NodeId) {
+    let i = v as usize;
     let h = &mut hits[i];
     if *h == 0 {
         *h = 1;
         bits[i / 64] |= 1 << (i % 64);
-        src[v as usize].store(u, Ordering::Relaxed);
+        src[i].store(u, Ordering::Relaxed);
     } else {
         *h = 2;
     }
@@ -1669,10 +1526,10 @@ fn record_hit(
 /// for each; `collided` is whether two or more transmitters reached `v`,
 /// which holds iff the workers' counts for `v` sum to 2 or more. Clears
 /// every word and count it reads, so the sets are all zero again for the
-/// next round. A round with one worker's set walks it directly; a
-/// transmitter-shard round ORs each further worker's word in first:
-/// O(workers·⌈n/64⌉) words plus O(workers) per hit node. `visit` has one
-/// call site, so the delivery sweep inlines it.
+/// next round. A serial round walks set 0 directly; a fanned-out round
+/// ORs each further worker's word in first: O(workers·⌈n/64⌉) words
+/// plus O(workers) per hit node, wherever the shard cuts fell. `visit`
+/// has one call site, so the delivery sweep inlines it.
 #[inline]
 fn drain_heard(heard: &mut [Heard], mut visit: impl FnMut(NodeId, bool)) {
     let Some((Heard { bits, hits }, rest)) = heard.split_first_mut() else {
@@ -2700,105 +2557,44 @@ mod tests {
     }
 
     #[test]
-    fn scatter_plan_picks_strategy_per_backend_and_threshold() {
+    fn scatter_plan_gates_per_backend_and_caps_workers() {
         use RangeQueryCost::{FullRowReplay, Narrowed};
         let cfg = EngineConfig::default();
-        // Auto + cheap range queries: receiver-range above par_min_edges.
-        assert_eq!(
-            scatter_plan(&cfg, Narrowed, 8, 10_000, 100, PAR_SCATTER_MIN_EDGES),
-            ScatterPlan::ReceiverRange { threads: 8 }
-        );
-        assert_eq!(
-            scatter_plan(&cfg, Narrowed, 8, 10_000, 100, PAR_SCATTER_MIN_EDGES - 1),
-            ScatterPlan::Serial
-        );
-        // Auto + full-row-replay range queries: transmitter shard, gated
-        // on the lower implicit threshold.
-        assert_eq!(
-            scatter_plan(
-                &cfg,
-                FullRowReplay,
-                8,
-                10_000,
-                100,
-                PAR_SCATTER_MIN_EDGES_IMPLICIT
-            ),
-            ScatterPlan::TransmitterShard { threads: 8 }
-        );
-        assert_eq!(
-            scatter_plan(
-                &cfg,
-                FullRowReplay,
-                8,
-                10_000,
-                100,
-                PAR_SCATTER_MIN_EDGES_IMPLICIT - 1
-            ),
-            ScatterPlan::Serial
-        );
-        // The calibration point of the satellite fix: an edge volume
-        // between the two thresholds fans out on implicit backends
-        // (every edge carries generation work) but not on CSR.
+        // Each cost hint gates on its own threshold: stored rows on
+        // par_min_edges, rows regenerated per query on the lower
+        // par_min_edges_implicit.
+        for (cost, min) in [
+            (Narrowed, PAR_SCATTER_MIN_EDGES),
+            (FullRowReplay, PAR_SCATTER_MIN_EDGES_IMPLICIT),
+        ] {
+            assert_eq!(scatter_plan(&cfg, cost, 8, 10_000, 100, min), 8);
+            assert_eq!(scatter_plan(&cfg, cost, 8, 10_000, 100, min - 1), 1);
+        }
+        // An edge volume between the two thresholds fans out on implicit
+        // backends (every edge carries generation work) but not on CSR.
         const _: () = assert!(PAR_SCATTER_MIN_EDGES_IMPLICIT < PAR_SCATTER_MIN_EDGES);
         let mid = (PAR_SCATTER_MIN_EDGES_IMPLICIT + PAR_SCATTER_MIN_EDGES) / 2;
-        assert_eq!(
-            scatter_plan(&cfg, FullRowReplay, 8, 10_000, 100, mid),
-            ScatterPlan::TransmitterShard { threads: 8 }
-        );
-        assert_eq!(
-            scatter_plan(&cfg, Narrowed, 8, 10_000, 100, mid),
-            ScatterPlan::Serial
-        );
-    }
-
-    #[test]
-    fn scatter_plan_honors_overrides_and_caps() {
-        use RangeQueryCost::{FullRowReplay, Narrowed};
-        let shard =
-            EngineConfig::default().with_scatter_strategy(ScatterStrategy::TransmitterShard);
-        let range = EngineConfig::default().with_scatter_strategy(ScatterStrategy::ReceiverRange);
-        // Overrides beat the backend hint (both directions).
-        assert_eq!(
-            scatter_plan(&shard, Narrowed, 4, 1_000, 500, 1 << 20),
-            ScatterPlan::TransmitterShard { threads: 4 }
-        );
-        assert_eq!(
-            scatter_plan(&range, FullRowReplay, 4, 1_000, 500, 1 << 20),
-            ScatterPlan::ReceiverRange { threads: 4 }
-        );
-        // Worker caps: shards never outnumber transmitters, ranges never
-        // outnumber the 64-node bitmap words (⌈300/64⌉ = 5), and a graph
-        // of one word has nothing to partition.
-        assert_eq!(
-            scatter_plan(&shard, FullRowReplay, 16, 1_000, 3, 1 << 20),
-            ScatterPlan::TransmitterShard { threads: 3 }
-        );
-        assert_eq!(
-            scatter_plan(&range, Narrowed, 16, 300, 4, 1 << 20),
-            ScatterPlan::ReceiverRange { threads: 5 }
-        );
-        assert_eq!(
-            scatter_plan(&shard, FullRowReplay, 16, 300, 40, 1 << 20),
-            ScatterPlan::TransmitterShard { threads: 5 }
-        );
-        for cfg in [shard, range] {
+        assert_eq!(scatter_plan(&cfg, FullRowReplay, 8, 10_000, 100, mid), 8);
+        assert_eq!(scatter_plan(&cfg, Narrowed, 8, 10_000, 100, mid), 1);
+        // The thresholds are read from the config.
+        let zeroed = EngineConfig {
+            par_min_edges: 0,
+            par_min_edges_implicit: 0,
+            ..cfg
+        };
+        for cost in [Narrowed, FullRowReplay] {
+            assert_eq!(scatter_plan(&zeroed, cost, 4, 1_000, 500, 0), 4);
+            // Worker caps: never more workers than transmitters, nor
+            // than 64-node bitmap words (⌈300/64⌉ = 5).
+            assert_eq!(scatter_plan(&zeroed, cost, 16, 1_000, 3, 1 << 20), 3);
+            assert_eq!(scatter_plan(&zeroed, cost, 16, 300, 40, 1 << 20), 5);
+            // A graph of one word, a single thread or a single
+            // transmitter scatters serially.
             for n in [5, 64] {
-                assert_eq!(
-                    scatter_plan(&cfg, Narrowed, 16, n, 4, 1 << 20),
-                    ScatterPlan::Serial
-                );
+                assert_eq!(scatter_plan(&zeroed, cost, 16, n, 4, 1 << 20), 1);
             }
-        }
-        // Degenerate rounds stay serial under every strategy.
-        for cfg in [shard, range] {
-            assert_eq!(
-                scatter_plan(&cfg, FullRowReplay, 1, 1_000, 500, 1 << 20),
-                ScatterPlan::Serial
-            );
-            assert_eq!(
-                scatter_plan(&cfg, FullRowReplay, 8, 1_000, 1, 1 << 20),
-                ScatterPlan::Serial
-            );
+            assert_eq!(scatter_plan(&zeroed, cost, 1, 1_000, 500, 1 << 20), 1);
+            assert_eq!(scatter_plan(&zeroed, cost, 8, 1_000, 1, 1 << 20), 1);
         }
     }
 
@@ -2812,7 +2608,7 @@ mod tests {
         let mut heard: Vec<Heard> = workers.iter().map(|_| Heard::new(n)).collect();
         for (Heard { bits, hits }, worker_hits) in heard.iter_mut().zip(workers) {
             for &(v, u) in worker_hits.iter() {
-                record_hit(hits, bits, &src, 0, v, u);
+                record_hit(hits, bits, &src, v, u);
             }
         }
         let mut visits = Vec::new();

@@ -46,9 +46,10 @@
 //!
 //! Parallelism also reaches *inside* a single run: the engine's
 //! scatter/collision phase — the dominant cost at scale — fans out over
-//! [`EngineConfig::threads`] workers, partitioned by receiver id range
-//! or by transmitter shard per backend ([`engine::scatter_plan`]), with
-//! runs bit-identical for every thread count. Sweeps over huge cells
+//! [`EngineConfig::threads`] workers, each generating one shard of the
+//! round's transmitters' rows ([`engine::scatter_plan`] sizes the
+//! fan-out per round and backend), with runs bit-identical for every
+//! thread count. Sweeps over huge cells
 //! trade trial-level for run-level parallelism via
 //! [`Sweep::with_threads_per_run`].
 //!
@@ -95,7 +96,7 @@ pub use radio_trace as trace;
 
 pub use engine::{
     run_protocol_fused, run_protocol_fused_traced, scatter_plan, EnergyRunResult, Engine,
-    EngineConfig, Run, RunResult, ScatterPlan, ScatterStrategy,
+    EngineConfig, Run, RunResult,
 };
 pub use fault::{CrashPlan, Faulty};
 pub use metrics::{EnergyMetrics, Metrics};

@@ -302,10 +302,10 @@ impl Sweep {
     /// itself). The right trade for *huge* cells, where a single run
     /// saturates memory bandwidth and per-trial rayon tasks would thrash
     /// each other's caches. Either setting produces bit-identical
-    /// reports: every scatter partition (receiver range or transmitter
-    /// shard) and, under v2, the parallel decide reproduce the serial
-    /// run, so run results do not depend on the thread count; and trial
-    /// seeds depend only on `(base_seed, cell, trial)`.
+    /// reports: the transmitter-sharded scatter and, under v2, the
+    /// parallel decide reproduce the serial run, so run results do not
+    /// depend on the thread count; and trial seeds depend only on
+    /// `(base_seed, cell, trial)`.
     ///
     /// # Panics
     /// Panics if `threads == 0`.

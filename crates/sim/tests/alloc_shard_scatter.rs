@@ -8,10 +8,10 @@
 //! or not) would grow its buffers as the rounds' hit volume grows, and
 //! fail here.
 //!
-//! The run: v1 on `ImplicitGnp`, n = 4096, 2 threads, the transmitter
-//! shard pinned and every threshold zeroed, with a fixed-length storm
-//! whose transmitter set grows by 16 nodes per round. Bytes are counted
-//! from round 2 on, per round, at expected degree 8 and 32.
+//! The run: v1 on `ImplicitGnp`, n = 4096, 2 threads and every
+//! threshold zeroed, with a fixed-length storm whose transmitter set
+//! grows by 16 nodes per round. Bytes are counted from round 2 on, per
+//! round, at expected degree 8 and 32.
 //!
 //! This file holds exactly one `#[test]`, for the same reason as
 //! `alloc_free.rs`: the counting allocator is process-global, so a
@@ -19,8 +19,8 @@
 //! integration-test binaries are per-file.
 
 use radio_graph::{ImplicitGnp, NodeId, Topology};
-use radio_sim::engine::{scatter_plan, Engine, ScatterPlan};
-use radio_sim::{Action, EngineConfig, Protocol, ScatterStrategy};
+use radio_sim::engine::{scatter_plan, Engine};
+use radio_sim::{Action, EngineConfig, Protocol};
 use radio_util::derive_rng;
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -117,14 +117,13 @@ fn bytes_per_round(degree: f64) -> Vec<u64> {
         par_min_edges_implicit: 0,
         ..EngineConfig::with_max_rounds(ROUNDS)
     }
-    .with_scatter_strategy(ScatterStrategy::TransmitterShard)
     .with_threads(2);
     // The smallest round (STEP transmitters) already fans out.
     let first_edges = (0..STEP).map(|u| g.degree_hint(u)).sum();
     assert_eq!(
         scatter_plan(&cfg, g.range_query_cost(), 2, N, STEP as usize, first_edges),
-        ScatterPlan::TransmitterShard { threads: 2 },
-        "every round of the storm must take the transmitter shard"
+        2,
+        "every round of the storm must fan out to two shard workers"
     );
     // No warm-up run: round 1 creates worker 1's hit set, and every
     // later round makes more hits than any before it, so a buffer that

@@ -114,8 +114,8 @@ pub mod prelude {
     };
     pub use radio_sim::{
         run_protocol_fused, run_protocol_fused_traced, CrashPlan, DecideStreams, EnergyRunResult,
-        Engine, EngineConfig, Faulty, FusedDecide, Metrics, Protocol, Run, RunResult,
-        ScatterStrategy, Sweep, SweepCell, SweepReport, TracePlan, TrialEnergy, TrialResult,
+        Engine, EngineConfig, Faulty, FusedDecide, Metrics, Protocol, Run, RunResult, Sweep,
+        SweepCell, SweepReport, TracePlan, TrialEnergy, TrialResult,
     };
     pub use radio_stats::{mean, quantile, LinearFit, SummaryStats};
     pub use radio_trace::{

@@ -200,8 +200,9 @@ fn run_par_is_bit_identical_to_serial_across_families_and_channels() {
     // The intra-run parallel engine's contract: for every graph family,
     // half-duplex setting, and thread count, a parallel v1 run reproduces the
     // serial run bit for bit — rounds, completion, the full event
-    // stream, and the per-node transmission vector. The scatter partition is by
-    // receiver id range, so this is a property of the construction; the
+    // stream, and the per-node transmission vector. The scatter shards by
+    // transmitter into per-worker hit sets whose fold does not depend on
+    // the shard cuts, so this is a property of the construction; the
     // test pins it across the exact surfaces the sweep grids use.
     use adhoc_radio::graph::GraphFamily;
     use adhoc_radio::sim::trace::{RingSink, RoundEvents};

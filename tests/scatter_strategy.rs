@@ -1,31 +1,30 @@
-//! Scatter-strategy bit-identity: the parallel scatter's partition
-//! choice — serial, receiver-range, or transmitter-sharded — and its
-//! thread count are pure performance knobs. For every backend
-//! ({CSR, ImplicitGrid, ImplicitGnp}), half-duplex setting, strategy,
-//! and thread count in {1, 2, 4, 8}, the full `RunResult` (rounds,
-//! metrics), the run's event stream and the protocol's observable state
-//! must equal the serial run bit for bit.
+//! Scatter thread-count bit-identity: how many workers the
+//! transmitter-sharded scatter fans out to is a pure performance knob.
+//! For every backend ({CSR, ImplicitGrid, ImplicitGnp}), half-duplex
+//! setting and thread count in {1, 2, 4, 8}, the full `RunResult`
+//! (rounds, metrics), the run's event stream and the protocol's
+//! observable state must equal the serial run bit for bit.
 //!
-//! The adversarial companion pins the transmitter-sharded scatter where
-//! it could plausibly break: shard boundaries landing *mid-collision*,
-//! with two or more transmitters hitting one receiver from different
-//! shards. Since "equals the serial run" is no evidence when the serial
-//! path itself is wrong, the partition edge sizes are also checked
-//! against the naive `reference` oracle, on CSR and on the implicit
-//! backends' materialized CSR.
+//! The adversarial companion pins the shard where it could plausibly
+//! break: shard boundaries landing *mid-collision*, with two or more
+//! transmitters hitting one receiver from different shards. Since
+//! "equals the serial run" is no evidence when the serial path itself is
+//! wrong, the partition edge sizes are also checked against the naive
+//! `reference` oracle, on CSR and on the implicit backends' materialized
+//! CSR.
 
 use adhoc_radio::prelude::*;
 use adhoc_radio::sim::reference::run_reference;
-use adhoc_radio::sim::{run_protocol_fused, Engine, FusedDecide, ScatterStrategy};
+use adhoc_radio::sim::{run_protocol_fused, Engine, FusedDecide};
 use adhoc_radio::util::split_seed;
 use proptest::prelude::*;
 
 /// Coin-flip transmitters with a small send budget (copied from the
 /// determinism suite's idiom): consumes the shared serial RNG in
 /// decide/delivery order, so any scatter divergence — ordering,
-/// collision marking, receiver-set merge — cascades into different
-/// rounds, metrics, and traces. Split into [`FusedDecide`] halves so the
-/// same protocol also runs under the v2 contract.
+/// collision marking, the fold of the workers' hit sets — cascades into
+/// different rounds, metrics, and traces. Split into [`FusedDecide`]
+/// halves so the same protocol also runs under the v2 contract.
 struct CoinProto {
     informed: Vec<bool>,
     n_informed: usize,
@@ -103,16 +102,15 @@ impl FusedDecide for CoinProto {
     }
 }
 
-/// Engine config pinning one scatter strategy, with both edge-volume
-/// thresholds zeroed so even toy graphs take the parallel paths.
-fn cfg(strategy: ScatterStrategy, half_duplex: bool) -> EngineConfig {
+/// Engine config with both edge-volume thresholds zeroed, so even toy
+/// graphs take the parallel path.
+fn cfg(half_duplex: bool) -> EngineConfig {
     EngineConfig {
         half_duplex,
         par_min_edges: 0,
         par_min_edges_implicit: 0,
         ..EngineConfig::with_max_rounds(200)
     }
-    .with_scatter_strategy(strategy)
 }
 
 type Fingerprint = (
@@ -125,17 +123,11 @@ type Fingerprint = (
     Vec<u32>,
 );
 
-fn run_one<T: Topology>(
-    t: &T,
-    strategy: ScatterStrategy,
-    half_duplex: bool,
-    threads: usize,
-    seed: u64,
-) -> Fingerprint {
+fn run_one<T: Topology>(t: &T, half_duplex: bool, threads: usize, seed: u64) -> Fingerprint {
     let mut proto = CoinProto::new(Topology::n(t));
     let mut rng = derive_rng(seed, b"scatter-run", 0);
     let mut sink = RingSink::new(usize::MAX);
-    let res = Engine::new(t, cfg(strategy, half_duplex).with_threads(threads))
+    let res = Engine::new(t, cfg(half_duplex).with_threads(threads))
         .run(&mut proto)
         .sink(&mut sink)
         .v1(&mut rng);
@@ -150,52 +142,47 @@ fn run_one<T: Topology>(
     )
 }
 
-/// Every (strategy, thread count) must reproduce the serial run.
-fn check_all_strategies<T: Topology>(t: &T, half_duplex: bool, seed: u64, label: &str) {
-    let serial = run_one(t, ScatterStrategy::Auto, half_duplex, 1, seed);
-    for strategy in [
-        ScatterStrategy::Auto,
-        ScatterStrategy::ReceiverRange,
-        ScatterStrategy::TransmitterShard,
-    ] {
-        for threads in [1usize, 2, 4, 8] {
-            let got = run_one(t, strategy, half_duplex, threads, seed);
-            assert_eq!(
-                serial, got,
-                "{label} half_duplex={half_duplex} {strategy:?} x {threads} threads diverged"
-            );
-        }
+/// Every thread count must reproduce the serial (1-thread) run.
+fn check_all_threads<T: Topology>(t: &T, half_duplex: bool, seed: u64, label: &str) {
+    let serial = run_one(t, half_duplex, 1, seed);
+    for threads in [2usize, 4, 8] {
+        let got = run_one(t, half_duplex, threads, seed);
+        assert_eq!(
+            serial, got,
+            "{label} half_duplex={half_duplex} x {threads} threads diverged"
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Bit-identity across every backend × strategy × thread count ×
-    /// half-duplex: the scatter plan cannot influence `RunResult`.
+    /// Bit-identity across every backend × thread count × half-duplex:
+    /// the scatter fan-out cannot influence `RunResult`.
     #[test]
-    fn scatter_strategy_and_threads_cannot_influence_results(
+    fn thread_count_cannot_influence_results(
         n in 48usize..160,
         d in 6.0f64..14.0,
         seed in 0u64..1_000_000,
         half_duplex in any::<bool>(),
     ) {
         let csr = gnp_directed(n, (d / n as f64).min(0.9), &mut derive_rng(seed, b"sc-g", 0));
-        check_all_strategies(&csr, half_duplex, seed, "csr");
+        check_all_threads(&csr, half_duplex, seed, "csr");
 
         let grid = ImplicitGrid::with_expected_degree(n, d, &mut derive_rng(seed, b"sc-g", 1));
-        check_all_strategies(&grid, half_duplex, seed, "grid");
+        check_all_threads(&grid, half_duplex, seed, "grid");
 
         let gnp = ImplicitGnp::with_expected_degree(n, d, split_seed(seed, b"sc-g", 2));
-        check_all_strategies(&gnp, half_duplex, seed, "gnp");
+        check_all_threads(&gnp, half_duplex, seed, "gnp");
     }
 }
 
 /// Fixed partition edge cases the random sizes above may miss. The
-/// parallel partitions cut the node range at multiples of 64, so tiny
-/// graphs and sizes just off a multiple of 64 give single-word, partial
-/// last-word and uneven ranges. For every size × thread count ×
-/// strategy, with every parallel threshold zeroed:
+/// shard plan caps its workers at the graph's 64-node bitmap words and
+/// the delivery sweep folds the workers' sets word by word, so tiny
+/// graphs and sizes just off a multiple of 64 give single-word, capped
+/// and partial last-word cases. For every size × thread count, with
+/// every parallel threshold zeroed:
 ///
 /// * the v1 engine on CSR equals the naive `reference` oracle, which
 ///   shares no scatter or delivery code with the engine;
@@ -222,35 +209,24 @@ fn partition_edge_sizes_match_reference_and_serial() {
             (res, proto.informed, proto.sent)
         };
         let fused_serial = fused_at(EngineConfig::with_max_rounds(200));
-        for strategy in [
-            ScatterStrategy::ReceiverRange,
-            ScatterStrategy::TransmitterShard,
-        ] {
-            for threads in [2usize, 3, 8] {
-                let cfg = EngineConfig {
-                    par_min_edges: 0,
-                    par_min_edges_implicit: 0,
-                    par_min_awake: 0,
-                    ..EngineConfig::with_max_rounds(200)
-                }
-                .with_scatter_strategy(strategy);
-                let label = format!("n={n} {strategy:?} x {threads} threads");
-                let mut proto = CoinProto::new(n);
-                let mut rng = derive_rng(seed, b"scatter-run", 0);
-                let res = Engine::new(&g, cfg.with_threads(threads))
-                    .run(&mut proto)
-                    .v1(&mut rng);
-                assert_eq!(
-                    oracle,
-                    (res, proto.informed, proto.sent),
-                    "v1 vs reference: {label}"
-                );
-                assert_eq!(
-                    fused_serial,
-                    fused_at(cfg.with_threads(threads)),
-                    "fused vs 1 thread: {label}"
-                );
+        for threads in [2usize, 3, 8] {
+            let cfg = EngineConfig {
+                par_min_edges: 0,
+                par_min_edges_implicit: 0,
+                par_min_awake: 0,
+                ..EngineConfig::with_max_rounds(200)
             }
+            .with_threads(threads);
+            let label = format!("n={n} x {threads} threads");
+            let mut proto = CoinProto::new(n);
+            let mut rng = derive_rng(seed, b"scatter-run", 0);
+            let res = Engine::new(&g, cfg).run(&mut proto).v1(&mut rng);
+            assert_eq!(
+                oracle,
+                (res, proto.informed, proto.sent),
+                "v1 vs reference: {label}"
+            );
+            assert_eq!(fused_serial, fused_at(cfg), "fused vs 1 thread: {label}");
         }
     }
 }
@@ -299,20 +275,20 @@ impl adhoc_radio::sim::Protocol for ListedStorm {
 
 /// Adversarial shard boundaries: transmitters 0..8 all transmit in one
 /// round, so with 2/4/8 shard workers the shard cuts land *inside* the
-/// multi-hit receivers' transmitter sets. The merge must still resolve
+/// multi-hit receivers' transmitter sets. The fold must still resolve
 /// each receiver to the serial outcome: collision where ≥ 2 transmitters
-/// hit (even from different shards), delivery from the earliest
-/// transmitter where exactly one hit.
+/// hit (even from different shards), delivery from the one transmitter
+/// where exactly one hit.
 ///
-/// Parallel partitions cut the node range at whole 64-node bitmap
-/// words and a one-word graph scatters serially, so the graph is padded
-/// with isolated nodes to 600 (ten words, the last one partial) and the
-/// receivers are spread over six of those words. Every merge range and
-/// receiver range at t = 8 then resolves its own receivers, and each
-/// run asserts its plan so the test cannot fall back to serial.
+/// The plan caps its workers at the graph's 64-node bitmap words and a
+/// one-word graph scatters serially, so the graph is padded with
+/// isolated nodes to 600 (ten words, the last one partial) and the
+/// receivers are spread over six of those words. Each run asserts the
+/// shard plan on this CSR graph at the default settings, thresholds
+/// aside, so the test cannot fall back to serial.
 #[test]
 fn transmitter_shard_boundaries_mid_collision_resolve_serially() {
-    use adhoc_radio::sim::{scatter_plan, ScatterPlan};
+    use adhoc_radio::sim::scatter_plan;
     let n_tx = 8u32;
     let n = 600usize;
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -341,27 +317,23 @@ fn transmitter_shard_boundaries_mid_collision_resolve_serially() {
     let g = DiGraph::from_edges(n, &edges);
     let tx_edges: u64 = (0..n_tx).map(|u| g.degree_hint(u)).sum();
 
-    let cfg_for = |strategy: ScatterStrategy| {
-        EngineConfig {
-            par_min_edges: 0,
-            par_min_edges_implicit: 0,
-            ..EngineConfig::with_max_rounds(1)
-        }
-        .with_scatter_strategy(strategy)
+    let cfg = EngineConfig {
+        par_min_edges: 0,
+        ..EngineConfig::with_max_rounds(1)
     };
-    let run_at = |strategy: ScatterStrategy, threads: usize| {
+    let run_at = |threads: usize| {
         let mut proto = ListedStorm {
             is_tx: (0..n).map(|u| (u as u32) < n_tx).collect(),
             heard: vec![Vec::new(); n],
         };
         let mut rng = derive_rng(77, b"storm", 0);
-        let res = Engine::new(&g, cfg_for(strategy).with_threads(threads))
+        let res = Engine::new(&g, cfg.with_threads(threads))
             .run(&mut proto)
             .v1(&mut rng);
         (res.metrics, proto.heard)
     };
 
-    let (serial_metrics, serial_heard) = run_at(ScatterStrategy::Auto, 1);
+    let (serial_metrics, serial_heard) = run_at(1);
     // Semantic ground truth, checked once on the serial oracle.
     assert!(
         serial_heard[9].is_empty(),
@@ -373,42 +345,32 @@ fn transmitter_shard_boundaries_mid_collision_resolve_serially() {
     assert_eq!(serial_heard[70], vec![0], "single hit delivers its source");
     assert_eq!(serial_heard[200], vec![7], "single hit from the last shard");
 
-    for strategy in [
-        ScatterStrategy::TransmitterShard,
-        ScatterStrategy::ReceiverRange,
-    ] {
-        for threads in [2usize, 4, 8] {
-            let want = match strategy {
-                ScatterStrategy::TransmitterShard => ScatterPlan::TransmitterShard { threads },
-                _ => ScatterPlan::ReceiverRange { threads },
-            };
-            assert_eq!(
-                scatter_plan(
-                    &cfg_for(strategy),
-                    g.range_query_cost(),
-                    threads,
-                    n,
-                    n_tx as usize,
-                    tx_edges
-                ),
-                want,
-                "{strategy:?} x {threads} threads must take its parallel path"
-            );
-            let got = run_at(strategy, threads);
-            assert_eq!(
-                (&serial_metrics, &serial_heard),
-                (&got.0, &got.1),
-                "{strategy:?} x {threads} threads diverged"
-            );
-        }
+    for threads in [2usize, 4, 8] {
+        assert_eq!(
+            scatter_plan(
+                &cfg,
+                g.range_query_cost(),
+                threads,
+                n,
+                n_tx as usize,
+                tx_edges
+            ),
+            threads,
+            "{threads} threads must fan out to {threads} shard workers"
+        );
+        let got = run_at(threads);
+        assert_eq!(
+            (&serial_metrics, &serial_heard),
+            (&got.0, &got.1),
+            "{threads} threads diverged"
+        );
     }
 }
 
-/// The partition edge sizes on the implicit backends, whose default
-/// parallel path is the transmitter shard. Checked against the naive
-/// `reference` oracle on the backend's materialized CSR, which shares no
-/// scatter code with the engine, so a fault common to the serial and
-/// parallel scatter cannot hide. For every size × backend × strategy ×
+/// The partition edge sizes on the implicit backends, checked against
+/// the naive `reference` oracle on the backend's materialized CSR, which
+/// shares no scatter code with the engine, so a fault common to the
+/// serial and parallel scatter cannot hide. For every size × backend ×
 /// thread count, with every parallel threshold zeroed:
 ///
 /// * the v1 run equals `run_reference` on `materialize()`;
@@ -434,30 +396,24 @@ fn implicit_backends_match_reference_under_parallel_scatter() {
             (res, proto.informed, proto.sent)
         };
         let fused_serial = fused_at(EngineConfig::with_max_rounds(200));
-        for strategy in [
-            ScatterStrategy::TransmitterShard,
-            ScatterStrategy::ReceiverRange,
-        ] {
-            for threads in [2usize, 3, 8] {
-                let cfg = EngineConfig {
-                    par_min_edges: 0,
-                    par_min_edges_implicit: 0,
-                    par_min_awake: 0,
-                    ..EngineConfig::with_max_rounds(200)
-                }
-                .with_scatter_strategy(strategy)
-                .with_threads(threads);
-                let label = format!("{label} n={n} {strategy:?} x {threads} threads");
-                let mut proto = CoinProto::new(n);
-                let mut rng = derive_rng(seed, b"scatter-run", 0);
-                let res = Engine::new(topo, cfg).run(&mut proto).v1(&mut rng);
-                assert_eq!(
-                    oracle,
-                    (res, proto.informed, proto.sent),
-                    "v1 vs reference: {label}"
-                );
-                assert_eq!(fused_serial, fused_at(cfg), "fused vs 1 thread: {label}");
+        for threads in [2usize, 3, 8] {
+            let cfg = EngineConfig {
+                par_min_edges: 0,
+                par_min_edges_implicit: 0,
+                par_min_awake: 0,
+                ..EngineConfig::with_max_rounds(200)
             }
+            .with_threads(threads);
+            let label = format!("{label} n={n} x {threads} threads");
+            let mut proto = CoinProto::new(n);
+            let mut rng = derive_rng(seed, b"scatter-run", 0);
+            let res = Engine::new(topo, cfg).run(&mut proto).v1(&mut rng);
+            assert_eq!(
+                oracle,
+                (res, proto.informed, proto.sent),
+                "v1 vs reference: {label}"
+            );
+            assert_eq!(fused_serial, fused_at(cfg), "fused vs 1 thread: {label}");
         }
     }
 

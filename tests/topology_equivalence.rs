@@ -177,9 +177,9 @@ fn informative_runs_actually_inform() {
 /// be bit-identical across thread counts.
 ///
 /// `#[ignore]`: ~½ GiB resident and ~30 min on a single core (four
-/// full-scale runs; the 8-thread ones pay the receiver-range
-/// partition's per-worker row replay with no cores to spread it over —
-/// multi-core hosts finish proportionally faster). Run with
+/// full-scale runs; the 8-thread ones pay the shard workers' spawns and
+/// hit-set fold with no cores to spread the rows over — multi-core
+/// hosts finish proportionally faster). Run with
 /// `cargo test --release -- --ignored topology_scale`.
 #[test]
 #[ignore = "release-scale acceptance run (n = 2^24)"]
