@@ -91,12 +91,6 @@ pub fn pm(stats: &radio_stats::SummaryStats) -> String {
     format!("{:.1} ± {:.1}", stats.mean, stats.ci95_half_width())
 }
 
-/// Lift a broadcast outcome into a sweep trial row — thin alias for
-/// [`radio_core::broadcast::BroadcastOutcome::to_trial`].
-pub fn broadcast_trial(out: &radio_core::broadcast::BroadcastOutcome) -> radio_sim::TrialResult {
-    out.to_trial()
-}
-
 /// Mean-informed fraction of a sweep cell.
 pub fn informed_frac(cell: &radio_sim::CellSummary) -> f64 {
     cell.mean_informed / cell.cell.n as f64

@@ -6,7 +6,7 @@
 //! aggregates land both in this markdown table and in
 //! `results/sweep_e1.json`.
 
-use crate::common::{broadcast_trial, cell_extra, informed_frac, pm, sweep_note};
+use crate::common::{cell_extra, informed_frac, pm, sweep_note};
 use crate::{Ctx, Report};
 use radio_core::broadcast::ee_random::{run_ee_broadcast, EeBroadcastConfig};
 use radio_graph::GraphFamily;
@@ -73,7 +73,7 @@ pub fn run(ctx: &Ctx) -> Report {
     }
     let sweep_report = sweep.run(|cell, graph, seed| {
         let cfg = EeBroadcastConfig::for_gnp(cell.n, cell.p);
-        broadcast_trial(&run_ee_broadcast(graph, 0, &cfg, seed))
+        run_ee_broadcast(graph, 0, &cfg, seed).to_trial()
     });
 
     let mut table = TextTable::new(&[

@@ -6,7 +6,7 @@
 //! and into `results/sweep_e2.json`. `|U_{t+1}|` is the number of nodes
 //! first informed in round `t` (see `run_ee_broadcast_growth`).
 
-use crate::common::{broadcast_trial, cell_extra, sweep_note};
+use crate::common::{cell_extra, sweep_note};
 use crate::{Ctx, Report};
 use radio_core::broadcast::ee_random::{run_ee_broadcast_growth, EeBroadcastConfig};
 use radio_graph::GraphFamily;
@@ -44,7 +44,7 @@ pub fn run(ctx: &Ctx) -> Report {
         // series[r] = |U_{r+2}|, the nodes first informed in round r+1;
         // |U_1| = 1 (the source).
         let (out, series) = run_ee_broadcast_growth(graph, 0, &cfg, seed);
-        let mut trial = broadcast_trial(&out);
+        let mut trial = out.to_trial();
         for round in 0..t_phase1 {
             let prev = if round == 0 {
                 1.0

@@ -9,7 +9,7 @@
 //! runner. JSON lands in `results/sweep_e13_random.json` and
 //! `results/sweep_e13_general.json`.
 
-use crate::common::{broadcast_trial, cell_extra, sweep_note};
+use crate::common::{cell_extra, sweep_note};
 use crate::{Ctx, Report};
 use radio_core::broadcast::cr::{run_cr_broadcast, CrBroadcastConfig};
 use radio_core::broadcast::decay::{run_decay_broadcast, DecayConfig};
@@ -52,7 +52,7 @@ pub fn run(ctx: &Ctx) -> Report {
             }
             other => unreachable!("unknown algorithm {other}"),
         };
-        broadcast_trial(&out)
+        out.to_trial()
     });
 
     let mut t1 = TextTable::new(&[
@@ -125,7 +125,7 @@ pub fn run(ctx: &Ctx) -> Report {
         };
         let mean_msgs = out.mean_msgs_per_node();
         let max_msgs = out.max_msgs_per_node();
-        broadcast_trial(&out)
+        out.to_trial()
             .extra("mean_msgs_per_node", mean_msgs)
             .extra("max_msgs_per_node", f64::from(max_msgs))
     });

@@ -75,7 +75,6 @@ impl EgBroadcastConfig {
 pub struct EgBroadcast {
     informed: InformedSet,
     source: NodeId,
-    retired: Vec<bool>,
     /// The run constants the polls read, taken from the config once at
     /// construction (each of the derived ones takes `log2`/`powi` work)
     /// instead of on every poll: [`EgBroadcastConfig::early_stop`],
@@ -96,7 +95,6 @@ impl EgBroadcast {
         EgBroadcast {
             informed: InformedSet::new(n, source),
             source,
-            retired: vec![false; n],
             early_stop: cfg.early_stop,
             d_hat: cfg.d_hat(),
             schedule_end: cfg.schedule_end(),
@@ -113,13 +111,13 @@ impl Protocol for EgBroadcast {
         vec![self.source]
     }
 
+    /// Both retirement tests (past the schedule, or a Phase-3 round for
+    /// a node informed after round `D̂`) stay true in every later round
+    /// and draw nothing, so a retired node that a reception wakes again
+    /// goes straight back to sleep.
     fn decide(&mut self, node: NodeId, round: u64, rng: &mut ChaCha8Rng) -> Action {
-        if self.retired[node as usize] {
-            return Action::Sleep;
-        }
         let d_hat = self.d_hat;
         if round > self.schedule_end {
-            self.retired[node as usize] = true;
             return Action::Sleep;
         }
         if round < d_hat {
@@ -137,7 +135,6 @@ impl Protocol for EgBroadcast {
             // ≤ D̂) participate — "every node informed in the first two
             // phases transmits with probability 1/d".
             if self.informed.informed_round(node) > d_hat {
-                self.retired[node as usize] = true;
                 return Action::Sleep;
             }
             if rng.random_bool(self.q3) {
