@@ -20,9 +20,10 @@
 //! the JSON stays a pure function of the sweep description).
 //!
 //! JSON: `results/sweep_e18.json` — bit-identical for any thread count
-//! by the v2 stream contract (`(run_seed, node, round)`-keyed draws +
-//! receiver-range scatter). Note the v2 switch changed these bytes
-//! relative to the PR-4 file, which consumed the v1 shared stream.
+//! by the v2 stream contract (`(run_seed, node, round)`-keyed draws) and
+//! the order-free transmitter-sharded scatter. Note the v2 switch changed
+//! these bytes relative to the PR-4 file, which consumed the v1 shared
+//! stream.
 //!
 //! Past the CSR memory wall, the **implicit-backend section**
 //! ([`run_implicit_section`]) re-runs the comparison with no stored
@@ -596,20 +597,20 @@ pub fn run_implicit_section(
     if scaling {
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         report.para(format!(
-            "The scatter here takes the engine's **transmitter-sharded** \
-             parallel path (picked by the `Auto` plan from the backends' \
-             `RangeQueryCost::FullRowReplay` hint): each worker generates \
-             its shard's rows exactly once into its own hit set, and \
-             the delivery sweep folds the workers' sets; a node's \
-             outcome depends only on how many transmitters reached it, \
-             so the fold reproduces the serial outcome. The \
+            "The scatter shards each round's transmitters over the run's \
+             workers, as on every backend: each worker generates its \
+             shard's rows exactly once into its own hit set, and the \
+             delivery sweep folds the workers' sets; a node's outcome \
+             depends only on how many transmitters reached it, so the \
+             fold reproduces the serial outcome. The \
              `wall 1t` column re-times the first trial of each cell with \
              one worker; `speedup` is `wall 1t / wall s/trial`. Recorded \
              on a {cores}-core host with {threads} worker(s) per run — \
              on a single core the sharded fan-out can only cost (spawn + \
              fold overhead, speedup ≤ 1); the ≥ 3× bar lives in \
-             `BENCH_baseline.json`'s provisional multi-core profile and \
-             the `--ignored` acceptance test."
+             `BENCH_baseline.json`'s provisional multi-core profile, and \
+             the `--ignored` acceptance test asks a multi-core host for a \
+             wall-clock win."
         ));
     }
     report.table(&t);
