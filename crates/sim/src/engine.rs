@@ -2557,10 +2557,11 @@ mod tests {
     }
 
     #[test]
-    fn scatter_plan_gates_per_backend_and_caps_workers() {
+    fn scatter_plan_picks_strategy_per_backend_and_threshold() {
         use RangeQueryCost::{FullRowReplay, Narrowed};
         let cfg = EngineConfig::default();
-        // Each cost hint gates on its own threshold: stored rows on
+        // The plan is serial or the transmitter shard on every backend;
+        // each cost hint gates on its own threshold: stored rows on
         // par_min_edges, rows regenerated per query on the lower
         // par_min_edges_implicit.
         for (cost, min) in [
@@ -2576,11 +2577,17 @@ mod tests {
         let mid = (PAR_SCATTER_MIN_EDGES_IMPLICIT + PAR_SCATTER_MIN_EDGES) / 2;
         assert_eq!(scatter_plan(&cfg, FullRowReplay, 8, 10_000, 100, mid), 8);
         assert_eq!(scatter_plan(&cfg, Narrowed, 8, 10_000, 100, mid), 1);
-        // The thresholds are read from the config.
+    }
+
+    #[test]
+    fn scatter_plan_honors_overrides_and_caps() {
+        use RangeQueryCost::{FullRowReplay, Narrowed};
+        // The thresholds are read from the config: overriding both to 0
+        // fans out any round with workers to spare, on either backend.
         let zeroed = EngineConfig {
             par_min_edges: 0,
             par_min_edges_implicit: 0,
-            ..cfg
+            ..EngineConfig::default()
         };
         for cost in [Narrowed, FullRowReplay] {
             assert_eq!(scatter_plan(&zeroed, cost, 4, 1_000, 500, 0), 4);
