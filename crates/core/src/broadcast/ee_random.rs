@@ -222,7 +222,9 @@ impl Protocol for EeRandomBroadcast {
 
     fn radio_off(&self, node: NodeId, _round: u64) -> bool {
         // A passive node is done forever: it holds the message and will
-        // never transmit again, so it powers its radio down. Uninformed
+        // never transmit again, so it powers its radio down, and a
+        // duplicate reception does not put it back on the poll list (its
+        // next poll would only sleep again, drawing nothing). Uninformed
         // nodes (state `None`) must keep listening; active nodes are
         // about to transmit. This is Algorithm 1's structural energy
         // advantage once idle listening is charged: per-node radio-on
@@ -234,7 +236,10 @@ impl Protocol for EeRandomBroadcast {
 impl radio_sim::FusedDecide for EeRandomBroadcast {
     fn decide_pure(&self, node: NodeId, round: u64, rng: &mut ChaCha8Rng) -> Action {
         if self.state[node as usize] != Some(NodeState::Active) {
-            // Passive node re-woken by a duplicate reception.
+            // Passive: it transmitted last round and is still on the
+            // poll list. A reception never re-wakes a passive node here
+            // (`radio_off`); only the reference oracle, which wakes
+            // every receiver, polls one again, and it sleeps at once.
             return Action::Sleep;
         }
         let p = self.cfg.params;
@@ -272,8 +277,8 @@ impl radio_sim::FusedDecide for EeRandomBroadcast {
                 let _ = self.transmit_now(node);
             }
             // Sleep from an active node means Phase-2 passivation or the
-            // schedule ending; from an already-passive node (re-woken by
-            // a duplicate reception) there is nothing to apply, and
+            // schedule ending; from an already-passive node (one that
+            // transmitted last round) there is nothing to apply, and
             // `go_passive` leaves it passive.
             Action::Sleep => self.go_passive(node),
             Action::Silent => {}

@@ -113,8 +113,8 @@ impl Protocol for EgBroadcast {
 
     /// Both retirement tests (past the schedule, or a Phase-3 round for
     /// a node informed after round `D̂`) stay true in every later round
-    /// and draw nothing, so a retired node that a reception wakes again
-    /// goes straight back to sleep.
+    /// and draw nothing. `radio_off` reports exactly these nodes, so a
+    /// reception does not wake a retired node.
     fn decide(&mut self, node: NodeId, round: u64, rng: &mut ChaCha8Rng) -> Action {
         let d_hat = self.d_hat;
         if round > self.schedule_end {
@@ -164,6 +164,15 @@ impl Protocol for EgBroadcast {
 
     fn informed_count(&self) -> usize {
         self.informed.count()
+    }
+
+    fn radio_off(&self, node: NodeId, round: u64) -> bool {
+        // A retired node — one that `decide` would put straight to sleep
+        // in this and every later round — powers its radio down.
+        // Uninformed nodes keep listening.
+        self.informed.is_informed(node)
+            && (round > self.schedule_end
+                || (round > self.d_hat && self.informed.informed_round(node) > self.d_hat))
     }
 }
 

@@ -337,7 +337,7 @@ const PAR_SCATTER_MIN_EDGES_IMPLICIT: u64 = 2_048;
 
 /// Default for [`EngineConfig::par_min_awake`]. The batched decide
 /// costs ~15 ns per awake node in the steady state (`decide_phase/v2_warm`
-/// bench: 10 000 nodes, one Bernoulli coin each) and ~46 ns per awake
+/// bench: 10 000 nodes, one Bernoulli coin each) and ~27 ns per awake
 /// node-round on a traced 1-thread `alg1_csr` run at n = 2¹⁷, where node
 /// state misses cache (both on a 2-vCPU Intel Xeon host). A round at
 /// this threshold thus holds ≥ ~30 µs of decide work to set against the
@@ -780,7 +780,10 @@ impl<'g, T: Topology> Engine<'g, T> {
             // transmitter reached it (not collided), its own
             // radio was not busy transmitting under half-duplex, and its
             // battery has not run out; `on_receive` then draws from the
-            // contract's receive stream.
+            // contract's receive stream. A sleeping receiver rejoins the
+            // poll list only if its radio is on: `Protocol::radio_off`
+            // promises that the skipped poll would have slept again,
+            // drawing nothing and changing no state.
             let mut deliveries = 0u64;
             if !pools.transmitters.is_empty() {
                 drain_heard(&mut self.heard[..scattered], |v, collided| {
@@ -804,7 +807,7 @@ impl<'g, T: Topology> Engine<'g, T> {
                     }
                     contract.receive(&mut pools, protocol, v, from, round, &msg);
                     deliveries += 1;
-                    let woke = !pools.is_awake[vi];
+                    let woke = !pools.is_awake[vi] && !protocol.radio_off(v, round);
                     if S::ACTIVE {
                         sink.emit(TraceEvent::Deliver {
                             node: v,
@@ -2352,6 +2355,118 @@ mod tests {
             cycled < always_on,
             "sleep cost 0 must beat idle listening: {cycled} vs {always_on}"
         );
+    }
+
+    #[test]
+    fn a_reception_wakes_only_a_radio_on_node() {
+        /// On a star, the centre transmits in rounds 1 and 2, then
+        /// sleeps. Leaf 1's radio is off throughout; leaf 2's is on. A
+        /// polled leaf sleeps at once, drawing nothing — the poll that
+        /// `radio_off` lets the engine skip.
+        struct Pager {
+            polls: Vec<u32>,
+            received: Vec<u32>,
+        }
+        impl Protocol for Pager {
+            type Msg = ();
+            fn initially_awake(&self) -> Vec<NodeId> {
+                vec![0]
+            }
+            fn decide(&mut self, node: NodeId, round: u64, _rng: &mut ChaCha8Rng) -> Action {
+                self.polls[node as usize] += 1;
+                if node == 0 && round <= 2 {
+                    Action::Transmit
+                } else {
+                    Action::Sleep
+                }
+            }
+            fn payload(&self, _node: NodeId, _round: u64) -> Self::Msg {}
+            fn on_receive(
+                &mut self,
+                node: NodeId,
+                _from: NodeId,
+                _round: u64,
+                _msg: &Self::Msg,
+                _rng: &mut ChaCha8Rng,
+            ) {
+                self.received[node as usize] += 1;
+            }
+            fn is_complete(&self) -> bool {
+                false
+            }
+            fn informed_count(&self) -> usize {
+                0
+            }
+            fn radio_off(&self, node: NodeId, _round: u64) -> bool {
+                node == 1
+            }
+        }
+
+        let g = star(3);
+        let mut p = Pager {
+            polls: vec![0; 3],
+            received: vec![0; 3],
+        };
+        let (tx, listen, idle, sleep) = (8.0, 4.0, 2.0, 1.0);
+        let mut session = radio_energy::EnergySession::new(
+            3,
+            radio_energy::LinearRadio::new(tx, listen, idle, sleep),
+            5,
+        );
+        let mut sink = RingSink::new(usize::MAX);
+        let mut rng = derive_rng(24, b"eng", 0);
+        let res = Engine::new(&g, EngineConfig::with_max_rounds(10))
+            .run(&mut p)
+            .energy(&mut session)
+            .sink(&mut sink)
+            .v1(&mut rng);
+        assert_eq!(res.run.rounds, 3);
+
+        // Leaf 1 takes both deliveries but is never polled; leaf 2 is
+        // polled in the round after each of its wakes.
+        assert_eq!(p.received, [0, 2, 2]);
+        assert_eq!(p.polls, [3, 0, 2]);
+        // Receive is charged as usual, then a radio-off round sleeps.
+        assert_eq!(
+            res.energy.spent,
+            [2.0 * tx + idle, 2.0 * listen + sleep, 2.0 * listen + idle]
+        );
+
+        let deliver = |node, woke| TraceEvent::Deliver {
+            node,
+            from: 0,
+            woke,
+        };
+        let round_end = |transmitters, deliveries, awake| TraceEvent::RoundEnd {
+            transmitters,
+            deliveries,
+            awake,
+        };
+        let expected = [
+            vec![
+                TraceEvent::RoundStart { round: 1 },
+                TraceEvent::Transmit { node: 0 },
+                deliver(1, false),
+                deliver(2, true),
+                round_end(1, 2, 2),
+            ],
+            vec![
+                TraceEvent::RoundStart { round: 2 },
+                TraceEvent::Transmit { node: 0 },
+                TraceEvent::Sleep { node: 2 },
+                deliver(1, false),
+                deliver(2, true),
+                round_end(1, 2, 2),
+            ],
+            vec![
+                TraceEvent::RoundStart { round: 3 },
+                TraceEvent::Sleep { node: 0 },
+                TraceEvent::Sleep { node: 2 },
+                round_end(0, 0, 0),
+            ],
+        ];
+        let got: Vec<Vec<TraceEvent>> = event_stream(&sink).into_iter().map(|r| r.events).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! polled once per round. The engine keeps an *awake set* so that rounds
 //! cost `O(awake + Σ out-degree(transmitters))`, not `O(n)`: a node that
 //! returns [`Action::Sleep`] (the paper's *passive* state) leaves the poll
-//! list and re-enters it only if a later reception wakes it.
+//! list and re-enters it only if a later reception wakes it. A reception
+//! wakes only a node whose radio is on ([`Protocol::radio_off`]): a node
+//! that is done for good still gets the delivery, but stays off the list.
 //!
 //! Every run goes through one builder on one round loop:
 //! `Engine::new(&graph, cfg).run(&mut protocol)`, optionally
@@ -150,8 +152,9 @@ pub trait Protocol {
     /// Payload for a node that chose [`Action::Transmit`] this round.
     fn payload(&self, node: NodeId, round: u64) -> Self::Msg;
 
-    /// Collision-free delivery of `msg` (sent by `from`) to `node`.
-    /// After this call the engine puts `node` back on the poll list.
+    /// Collision-free delivery of `msg` (sent by `from`) to `node`. A
+    /// node off the poll list rejoins it after this call unless
+    /// [`radio_off`](Self::radio_off) now reports its radio off.
     fn on_receive(
         &mut self,
         node: NodeId,
@@ -179,8 +182,7 @@ pub trait Protocol {
         0
     }
 
-    /// Energy-accounting hint: is `node`'s radio powered **off** in
-    /// `round`?
+    /// Is `node`'s radio powered **off** in `round`?
     ///
     /// The engine's awake list is a polling optimisation, not a radio
     /// state — a node off the poll list still has its receiver on (a
@@ -188,15 +190,26 @@ pub trait Protocol {
     /// under a non-tx-only [`radio_energy::EnergyModel`]. Protocols whose
     /// nodes genuinely power down — a retired windowed node, a passive
     /// Algorithm-1 node that already transmitted, a crashed node — can
-    /// override this so the energy overlay charges sleep cost instead.
+    /// override this. The hint does two things:
     ///
-    /// The hint affects **energy accounting only**: delivery semantics
-    /// are unchanged either way (think of it as a low-power wake-radio
-    /// paging channel), so runs stay bit-identical with and without the
-    /// overlay, and the overlay-free [`reference`](mod@reference) oracle remains valid.
-    /// The default — radio always on — is the physically conservative
-    /// choice and the correct one for any protocol that may still need
-    /// to receive.
+    /// * the energy overlay charges such a node sleep cost instead of
+    ///   idle cost;
+    /// * a reception does not wake it. Delivery itself is unchanged
+    ///   (think of it as a low-power wake-radio paging channel):
+    ///   `on_receive` still runs, the overlay still charges the
+    ///   `Receive` duty, but the node stays off the poll list.
+    ///
+    /// **Obligation.** If this returns true right after a delivery to
+    /// `node` in round `r` — evaluated after `on_receive` — then
+    /// polling `node` in round `r + 1` would have returned
+    /// [`Action::Sleep`], drawn nothing from its stream and changed no
+    /// state. The engine skips exactly that poll, so results do not
+    /// depend on the hint, and runs stay bit-identical with and without
+    /// the overlay. The [`reference`](mod@reference) oracle ignores the
+    /// hint and wakes every receiver, so each v1 ≡ oracle test also
+    /// checks that every skipped poll was a no-op. The default — radio
+    /// always on — is the physically conservative choice and the
+    /// correct one for any protocol that may still need to receive.
     fn radio_off(&self, _node: NodeId, _round: u64) -> bool {
         false
     }

@@ -12,6 +12,14 @@
 //! in the crate root drive both with random graphs/protocols and assert
 //! identical outcomes — the standard "differential testing against a
 //! trivial oracle" pattern for simulators.
+//!
+//! One difference is deliberate: the reference wakes **every** receiver,
+//! where the engine leaves a receiver whose
+//! [`radio_off`](crate::Protocol::radio_off) is true off the poll list.
+//! The hint's obligation says the skipped poll would have slept again
+//! without drawing or changing state; polling it anyway here means that
+//! every v1 ≡ reference test also checks that obligation, for every
+//! protocol it runs.
 
 use crate::metrics::Metrics;
 use crate::{Action, EngineConfig, Protocol, RunResult};

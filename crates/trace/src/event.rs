@@ -30,14 +30,19 @@ pub enum TraceEvent {
     /// `node` heard ≥ 2 transmitters — the slot carried no message.
     Collision { node: NodeId },
     /// `node` cleanly received `from`'s message; `woke` is true when
-    /// the reception pulled a sleeping node back into the awake set.
+    /// the reception pulled a sleeping node back into the awake set. It
+    /// is false for a node that was awake, and for a sleeping node whose
+    /// protocol reports its radio off (`Protocol::radio_off`): that node
+    /// takes the delivery but stays asleep, so it shows no `Sleep` next
+    /// round.
     Deliver {
         node: NodeId,
         from: NodeId,
         woke: bool,
     },
     /// The round ended with these aggregates (awake counted *after*
-    /// the round's sleeps and wakes).
+    /// the round's sleeps and wakes, so a radio-off receiver that stayed
+    /// asleep is not in it).
     RoundEnd {
         transmitters: u64,
         deliveries: u64,

@@ -27,7 +27,10 @@
 //!   record for the future campaign runner.
 //! * [`ReplayVerifier`] — re-drive a recorded run through the engine
 //!   and check every event bit-for-bit; the first mismatch becomes a
-//!   [`Divergence`] with round, node, and event context.
+//!   [`Divergence`] with round, node, and event context. A recording
+//!   made by an engine that still woke every sleeping receiver diverges
+//!   at the first delivery to a radio-off node (`Deliver` with
+//!   `woke: false`).
 //! * [`diff::first_divergence`] — align two recordings and report
 //!   where they part ways (`trace diff` in the CLI).
 //! * [`jsonl`] — a JSON-lines exporter for external timeline tooling,
