@@ -4,24 +4,66 @@
 //! vendors the *minimal* random-number API it actually uses. The shape
 //! mirrors `rand 0.9` (`random`, `random_bool`, `random_range`, the
 //! `RngCore`/`SeedableRng` split) so a later swap to the real crate is a
-//! one-line `Cargo.toml` change, with two caveats: the convenience
+//! one-line `Cargo.toml` change, with three caveats: the convenience
 //! methods live on an extension trait named [`RngExt`] (with [`Rng`] a
 //! blanket alias for "any [`RngCore`]" usable as a generic bound
-//! `R: Rng + ?Sized`), and seeded streams differ from the real crates'
-//! (see [`SeedableRng::seed_from_u64`]), so recorded experiment numbers
-//! would shift under a swap.
+//! `R: Rng + ?Sized`), [`RngCore`] carries a shim-only read-ahead
+//! extension ([`RngCore::peek_u64s`] / [`RngCore::consume_u64s`], which
+//! the `G(n, p)` generators read through), and seeded streams differ from
+//! the real crates' (see [`SeedableRng::seed_from_u64`]), so recorded
+//! experiment numbers would shift under a swap.
 //!
 //! Determinism contract: every method here is a pure function of the RNG
 //! stream, so results are reproducible across runs, platforms and
 //! `--release`/debug builds. Nothing reads OS entropy.
 
 /// Object-safe source of raw randomness: a stream of `u32`/`u64` words.
+///
+/// Besides the `rand_core` surface, the trait carries a shim-only
+/// extension (like [`RngExt`]): **read-ahead** for bulk consumers.
+/// [`peek_u64s`](Self::peek_u64s) writes upcoming `next_u64` draws into
+/// a caller buffer without consuming them, and
+/// [`consume_u64s`](Self::consume_u64s) then consumes a prefix of them,
+/// so a consumer can decide from a whole batch of words how many it
+/// needed and still leave the stream exactly where that many
+/// `next_u64` calls would. The provided defaults serve every generator;
+/// a generator with a cheap multi-block keystream (`ChaCha8Rng`)
+/// overrides both to read ahead a wide batch at once.
 pub trait RngCore {
     /// Next 32 random bits.
     fn next_u32(&mut self) -> u32;
 
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
+
+    /// Read ahead: write the stream's next `u64` draws into a prefix of
+    /// `out` and return its length — at least one when `out` is not
+    /// empty, possibly fewer than `out.len()`. Word `t` is what the
+    /// `t`-th following `next_u64` call would return.
+    ///
+    /// Contract: follow every non-empty peek with one
+    /// [`consume_u64s`](Self::consume_u64s)`(j)`, `1 ≤ j ≤` the returned
+    /// length, before any other draw. A consumer that asks for words
+    /// always needs the first, so the default reads ahead that one word
+    /// only, drawing it now; `consume_u64s(1)` then has nothing left to
+    /// do.
+    fn peek_u64s(&mut self, out: &mut [u64]) -> usize {
+        match out.first_mut() {
+            Some(first) => {
+                *first = self.next_u64();
+                1
+            }
+            None => 0,
+        }
+    }
+
+    /// Consume the first `j` words of the preceding
+    /// [`peek_u64s`](Self::peek_u64s), leaving the stream where `j`
+    /// `next_u64` calls would have (see its contract). The default
+    /// matches the default peek, which has already drawn its one word.
+    fn consume_u64s(&mut self, j: usize) {
+        debug_assert!(j <= 1, "consumed {j} words of a one-word peek");
+    }
 
     /// Fill `dest` with random bytes (little-endian from `next_u64`).
     fn fill_bytes(&mut self, dest: &mut [u8]) {
@@ -43,6 +85,12 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
+    }
+    fn peek_u64s(&mut self, out: &mut [u64]) -> usize {
+        (**self).peek_u64s(out)
+    }
+    fn consume_u64s(&mut self, j: usize) {
+        (**self).consume_u64s(j)
     }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
@@ -414,6 +462,25 @@ mod tests {
         take_generic(&mut rng);
         let dynrng: &mut dyn RngCore = &mut rng;
         dynrng.next_u64();
+    }
+
+    #[test]
+    fn default_read_ahead_is_the_next_word_and_consumes_it() {
+        let mut peeking = Counter(9);
+        let mut drawing = Counter(9);
+        let mut out = [0u64; 4];
+        for _ in 0..3 {
+            assert_eq!(peeking.peek_u64s(&mut out), 1);
+            assert_eq!(out[0], drawing.next_u64());
+            peeking.consume_u64s(1);
+        }
+        assert_eq!(peeking.peek_u64s(&mut []), 0);
+        assert_eq!(peeking.next_u64(), drawing.next_u64());
+        // Forwarded through `&mut R`, as generic callers see it.
+        let mut by_ref = &mut peeking;
+        assert_eq!(<&mut Counter>::peek_u64s(&mut by_ref, &mut out), 1);
+        <&mut Counter>::consume_u64s(&mut by_ref, 1);
+        assert_eq!(out[0], drawing.next_u64());
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! zero, words taken little-endian in order — verified against an
 //! independently computed test vector below.
 //!
+//! Beyond the `rand_chacha` surface, the shim has a wide, runtime-
+//! dispatched struct-of-arrays block kernel in two output sizes: block
+//! heads ([`chacha8_block_heads`], for the engine's batched decide
+//! phase) and whole blocks ([`chacha8_blocks`], consecutive blocks of
+//! one stream). [`ChaCha8Rng`] implements the `rand` shim's read-ahead
+//! extension (`RngCore::peek_u64s` / `consume_u64s`) with the whole-block
+//! kernel, on the caller's stack: the generator itself does not grow.
+//!
 //! Not a contribution to cryptography: this is a PRNG for simulations.
 
 use rand::{RngCore, SeedableRng};
@@ -41,8 +49,8 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 /// One ChaCha8 output block for `key` at block counter `counter` (zero
 /// nonce, the layout documented in the crate docs). The single source of
 /// truth for the block function — the sequential [`ChaCha8Rng`] produces
-/// exactly these words, and the wide kernel their first
-/// [`HEAD_WORDS`].
+/// exactly these words, and the wide kernels their first
+/// [`HEAD_WORDS`] or all of them.
 pub fn chacha8_block(key: &[u32; 8], counter: u64) -> [u32; 16] {
     let mut state: [u32; 16] = [
         SIGMA[0],
@@ -106,18 +114,28 @@ pub fn key_words_from_u64(mut state: u64) -> [u32; 8] {
 // compiler auto-vectorizes (AVX2 on x86-64 via the runtime-dispatched
 // 8-lane path below, 128-bit SSE2/NEON for the 4-lane path).
 //
-// The kernel outputs only the first `HEAD_WORDS` words of each block:
-// its one caller (the engine's v2 decide phase) reads at most that
-// many per lane, and a stream built from a head (`from_block_head`)
-// computes the rest of its block on demand. Lane `l` of a wide call is
-// bit-exactly the head of `chacha8_block(keys[l], counters[l])` at every
-// width — pinned by `tests/wide_chacha.rs` — so callers may batch draws
-// in any grouping without changing a single output word.
+// The kernel comes in two output sizes. The head kernel
+// (`chacha8_block_heads`) outputs only the first `HEAD_WORDS` words of
+// each block: its one caller (the engine's v2 decide phase) reads at
+// most that many per lane, and a stream built from a head
+// (`from_block_head`) computes the rest of its block on demand. The
+// full-block kernel (`chacha8_blocks`) outputs all 16 words, for bulk
+// readers of one stream: `ChaCha8Rng`'s read-ahead and the implicit
+// `G(n, p)` rows. The two share only the rounds (`soa_double_rounds`):
+// each has its own input setup, feed-forward and dispatch, so the
+// engine's head pass compiles as if the other did not exist. Lane `l`
+// of a wide call is bit-exactly (the head of) `chacha8_block(keys[l],
+// counters[l])` at every width — pinned by `tests/wide_chacha.rs` — so
+// callers may batch blocks in any grouping without changing a single
+// output word.
 
-/// Words per lane the wide kernel outputs: the head of each block. Four
+/// Words per lane the head kernel outputs: the head of each block. Four
 /// words cover every in-tree decide (a Bernoulli coin reads two, a
 /// windowed `f64` plus coin reads four).
 pub const HEAD_WORDS: usize = 4;
+
+/// Words in one ChaCha block, the lane output of the full-block kernel.
+pub const BLOCK_WORDS: usize = 16;
 
 /// Widest batch the wide kernel handles in one SoA pass (the AVX-512
 /// path; scratch arrays in callers can be sized to this).
@@ -167,6 +185,22 @@ fn soa_quarter_round<const W: usize>(
     }
 }
 
+/// The ChaCha8 rounds over a `W`-lane SoA state, in place (no
+/// feed-forward).
+#[inline(always)]
+fn soa_double_rounds<const W: usize>(state: &mut [[u32; W]; 16]) {
+    for _ in 0..CHACHA8_DOUBLE_ROUNDS {
+        soa_quarter_round(state, 0, 4, 8, 12);
+        soa_quarter_round(state, 1, 5, 9, 13);
+        soa_quarter_round(state, 2, 6, 10, 14);
+        soa_quarter_round(state, 3, 7, 11, 15);
+        soa_quarter_round(state, 0, 5, 10, 15);
+        soa_quarter_round(state, 1, 6, 11, 12);
+        soa_quarter_round(state, 2, 7, 8, 13);
+        soa_quarter_round(state, 3, 4, 9, 14);
+    }
+}
+
 /// `W` block heads in one SoA pass; all slices must have length `W`.
 #[allow(clippy::needless_range_loop)] // see `soa_quarter_round`
 #[inline(always)]
@@ -188,16 +222,7 @@ fn heads_soa<const W: usize>(keys: &[[u32; 8]], counters: &[u64], out: &mut [[u3
     // The head rows 0–3 start as the compile-time constants, so their
     // feed-forward needs no saved copy of the input: the round loop's
     // live set is just the 16 state vectors plus temps.
-    for _ in 0..CHACHA8_DOUBLE_ROUNDS {
-        soa_quarter_round(&mut state, 0, 4, 8, 12);
-        soa_quarter_round(&mut state, 1, 5, 9, 13);
-        soa_quarter_round(&mut state, 2, 6, 10, 14);
-        soa_quarter_round(&mut state, 3, 7, 11, 15);
-        soa_quarter_round(&mut state, 0, 5, 10, 15);
-        soa_quarter_round(&mut state, 1, 6, 11, 12);
-        soa_quarter_round(&mut state, 2, 7, 8, 13);
-        soa_quarter_round(&mut state, 3, 4, 9, 14);
-    }
+    soa_double_rounds(&mut state);
     // Feed-forward row-wise (W-wide vector adds), then transpose out; a
     // fused `out[l][i] = state[i][l] + SIGMA[i]` reads column-wise and
     // defeats vectorization of the adds. Rows 4–15 are not output.
@@ -266,9 +291,9 @@ fn detect_wide_lanes() -> usize {
     4
 }
 
-/// The lane width the runtime dispatch selects on this host (8 with
-/// AVX2, 4 otherwise). Outputs are identical at every width; this only
-/// governs how many blocks one SoA pass computes.
+/// The lane width the runtime dispatch selects on this host (16 with
+/// AVX-512F, 8 with AVX2, 4 otherwise). Outputs are identical at every
+/// width; this only governs how many blocks one SoA pass computes.
 pub fn wide_lanes() -> usize {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static LANES: AtomicUsize = AtomicUsize::new(0);
@@ -366,6 +391,141 @@ pub fn chacha8_block_heads_at_width(
     debug_assert_eq!(done, keys.len());
 }
 
+/// `W` consecutive whole blocks of the stream keyed `key`, block
+/// `first + l` (wrapping) in lane `l`, in one SoA pass; `out` must have
+/// length `W`. The head kernel's rounds, with a one-key, consecutive-
+/// counter input and all 16 rows fed forward.
+#[allow(clippy::needless_range_loop)] // see `soa_quarter_round`
+#[inline(always)]
+fn stream_blocks_soa<const W: usize>(key: &[u32; 8], first: u64, out: &mut [[u32; BLOCK_WORDS]]) {
+    assert!(out.len() == W);
+    let mut input = [[0u32; W]; 16];
+    for (i, s) in SIGMA.iter().enumerate() {
+        input[i] = [*s; W];
+    }
+    for i in 0..8 {
+        input[4 + i] = [key[i]; W];
+    }
+    for l in 0..W {
+        let counter = first.wrapping_add(l as u64);
+        input[12][l] = counter as u32;
+        input[13][l] = (counter >> 32) as u32;
+    }
+    let mut state = input;
+    soa_double_rounds(&mut state);
+    feed_forward_out(&state, &input, out);
+}
+
+/// The feed-forward and output transpose of a full-block pass, compiled
+/// apart from the wide codegen: inlined into it, the 16 × W
+/// feed-forward became gather–add–scatter triples, several times the
+/// cost of the rounds themselves.
+#[allow(clippy::needless_range_loop)] // see `soa_quarter_round`
+#[inline(never)]
+fn feed_forward_out<const W: usize>(
+    state: &[[u32; W]; 16],
+    input: &[[u32; W]; 16],
+    out: &mut [[u32; BLOCK_WORDS]],
+) {
+    for l in 0..W {
+        for i in 0..BLOCK_WORDS {
+            out[l][i] = state[i][l].wrapping_add(input[i][l]);
+        }
+    }
+}
+
+/// The 8-lane full-block pass with AVX2 codegen (see
+/// `heads_soa_8_avx2`). Safety: caller must have verified `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn stream_blocks_8_avx2(key: &[u32; 8], first: u64, out: &mut [[u32; BLOCK_WORDS]]) {
+    stream_blocks_soa::<8>(key, first, out);
+}
+
+/// The 8-lane full-block pass with AVX-512VL codegen (see
+/// `heads_soa_8_avx512`). Safety: caller must have verified `avx512f` +
+/// `avx512vl`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn stream_blocks_8_avx512(key: &[u32; 8], first: u64, out: &mut [[u32; BLOCK_WORDS]]) {
+    stream_blocks_soa::<8>(key, first, out);
+}
+
+/// The 16-lane full-block pass with AVX-512F codegen (see
+/// `heads_soa_16_avx512`). Safety: caller must have verified `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn stream_blocks_16_avx512(key: &[u32; 8], first: u64, out: &mut [[u32; BLOCK_WORDS]]) {
+    stream_blocks_soa::<16>(key, first, out);
+}
+
+/// One exact-width full-block batch (`out.len()` ∈
+/// [`WIDE_LANE_WIDTHS`]), dispatched like `heads_exact`.
+fn stream_blocks_exact(key: &[u32; 8], first: u64, out: &mut [[u32; BLOCK_WORDS]]) {
+    match out.len() {
+        16 => {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the target feature was detected just above.
+                return unsafe { stream_blocks_16_avx512(key, first, out) };
+            }
+            stream_blocks_soa::<16>(key, first, out)
+        }
+        8 => {
+            #[cfg(target_arch = "x86_64")]
+            {
+                // SAFETY: each call follows the detection of its target features.
+                if has_avx512_rotates() {
+                    return unsafe { stream_blocks_8_avx512(key, first, out) };
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    return unsafe { stream_blocks_8_avx2(key, first, out) };
+                }
+            }
+            stream_blocks_soa::<8>(key, first, out)
+        }
+        4 => stream_blocks_soa::<4>(key, first, out),
+        2 => stream_blocks_soa::<2>(key, first, out),
+        1 => stream_blocks_soa::<1>(key, first, out),
+        w => unreachable!("unsupported lane width {w}"),
+    }
+}
+
+/// Generate `out.len()` consecutive whole blocks of the stream keyed
+/// `key`, from block `first` on — `out[l]` =
+/// `chacha8_block(key, first + l)`, the counter wrapping like the
+/// stream's — with the runtime dispatch of [`chacha8_block_heads`]:
+/// a stream's keystream read ahead in wide passes. A length that is a
+/// multiple of [`wide_lanes`] runs only full-width passes.
+pub fn chacha8_blocks(key: &[u32; 8], first: u64, out: &mut [[u32; BLOCK_WORDS]]) {
+    chacha8_blocks_at_width(wide_lanes(), key, first, out)
+}
+
+/// [`chacha8_blocks`] with the lane width forced (`width` must be one
+/// of [`WIDE_LANE_WIDTHS`]).
+pub fn chacha8_blocks_at_width(
+    width: usize,
+    key: &[u32; 8],
+    first: u64,
+    out: &mut [[u32; BLOCK_WORDS]],
+) {
+    assert!(
+        WIDE_LANE_WIDTHS.contains(&width),
+        "unsupported lane width {width}"
+    );
+    // Full-width passes, then the tail down the narrower widths.
+    let mut done = 0;
+    let mut w = width;
+    while w > 0 {
+        while out.len() - done >= w {
+            let at = first.wrapping_add(done as u64);
+            stream_blocks_exact(key, at, &mut out[done..done + w]);
+            done += w;
+        }
+        w /= 2;
+    }
+}
+
 /// The ChaCha8 random number generator.
 ///
 /// Construct via [`SeedableRng::from_seed`] (32-byte key) or
@@ -378,7 +538,8 @@ pub fn chacha8_block_heads_at_width(
 /// head — not the words still to come. A stream built by
 /// [`from_block_head`](Self::from_block_head) draws exactly the words of
 /// a lazily positioned one, yet the two compare unequal while their
-/// buffers differ.
+/// buffers differ; so may a stream moved on by a read-ahead
+/// (`RngCore::consume_u64s`) and one moved on by draws.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaCha8Rng {
     /// Key + counter state; constants are re-applied per block.
@@ -410,14 +571,15 @@ impl ChaCha8Rng {
         self.counter = self.counter.wrapping_add(1);
     }
 
-    /// A head-built stream read past its head: compute the whole current
-    /// block (`counter` already points past it), once, and continue at
-    /// its first word after the head.
+    /// Make a head-only buffer whole: compute the current block
+    /// (`counter` already points past it), once, and keep the read
+    /// position. A draw that exhausts the head lands here with `index`
+    /// at 16, and continues at the block's first word after the head.
     #[cold]
     #[inline(never)]
     fn complete_head(&mut self) {
         self.buf = chacha8_block(&self.key, self.counter.wrapping_sub(1));
-        self.index = HEAD_WORDS;
+        self.index -= HEAD_AT;
         self.head_only = false;
     }
 
@@ -535,6 +697,65 @@ impl RngCore for ChaCha8Rng {
         let lo = u64::from(self.next_u32());
         let hi = u64::from(self.next_u32());
         (hi << 32) | lo
+    }
+
+    /// Read ahead through the unread tail of the buffer and then whole
+    /// blocks in full-width kernel passes, at most [`MAX_WIDE_LANES`]
+    /// of them, generated by one [`chacha8_blocks`] call into a stack
+    /// buffer: the stream state
+    /// stays as it is (a head-only buffer is completed in place), so
+    /// the peek costs no scalar block work.
+    fn peek_u64s(&mut self, out: &mut [u64]) -> usize {
+        if out.is_empty() {
+            return 0;
+        }
+        if self.head_only {
+            self.complete_head();
+        }
+        let tail = BLOCK_WORDS - self.index;
+        // Enough blocks to fill `out` after the tail, rounded up to
+        // full-width kernel passes and capped at one pass of the widest
+        // kernel; none when the tail fills `out` by itself.
+        let blocks = (2 * out.len())
+            .saturating_sub(tail)
+            .div_ceil(BLOCK_WORDS)
+            .next_multiple_of(wide_lanes())
+            .min(MAX_WIDE_LANES);
+        // The upcoming 32-bit words, contiguous: the current buffer,
+        // read from `index`, then the generated blocks.
+        let mut words = [[0u32; BLOCK_WORDS]; MAX_WIDE_LANES + 1];
+        words[0] = self.buf;
+        chacha8_blocks(&self.key, self.counter, &mut words[1..=blocks]);
+        let ahead = &words.as_flattened()[self.index..BLOCK_WORDS * (blocks + 1)];
+        let k = out.len().min(ahead.len() / 2);
+        for (o, pair) in out[..k].iter_mut().zip(ahead.chunks_exact(2)) {
+            *o = u64::from(pair[0]) | u64::from(pair[1]) << 32;
+        }
+        k
+    }
+
+    /// Move the read position `2·j` words on. A position inside the
+    /// buffer just moves `index`; one past it moves the counter, and
+    /// recomputes its block only when it lands inside one (once per
+    /// bulk read, at its end).
+    fn consume_u64s(&mut self, j: usize) {
+        if self.head_only {
+            self.complete_head();
+        }
+        let tail = BLOCK_WORDS - self.index;
+        let words = 2 * j;
+        if words <= tail {
+            self.index += words;
+            return;
+        }
+        let past = words - tail;
+        let (blocks, offset) = (past / BLOCK_WORDS, past % BLOCK_WORDS);
+        self.counter = self.counter.wrapping_add(blocks as u64);
+        self.index = BLOCK_WORDS;
+        if offset != 0 {
+            self.refill();
+            self.index = offset;
+        }
     }
 }
 

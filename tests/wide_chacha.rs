@@ -112,3 +112,111 @@ proptest! {
         }
     }
 }
+
+/// The full-block kernel: lane `l` of a pass is
+/// `chacha8_block(key, first + l)`, at every supported width, for pass
+/// lengths that leave tails at every width, and for runs of counters
+/// through 0, through 2³² − 1 (the carry into the counter's high word)
+/// and through `u64::MAX` (the wrap).
+#[test]
+fn full_blocks_match_the_scalar_block_at_every_width() {
+    let key = rand_chacha::key_words_from_u64(0x5EED_F00D);
+    for first in [0u64, (1 << 32) - 5, u64::MAX - 5] {
+        for lanes in [1usize, 3, 16, 2 * rand_chacha::MAX_WIDE_LANES + 5] {
+            let expect: Vec<[u32; 16]> = (0..lanes as u64)
+                .map(|l| rand_chacha::chacha8_block(&key, first.wrapping_add(l)))
+                .collect();
+            for width in rand_chacha::WIDE_LANE_WIDTHS {
+                let mut out = vec![[0u32; 16]; lanes];
+                rand_chacha::chacha8_blocks_at_width(width, &key, first, &mut out);
+                assert_eq!(out, expect, "first {first:#x} lanes {lanes} width {width}");
+            }
+            let mut out = vec![[0u32; 16]; lanes];
+            rand_chacha::chacha8_blocks(&key, first, &mut out);
+            assert_eq!(out, expect, "first {first:#x} lanes {lanes}, dispatched");
+        }
+    }
+}
+
+/// Read ahead `k`, consume `j`: the peeked words are the next `k`
+/// `next_u64` draws, and the stream ends where `j` `next_u64` calls
+/// would have left it — same next words, same `words_consumed`, same
+/// `block_pos` — from every 32-bit word offset inside a block, for
+/// peeks shorter than the buffer tail, spanning blocks, and as wide as
+/// the kernel.
+fn check_read_ahead(start: &ChaCha8Rng, label: &str) {
+    for k_asked in [1usize, 2, 3, 8, 17, 64, 128, 200] {
+        let mut peeked = start.clone();
+        let mut out = vec![0u64; k_asked];
+        let k = peeked.peek_u64s(&mut out);
+        assert!(
+            (1..=k_asked).contains(&k),
+            "{label}: peeked {k} of {k_asked}"
+        );
+        let mut draws = start.clone();
+        let expect: Vec<u64> = (0..k).map(|_| draws.next_u64()).collect();
+        assert_eq!(out[..k], expect[..], "{label}: peek {k_asked}");
+        for j in [1, k / 2, k.saturating_sub(1), k] {
+            if j == 0 {
+                continue;
+            }
+            let mut consumed = peeked.clone();
+            consumed.consume_u64s(j);
+            let mut reference = start.clone();
+            for _ in 0..j {
+                reference.next_u64();
+            }
+            let at = format!("{label}: peek {k_asked} ({k}), consume {j}");
+            assert_eq!(
+                consumed.words_consumed(),
+                reference.words_consumed(),
+                "{at}"
+            );
+            assert_eq!(consumed.block_pos(), reference.block_pos(), "{at}");
+            for w in 0..40 {
+                assert_eq!(consumed.next_u32(), reference.next_u32(), "{at}, word {w}");
+            }
+        }
+    }
+}
+
+#[test]
+fn read_ahead_then_consume_ends_where_next_u64_would() {
+    let key = rand_chacha::key_words_from_u64(77);
+    for block in [0u64, 5, (1 << 32) - 1, u64::MAX] {
+        for offset in 0..16 {
+            let mut rng = ChaCha8Rng::from_key_words(key);
+            rng.set_block_pos(block);
+            for _ in 0..offset {
+                rng.next_u32();
+            }
+            check_read_ahead(&rng, &format!("block {block:#x} offset {offset}"));
+        }
+    }
+}
+
+#[test]
+fn read_ahead_from_a_block_head_stream() {
+    let streams = DecideStreams::new(0xB10C);
+    for node in [0u32, 9, 1 << 20] {
+        let key = streams.node_key(node);
+        let block = DecideStreams::decide_block(1234);
+        let mut heads = [[0u32; rand_chacha::HEAD_WORDS]];
+        rand_chacha::chacha8_block_heads(&[key], &[block], &mut heads);
+        for offset in 0..=rand_chacha::HEAD_WORDS + 2 {
+            let mut rng = ChaCha8Rng::from_block_head(key, block, heads[0]);
+            for _ in 0..offset {
+                rng.next_u32();
+            }
+            check_read_ahead(&rng, &format!("node {node} head offset {offset}"));
+        }
+    }
+}
+
+/// v2 builds one `ChaCha8Rng` per awake node-round from a block head:
+/// the read-ahead lives on the caller's stack, not in the generator.
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn the_generator_does_not_grow() {
+    assert_eq!(std::mem::size_of::<ChaCha8Rng>(), 120);
+}
