@@ -4,29 +4,37 @@
 //! The trick is the one `radio_sim::DecideStreams` introduced for the
 //! v2 determinism contract, applied to the *graph* instead of the coin
 //! flips: row `u` of the adjacency matrix is a pure function of
-//! `(graph_seed, u)`. Asking for `u`'s out-neighbors keys a fresh
-//! ChaCha8 stream with `split_seed(graph_seed, b"gnp-row", u)` — the
-//! label half cached at construction, so the per-query cost is two
-//! SplitMix64 rounds and a key expansion — and replays the
-//! Batagelj–Brandes geometric-skip walk over the `n − 1`
-//! possible targets — O(expected degree) time, zero bytes stored. Two
-//! queries for the same row, from any thread, in any order, always see
-//! the same edge set, which is exactly what the engine's
-//! bit-identical-across-thread-counts contract needs.
+//! `(graph_seed, u)`. Asking for `u`'s out-neighbors keys a ChaCha8
+//! stream with `split_seed(graph_seed, b"gnp-row", u)` — the label half
+//! cached at construction, so keying costs two SplitMix64 rounds and a
+//! key expansion — and replays the Batagelj–Brandes geometric-skip walk
+//! over the `n − 1` possible targets — O(expected degree) time, zero
+//! bytes stored. Two queries for the same row, from any thread, in any
+//! order, always see the same edge set, which is exactly what the
+//! engine's bit-identical-across-thread-counts contract needs.
+//!
+//! The row stream is private to the row, so a query generates it
+//! straight from the key with the wide full-block ChaCha kernel
+//! ([`rand_chacha::chacha8_blocks`]): blocks 0, 1, … of the stream, one
+//! full-width kernel pass at a time, feed the same batched, exact
+//! `SkipWalk` as `generate::gnp_directed` (its module docs carry the
+//! exactness argument). The row is the one the scalar walk over
+//! `ChaCha8Rng::seed_from_u64(split_seed(graph_seed, b"gnp-row", u))`
+//! draws, bit for bit.
 //!
 //! Note the *distribution* matches `generate::gnp_directed` (each
 //! ordered pair carries an edge independently with probability `p`) but
 //! the *sample* differs for a given seed: the materializing generator
 //! consumes one serial RNG across all rows, while every row here has
-//! its own stream. The CSR oracle for equivalence tests is therefore
-//! [`ImplicitGnp::materialize`], not `gnp_directed`.
+//! its own stream. [`ImplicitGnp::materialize`] runs the same walk; the
+//! independent oracle is that scalar walk, kept in the tests.
 
 use crate::generate::edge_capacity;
-use crate::generate::gnp::{geometric_skip, ln_1mp};
+use crate::generate::gnp::{ln_1mp, SkipWalk};
 use crate::topology::{RangeQueryCost, Topology};
 use crate::{DiGraph, NodeId};
 use radio_util::{split_seed_indexed, split_seed_prefix};
-use rand_chacha::{key_words_from_u64, ChaCha8Rng};
+use rand_chacha::{chacha8_blocks, key_words_from_u64, wide_lanes, BLOCK_WORDS, MAX_WIDE_LANES};
 
 /// Implicit directed `G(n, p)` topology: O(1) memory, rows sampled on
 /// demand as pure functions of `(graph_seed, row)`.
@@ -86,7 +94,8 @@ impl ImplicitGnp {
         self.graph_seed
     }
 
-    /// The per-row stream: deterministic in `(graph_seed, u)` only.
+    /// The key of row `u`'s stream: deterministic in `(graph_seed, u)`
+    /// only.
     ///
     /// Fast path: the `b"gnp-row"` label hash is cached at construction
     /// (`row_key_prefix`), so keying a row costs two SplitMix64 rounds
@@ -95,39 +104,35 @@ impl ImplicitGnp {
     /// minus the per-query label walk. Stream-equality is pinned by
     /// `fast_row_keying_matches_seed_from_u64_of_split_seed` below.
     #[inline]
-    fn row_rng(&self, u: NodeId) -> ChaCha8Rng {
-        let seed = split_seed_indexed(self.row_key_prefix, u64::from(u));
-        ChaCha8Rng::from_key_words(key_words_from_u64(seed))
+    fn row_key(&self, u: NodeId) -> [u32; 8] {
+        key_words_from_u64(split_seed_indexed(self.row_key_prefix, u64::from(u)))
     }
 
-    /// A reusable per-row sampling cursor for callers that walk many
-    /// rows back to back (one per scatter worker); see
-    /// [`GnpRowSampler`].
-    #[inline]
-    pub fn row_sampler(&self) -> GnpRowSampler<'_> {
-        GnpRowSampler { gnp: self }
-    }
-
-    /// Shared row walk: visit row `u` by driving `rng` (already keyed
-    /// for `u`) through the geometric-skip slots. Degenerate cases
-    /// (`p ∈ {0, 1}`, `n < 2`) are the caller's job — both callers
-    /// short-circuit them before keying a stream.
-    fn walk_row<F: FnMut(NodeId)>(&self, rng: &mut ChaCha8Rng, u: NodeId, mut f: F) {
-        // Skip-walk the n − 1 non-self slots of row u. Slot s maps to
-        // target s if s < u else s + 1, so targets ascend and never
-        // equal u — the same linear indexing as `gnp_directed`.
-        let slots = (self.n - 1) as u64;
-        let mut s = geometric_skip(rng, self.log1mp);
-        while s < slots {
-            let v = if s < u64::from(u) {
-                s as NodeId
-            } else {
-                s as NodeId + 1
-            };
-            f(v);
-            s = s
-                .saturating_add(1)
-                .saturating_add(geometric_skip(rng, self.log1mp));
+    /// Walk row `u`: its stream's blocks 0, 1, … generated one full-width
+    /// pass of the wide kernel at a time, fed to the skip walk over the
+    /// `n − 1` non-self slots. Slot s maps to target s if s < u else
+    /// s + 1, so targets ascend and never equal u — the same linear
+    /// indexing as `gnp_directed`. Degenerate rows (`p ∈ {0, 1}`,
+    /// `n < 2`) are the caller's job.
+    fn walk_row<F: FnMut(NodeId)>(&self, u: NodeId, mut f: F) {
+        let key = self.row_key(u);
+        let mut blocks = [[0u32; BLOCK_WORDS]; MAX_WIDE_LANES];
+        let mut words = [0u64; MAX_WIDE_LANES * BLOCK_WORDS / 2];
+        let mut walk = SkipWalk::new(self.log1mp, (self.n - 1) as u64);
+        let mut emit = |s: u64| f(if s < u64::from(u) { s } else { s + 1 } as NodeId);
+        let nb = wide_lanes();
+        for first in (0u64..).step_by(nb) {
+            chacha8_blocks(&key, first, &mut blocks[..nb]);
+            let pairs = blocks[..nb].as_flattened().chunks_exact(2);
+            for (w, pair) in words.iter_mut().zip(pairs) {
+                *w = u64::from(pair[0]) | u64::from(pair[1]) << 32;
+            }
+            if walk
+                .feed(&words[..nb * BLOCK_WORDS / 2], &mut emit)
+                .is_some()
+            {
+                return;
+            }
         }
     }
 
@@ -149,8 +154,9 @@ impl ImplicitGnp {
         false
     }
 
-    /// Materialize the full CSR graph — the O(m) test oracle. Rows are
-    /// emitted ascending and duplicate-free by construction.
+    /// Materialize the full CSR graph, every row by the same walk as a
+    /// query. Rows are emitted ascending and duplicate-free by
+    /// construction.
     pub fn materialize(&self) -> DiGraph {
         let expected = self.p * (self.n as f64) * (self.n.saturating_sub(1) as f64);
         let mut edges: Vec<(NodeId, NodeId)> =
@@ -177,8 +183,7 @@ impl Topology for ImplicitGnp {
         if self.emit_degenerate(u, &mut f) {
             return;
         }
-        let mut rng = self.row_rng(u);
-        self.walk_row(&mut rng, u, f);
+        self.walk_row(u, f);
     }
 
     /// No stored row: every query replays the walk, so the engine's
@@ -189,37 +194,13 @@ impl Topology for ImplicitGnp {
     }
 }
 
-/// A reusable per-row sampling cursor over an [`ImplicitGnp`].
-///
-/// `sample(u, f)` visits exactly what `Topology::for_each_out(u, f)`
-/// visits. The cursor is the seam for workers that walk thousands of
-/// rows back to back (the engine's transmitter-sharded scatter): every
-/// row is keyed from the cached label prefix straight into a
-/// stack-allocated ChaCha8 generator, so the whole walk performs no
-/// heap allocation and no per-query label hashing. (`&mut self` keeps
-/// room for cached cursor state without an API break.)
-#[derive(Debug, Clone)]
-pub struct GnpRowSampler<'g> {
-    gnp: &'g ImplicitGnp,
-}
-
-impl GnpRowSampler<'_> {
-    /// Visit row `u`, identically to `Topology::for_each_out`.
-    #[inline]
-    pub fn sample<F: FnMut(NodeId)>(&mut self, u: NodeId, mut f: F) {
-        if self.gnp.emit_degenerate(u, &mut f) {
-            return;
-        }
-        let mut rng = self.gnp.row_rng(u);
-        self.gnp.walk_row(&mut rng, u, f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::gnp::{scalar, SKIP_LANES};
     use radio_util::derive_rng;
     use rand::RngExt;
+    use rand_chacha::ChaCha8Rng;
 
     fn row(t: &ImplicitGnp, u: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -331,7 +312,7 @@ mod tests {
         for graph_seed in [0u64, 7, 0xDEAD_BEEF_CAFE_F00D] {
             let t = ImplicitGnp::new(1 << 10, 0.01, graph_seed);
             for u in [0u32, 1, 511, 1023] {
-                let mut fast = t.row_rng(u);
+                let mut fast = ChaCha8Rng::from_key_words(t.row_key(u));
                 let mut slow = ChaCha8Rng::seed_from_u64(radio_util::split_seed(
                     graph_seed,
                     b"gnp-row",
@@ -348,17 +329,43 @@ mod tests {
         }
     }
 
+    /// Row `u` by the scalar walk over the row's own stream.
+    fn scalar_row(t: &ImplicitGnp, u: NodeId) -> Vec<NodeId> {
+        let mut row = Vec::new();
+        if t.emit_degenerate(u, &mut |v| row.push(v)) {
+            return row;
+        }
+        let mut rng = ChaCha8Rng::from_key_words(t.row_key(u));
+        scalar::walk(&mut rng, t.p, (t.n - 1) as u64, |s| {
+            row.push(if s < u64::from(u) { s } else { s + 1 } as NodeId)
+        });
+        row
+    }
+
     #[test]
-    fn row_sampler_matches_for_each_out() {
-        for (n, p) in [(400usize, 0.03), (64, 0.0), (64, 1.0), (1, 0.5)] {
-            let t = ImplicitGnp::new(n, p, 21);
-            let mut sampler = t.row_sampler();
-            for u in 0..n as NodeId {
-                let mut via_sampler = Vec::new();
-                sampler.sample(u, |v| via_sampler.push(v));
-                assert_eq!(via_sampler, row(&t, u), "n {n} p {p} u {u}");
+    fn rows_match_the_scalar_walk_over_the_p_grid() {
+        for n in [2usize, 5, 64, 300] {
+            for p in scalar::p_grid(n) {
+                let t = ImplicitGnp::new(n, p, 17);
+                for u in 0..n as NodeId {
+                    assert_eq!(row(&t, u), scalar_row(&t, u), "n {n} p {p} u {u}");
+                }
             }
         }
+    }
+
+    /// Rows whose walks end at every lane of a kernel batch: a row of
+    /// degree m uses m + 1 words, spread here over about 40..90.
+    #[test]
+    fn rows_ending_at_every_batch_residue_match_the_scalar_walk() {
+        let t = ImplicitGnp::new(600, 64.0 / 599.0, 23);
+        let mut lanes = [false; SKIP_LANES];
+        for u in 0..600 {
+            let r = row(&t, u);
+            lanes[(r.len() + 1) % SKIP_LANES] = true;
+            assert_eq!(r, scalar_row(&t, u), "u {u}");
+        }
+        assert_eq!(lanes, [true; SKIP_LANES], "a lane no row ended at");
     }
 
     #[test]

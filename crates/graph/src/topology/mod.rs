@@ -46,7 +46,7 @@
 pub mod gnp;
 pub mod grid;
 
-pub use gnp::{GnpRowSampler, ImplicitGnp};
+pub use gnp::ImplicitGnp;
 pub use grid::{GridIndex, ImplicitGrid};
 
 use crate::{DiGraph, NodeId};

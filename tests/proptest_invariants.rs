@@ -103,8 +103,8 @@ proptest! {
         prop_assert_eq!(sorted.len(), seeds.len());
     }
 
-    /// Implicit G(n,p) ≡ its materialized CSR — rows, range tilings and
-    /// degree hints — for any (n, p, seed).
+    /// Implicit G(n,p) ≡ the scalar row walk, and ≡ its materialized
+    /// CSR — rows, range tilings and degree hints — for any (n, p, seed).
     #[test]
     fn implicit_gnp_equals_csr(
         n in 2usize..300,
@@ -118,6 +118,7 @@ proptest! {
         for u in 0..n as NodeId {
             let mut implicit = Vec::new();
             t.for_each_out(u, |v| implicit.push(v));
+            prop_assert_eq!(&implicit, &scalar_gnp_row(n, p, seed, u));
             prop_assert_eq!(&implicit, &g.out_neighbors(u).to_vec());
             // Two half-ranges tile the full row, in order.
             let mut tiled = Vec::new();
@@ -146,4 +147,43 @@ proptest! {
             prop_assert_eq!(implicit, g.out_neighbors(u).to_vec());
         }
     }
+}
+
+/// Row `u` of `ImplicitGnp::new(n, p, seed)` the way it was drawn before
+/// the batched walk: the row's own stream
+/// `ChaCha8Rng::seed_from_u64(split_seed(seed, b"gnp-row", u))`, one libm
+/// `ln` per draw, and a saturating slot advance. The oracle shares no
+/// code with the walk under test.
+fn scalar_gnp_row(n: usize, p: f64, seed: u64, u: NodeId) -> Vec<NodeId> {
+    use adhoc_radio::util::split_seed;
+    use rand::{RngExt, SeedableRng};
+    if n < 2 || p <= 0.0 {
+        return Vec::new();
+    }
+    if p >= 1.0 {
+        return (0..n as NodeId).filter(|&v| v != u).collect();
+    }
+    let mut rng =
+        rand_chacha::ChaCha8Rng::seed_from_u64(split_seed(seed, b"gnp-row", u64::from(u)));
+    let log1mp = if 1.0 - p == 1.0 {
+        (-p).ln_1p()
+    } else {
+        (1.0 - p).ln()
+    };
+    let mut skip = || {
+        let x: f64 = 1.0 - rng.random::<f64>();
+        let s = (x.ln() / log1mp).floor();
+        if s >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            s as u64
+        }
+    };
+    let mut row = Vec::new();
+    let mut s = skip();
+    while s < (n - 1) as u64 {
+        row.push(if s < u64::from(u) { s } else { s + 1 } as NodeId);
+        s = s.saturating_add(1).saturating_add(skip());
+    }
+    row
 }
