@@ -647,8 +647,8 @@ pub fn run_implicit_section(
 const MAX_EXP_BOUND: usize = 24;
 
 /// Largest accepted `log₂ n` for the **implicit** section: no CSR, so
-/// the binding constraints are the O(n) per-run state (bit sets,
-/// positions for the grid backend — ~1 GiB at 2²⁶) and wall-clock, not
+/// the binding constraints are the O(n) per-run state (bit sets, the
+/// grid backend's 24 B/node — ~1.5 GiB at 2²⁶) and wall-clock, not
 /// edge memory.
 const IMPLICIT_MAX_EXP_BOUND: usize = 26;
 

@@ -14,12 +14,14 @@
 //! Points are uniform on the **unit torus** (wrap-around distance), which
 //! removes boundary effects and keeps the expected degree `n·π·r²`
 //! uniform across nodes — the property the `G(n,p)` analysis leans on.
-//! Neighbour search uses a spatial grid with cell width ≥ max radius, so
-//! generation is `O(n · E[deg])`.
+//! Neighbour search is the grid range scan of [`GridIndex`] (cell width ≥
+//! max radius), so generation is `O(n · E[deg])`, and the out-CSR is
+//! built row by row: each node's row is scanned, sorted in place and
+//! closed with its offset, with no `(u, v)` pair list and no global sort.
 
 use crate::generate::edge_capacity;
 use crate::topology::GridIndex;
-use crate::{DiGraph, GraphBuilder, NodeId};
+use crate::{Csr, DiGraph, NodeId};
 use rand::{Rng, RngExt};
 
 /// Parameters for geometric generation.
@@ -68,9 +70,10 @@ impl GeoParams {
     }
 }
 
-/// Squared torus distance between two points of the unit square.
-/// Shared with the implicit grid backend (`topology::grid`).
-#[inline]
+/// Squared torus distance between two points of the unit square: the
+/// test oracle of the grid range scan, which computes the same IEEE
+/// operations.
+#[cfg(test)]
 pub(crate) fn torus_dist2(a: (f64, f64), b: (f64, f64)) -> f64 {
     let mut dx = (a.0 - b.0).abs();
     let mut dy = (a.1 - b.1).abs();
@@ -81,6 +84,30 @@ pub(crate) fn torus_dist2(a: (f64, f64), b: (f64, f64)) -> f64 {
         dy = 1.0 - dy;
     }
     dx * dx + dy * dy
+}
+
+/// Build a graph's out-CSR row by row: `row(u, out)` appends `u`'s
+/// distinct out-neighbours to `out` in any order, and each row is
+/// sorted in place before its offset closes it. `expected_edges` sizes
+/// the neighbour array through [`edge_capacity`].
+///
+/// # Panics
+/// Panics if the edge count overflows the `u32` CSR offsets.
+pub(crate) fn graph_by_rows<F: FnMut(usize, &mut Vec<NodeId>)>(
+    n: usize,
+    expected_edges: f64,
+    mut row: F,
+) -> DiGraph {
+    let mut neighbors: Vec<NodeId> = Vec::with_capacity(edge_capacity(n, expected_edges));
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    for u in 0..n {
+        let start = neighbors.len();
+        row(u, &mut neighbors);
+        neighbors[start..].sort_unstable();
+        offsets.push(u32::try_from(neighbors.len()).expect("edge count overflows u32 CSR offsets"));
+    }
+    DiGraph::from_out_csr(Csr::from_parts(offsets, neighbors))
 }
 
 /// Core generator: positions, radii, grid bucketing, edge emission.
@@ -100,13 +127,6 @@ fn generate<R: Rng + ?Sized>(params: GeoParams, rng: &mut R) -> (DiGraph, Vec<(f
         (0..n).map(|_| rng.random_range(r_min..=r_max)).collect()
     };
 
-    // Grid with cell width ≥ r_max so all candidates live in the 3×3
-    // neighbourhood of a node's cell. GridIndex's scan visits each
-    // bucket exactly once even when the grid wraps at cells < 3 (any
-    // r_max > 1/3) — the old open-coded scan double-visited there and
-    // leaned on the builder's dedup to hide it.
-    let grid = GridIndex::new(&pos, r_max);
-
     // Expected out-degree of node u is π·r_u²·n on the torus, so the
     // expected edge total is n·π·E[r²]·n with E[r²] the mean square of a
     // Uniform(r_min, r_max) radius — using r_max² here over-estimated the
@@ -114,19 +134,31 @@ fn generate<R: Rng + ?Sized>(params: GeoParams, rng: &mut R) -> (DiGraph, Vec<(f
     // straight to the allocator (tens of TB at n = 2²⁰ and large r).
     let mean_r2 = (r_min * r_min + r_min * r_max + r_max * r_max) / 3.0;
     let expected = n as f64 * std::f64::consts::PI * mean_r2 * n as f64;
-    let mut b = GraphBuilder::with_capacity(n, edge_capacity(n, expected));
-    for u in 0..n {
-        let pu = pos[u];
-        let ru2 = radius[u] * radius[u];
-        grid.for_each_candidate_bucket(pu, |bucket| {
-            for &v in bucket {
-                if v as usize != u && torus_dist2(pu, pos[v as usize]) <= ru2 {
-                    b.add_edge(u as NodeId, v);
-                }
+    (graph_on(&pos, |u| radius[u], r_max, expected), pos)
+}
+
+/// The graph on `pos` with edge `u → v` iff `dist(u, v) ≤ radius(u)`,
+/// every radius at most `r_max`, its CSR sized for `expected` edges.
+fn graph_on<F: Fn(usize) -> f64>(
+    pos: &[(f64, f64)],
+    radius: F,
+    r_max: f64,
+    expected: f64,
+) -> DiGraph {
+    // Grid with cell width ≥ r_max so all candidates live in the 3×3
+    // neighbourhood of a node's cell. GridIndex's scan visits each
+    // bucket exactly once even when the grid wraps at cells < 3 (any
+    // r_max > 1/3) — the old open-coded scan double-visited there and
+    // leaned on the builder's dedup to hide it.
+    let grid = GridIndex::new(pos, r_max);
+    graph_by_rows(pos.len(), expected, |u, row| {
+        let r = radius(u);
+        grid.for_each_within(pos[u], r * r, |v| {
+            if v as usize != u {
+                row.push(v);
             }
         });
-    }
-    (b.build(), pos)
+    })
 }
 
 /// Symmetric random geometric graph: `n` uniform torus points, mutual edge
@@ -151,22 +183,8 @@ pub fn random_geometric_directed<R: Rng + ?Sized>(
 
 /// Core generator for fixed positions (mobility snapshots).
 fn graph_for_positions(pos: &[(f64, f64)], r: f64) -> DiGraph {
-    let n = pos.len();
-    let grid = GridIndex::new(pos, r);
-    let expected = n as f64 * std::f64::consts::PI * r * r * n as f64;
-    let mut b = GraphBuilder::with_capacity(n, edge_capacity(n, expected));
-    let r2 = r * r;
-    for u in 0..n {
-        let pu = pos[u];
-        grid.for_each_candidate_bucket(pu, |bucket| {
-            for &v in bucket {
-                if v as usize != u && torus_dist2(pu, pos[v as usize]) <= r2 {
-                    b.add_edge(u as NodeId, v);
-                }
-            }
-        });
-    }
-    b.build()
+    let n = pos.len() as f64;
+    graph_on(pos, |_| r, r, n * std::f64::consts::PI * r * r * n)
 }
 
 /// An endless stream of geometric-graph snapshots under node mobility:
@@ -247,6 +265,7 @@ impl<R: Rng> Iterator for MobileGeometric<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
     use radio_util::derive_rng;
 
     #[test]
@@ -367,8 +386,8 @@ mod tests {
         // visited buckets up to 9×, emitting duplicate edges that only
         // the builder's sort+dedup hid. The scan must now emit each
         // edge exactly once: the pre-dedup builder count equals the
-        // final m(). Replays the generator's own emission loop so the
-        // assertion covers exactly the shared GridIndex scan.
+        // final m(). Replays the generators' own scan so the assertion
+        // covers exactly the shared GridIndex scan.
         for r in [0.4, 0.5] {
             let mut rng = derive_rng(20, b"geo", 0);
             let pos: Vec<(f64, f64)> = (0..300)
@@ -377,13 +396,10 @@ mod tests {
             let grid = GridIndex::new(&pos, r);
             let r2 = r * r;
             let mut b = GraphBuilder::new(300);
-            for u in 0..300usize {
-                let pu = pos[u];
-                grid.for_each_candidate_bucket(pu, |bucket| {
-                    for &v in bucket {
-                        if v as usize != u && torus_dist2(pu, pos[v as usize]) <= r2 {
-                            b.add_edge(u as NodeId, v);
-                        }
+            for (u, &p) in pos.iter().enumerate() {
+                grid.for_each_within(p, r2, |v| {
+                    if v as usize != u {
+                        b.add_edge(u as NodeId, v);
                     }
                 });
             }
@@ -397,11 +413,86 @@ mod tests {
             );
             // And the fixed scan still finds every edge: cross-check
             // against the O(n²) predicate.
-            let brute = (0..300usize)
-                .flat_map(|u| (0..300usize).map(move |v| (u, v)))
-                .filter(|&(u, v)| u != v && torus_dist2(pos[u], pos[v]) <= r2)
-                .count();
-            assert_eq!(g.m(), brute, "r = {r}: edge set wrong");
+            assert_eq!(g, naive_graph(&pos, &[r; 300]), "r = {r}: edge set wrong");
+        }
+    }
+
+    /// The all-pairs oracle: `u → v` iff `torus_dist2(u, v) ≤ radius[u]²`,
+    /// built through `GraphBuilder`'s pair list and sort.
+    fn naive_graph(pos: &[(f64, f64)], radius: &[f64]) -> DiGraph {
+        let n = pos.len();
+        let mut b = GraphBuilder::new(n);
+        for u in 0..n {
+            for v in 0..n {
+                if u != v && torus_dist2(pos[u], pos[v]) <= radius[u] * radius[u] {
+                    b.add_edge(u as NodeId, v as NodeId);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Positions on a lattice whose points sit on cell edges and at
+    /// exactly distance `r` of each other (straight and across the
+    /// wrap), the largest coordinate below 1, and uniform points.
+    fn edge_case_positions(lattice: usize, seed: u64) -> Vec<(f64, f64)> {
+        let step = 1.0 / lattice as f64;
+        let top = 1.0f64.next_down();
+        let mut pos: Vec<(f64, f64)> = (0..lattice * lattice)
+            .map(|i| ((i % lattice) as f64 * step, (i / lattice) as f64 * step))
+            .collect();
+        pos.extend([(top, top), (top, 0.0), (0.0, top)]);
+        let mut rng = derive_rng(seed, b"geo-edge", 0);
+        pos.extend((0..60).map(|_| (rng.random::<f64>(), rng.random::<f64>())));
+        pos
+    }
+
+    #[test]
+    fn random_geometric_equals_the_naive_oracle() {
+        // Grids of 2, 3, 4, 7 and 12 cells per side.
+        for (n, r) in [
+            (300, 0.5),
+            (300, 0.3),
+            (400, 0.25),
+            (500, 0.14),
+            (600, 0.08),
+        ] {
+            let (g, pos) = random_geometric(n, r, &mut derive_rng(23, b"geo", n as u64));
+            assert_eq!(g, naive_graph(&pos, &vec![r; n]), "n {n} r {r}");
+        }
+        // Ties at exactly r and points on cell edges.
+        for (r, lattice) in [(0.5, 4), (0.25, 8), (0.125, 16)] {
+            let pos = edge_case_positions(lattice, 24);
+            let g = graph_for_positions(&pos, r);
+            assert_eq!(g, naive_graph(&pos, &vec![r; pos.len()]), "r {r}");
+        }
+    }
+
+    #[test]
+    fn random_geometric_directed_equals_the_naive_oracle() {
+        for (r_min, r_max) in [(0.03, 0.12), (0.01, 0.5), (0.2, 0.34)] {
+            let n = 400;
+            let params = GeoParams { n, r_min, r_max };
+            let (g, pos) = random_geometric_directed(params, &mut derive_rng(25, b"geo", 0));
+            // The generator's draws: positions, then one radius per node.
+            let mut rng = derive_rng(25, b"geo", 0);
+            let drawn: Vec<(f64, f64)> = (0..n)
+                .map(|_| (rng.random::<f64>(), rng.random::<f64>()))
+                .collect();
+            assert_eq!(drawn, pos);
+            let radius: Vec<f64> = (0..n).map(|_| rng.random_range(r_min..=r_max)).collect();
+            assert_eq!(g, naive_graph(&pos, &radius), "r ∈ [{r_min}, {r_max}]");
+        }
+    }
+
+    #[test]
+    fn mobile_snapshots_equal_the_naive_oracle() {
+        for (r, sigma) in [(0.1, 0.05), (0.5, 0.2), (0.3, 0.0)] {
+            let mut seq = MobileGeometric::new(250, r, sigma, derive_rng(26, b"geo", 0));
+            for k in 0..4 {
+                let g = seq.next().expect("the stream is endless");
+                assert_eq!(g, naive_graph(&seq.pos, &[r; 250]), "r {r} snapshot {k}");
+            }
         }
     }
 

@@ -12,8 +12,8 @@
 //!   stored row; monomorphization compiles the generic engine down to
 //!   the same code as before.
 //! * [`ImplicitGrid`] — torus points + grid buckets. Neighbors of `u`
-//!   are recomputed on the fly from positions in O(expected degree)
-//!   using the dedup-correct wrapped cell scan shared with the
+//!   are recomputed on the fly in O(expected degree) by the vectorized,
+//!   dedup-correct range scan of [`GridIndex`], shared with the
 //!   materializing geometric generators. O(n) memory.
 //! * [`ImplicitGnp`] — `G(n,p)` whose row `u` is re-sampled lazily as a
 //!   pure function of `(graph_seed, u)` via a per-row counter-based
