@@ -71,9 +71,9 @@ pub fn run(ctx: &Ctx) -> Report {
             row.p,
         ));
     }
-    let sweep_report = sweep.run(|cell, graph, seed| {
+    let sweep_report = sweep.run(|cell, seed| {
         let cfg = EeBroadcastConfig::for_gnp(cell.n, cell.p);
-        run_ee_broadcast(graph, 0, &cfg, seed).to_trial()
+        run_ee_broadcast(&cell.graph(seed), 0, &cfg, seed).to_trial()
     });
 
     let mut table = TextTable::new(&[

@@ -38,12 +38,12 @@ pub fn run(ctx: &Ctx) -> Report {
         ));
     }
 
-    let sweep_report = sweep.run(|cell, graph, seed| {
+    let sweep_report = sweep.run(|cell, seed| {
         let cfg = EeBroadcastConfig::for_gnp(cell.n, cell.p);
         let (t_phase1, d) = phase1_params(cell.n, cell.p);
         // series[r] = |U_{r+2}|, the nodes first informed in round r+1;
         // |U_1| = 1 (the source).
-        let (out, series) = run_ee_broadcast_growth(graph, 0, &cfg, seed);
+        let (out, series) = run_ee_broadcast_growth(&cell.graph(seed), 0, &cfg, seed);
         let mut trial = out.to_trial();
         for round in 0..t_phase1 {
             let prev = if round == 0 {

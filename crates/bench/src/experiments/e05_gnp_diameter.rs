@@ -2,15 +2,16 @@
 //! `⌈log n / log d⌉` w.h.p. for `p > δ log n / n`.
 //!
 //! Ported to the `radio-sim` sweep API. This experiment runs no
-//! protocol — the runner just measures each sampled graph — which
-//! exercises the sweep's raw-results path ([`Sweep::collect`]): the
-//! histogram needs per-trial values, the JSON gets the aggregates.
+//! protocol — the runner just measures each sampled graph. The
+//! histogram needs per-trial values, so the cells run one at a time
+//! through [`Sweep::run_cell`] and feed [`Sweep::report`] (what
+//! [`Sweep::run`] does inside); the JSON gets the aggregates.
 
 use crate::common::sweep_note;
 use crate::{Ctx, Report};
 use radio_graph::analysis::diameter_from;
 use radio_graph::GraphFamily;
-use radio_sim::{Sweep, SweepCell, TrialResult};
+use radio_sim::{CellResults, Sweep, SweepCell, TrialResult};
 use radio_util::TextTable;
 
 pub fn run(ctx: &Ctx) -> Report {
@@ -35,8 +36,8 @@ pub fn run(ctx: &Ctx) -> Report {
         ));
     }
 
-    let raw = sweep.collect(|_, graph, _| {
-        let diam = diameter_from(graph, 0);
+    let runner = |cell: &SweepCell, seed: u64| {
+        let diam = diameter_from(&cell.graph(seed), 0);
         let mut trial = TrialResult {
             completed: true,
             success: diam.is_some(),
@@ -52,7 +53,10 @@ pub fn run(ctx: &Ctx) -> Report {
             trial = trial.extra("diameter", f64::from(d));
         }
         trial
-    });
+    };
+    let raw: Vec<CellResults> = (0..sweep.cells().len())
+        .map(|i| sweep.run_cell(i, &runner))
+        .collect();
     let sweep_report = sweep.report(&raw);
 
     let mut table = TextTable::new(&[

@@ -42,7 +42,8 @@ pub fn run(ctx: &Ctx) -> Report {
             ));
         }
     }
-    let random_report = sw_random.run(|cell, graph, seed| {
+    let random_report = sw_random.run(|cell, seed| {
+        let graph = &cell.graph(seed);
         let out = match cell.algorithm.as_str() {
             "ee_broadcast" => {
                 run_ee_broadcast(graph, 0, &EeBroadcastConfig::for_gnp(cell.n, cell.p), seed)
@@ -112,7 +113,8 @@ pub fn run(ctx: &Ctx) -> Report {
             0.0,
         ));
     }
-    let general_report = sw_general.run(|cell, graph, seed| {
+    let general_report = sw_general.run(|cell, seed| {
+        let graph = &cell.graph(seed);
         let n = graph.n();
         let d = diameter_from(graph, 0).expect("caterpillar is connected");
         let out = match cell.algorithm.as_str() {

@@ -47,11 +47,12 @@
 
 use crate::common::cell_extra;
 use crate::{Ctx, Report};
+use radio_campaign::kernels::p_equiv_measured;
 use radio_core::broadcast::decay::DecayConfig;
 use radio_core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadcast};
 use radio_core::broadcast::flood::FloodConfig;
 use radio_core::broadcast::{BroadcastOutcome, WindowedBroadcast};
-use radio_graph::{DiGraph, GraphFamily, ImplicitGnp, ImplicitGrid, Topology};
+use radio_graph::{GraphFamily, ImplicitGnp, ImplicitGrid, Topology};
 use radio_sim::engine::run_protocol_fused_traced;
 use radio_sim::trace::{NullSink, TraceSink};
 use radio_sim::{EngineConfig, Protocol, Sweep, SweepCell, TracePlan, TrialResult};
@@ -97,15 +98,6 @@ fn env_usize(key: &str, default: usize) -> usize {
     }
 }
 
-/// Equivalent `G(n,p)` edge probability for Algorithm 1's degree
-/// estimate on non-Gnp families (same convention as E17).
-fn p_equiv(cell: &SweepCell, graph: &DiGraph) -> f64 {
-    match cell.family {
-        GraphFamily::GnpDirected => cell.p,
-        _ => (graph.m() as f64 / cell.n as f64) / cell.n as f64,
-    }
-}
-
 /// The engine config of one trial: the algorithm's round cap, with
 /// `threads` intra-run workers. Recordings stamp it into their header.
 fn engine_cfg(alg: &str, n: usize, p_eq: f64, threads: usize) -> EngineConfig {
@@ -124,22 +116,12 @@ fn engine_cfg(alg: &str, n: usize, p_eq: f64, threads: usize) -> EngineConfig {
 /// count cannot influence the result (property-tested in
 /// `tests/determinism.rs`, asserted on the JSON bytes by the smoke
 /// test). Generic over [`Topology`] so the implicit-backend section
-/// drives the exact same trial code as the CSR sweep.
-fn trial_body<T: Topology>(
-    alg: &str,
-    graph: &T,
-    p_eq: f64,
-    seed: u64,
-    threads: usize,
-) -> TrialResult {
-    trial_body_traced(alg, graph, p_eq, seed, threads, &mut NullSink)
-}
-
-/// [`trial_body`] with a [`TraceSink`] attached — the sink only
-/// observes (the engine's zero-interference property), so traced and
-/// untraced trials report identical `TrialResult`s and the sweep JSON
-/// stays byte-stable whether or not `ADHOC_RADIO_TRACE` is set.
-fn trial_body_traced<T: Topology, S: TraceSink>(
+/// drives the exact same trial code as the CSR sweep, and over the
+/// [`TraceSink`]: untraced callers pass `&mut NullSink`, and since a
+/// sink only observes (the engine's zero-interference property), traced
+/// and untraced trials report identical `TrialResult`s and the sweep
+/// JSON stays byte-stable whether or not `ADHOC_RADIO_TRACE` is set.
+fn scale_trial<T: Topology, S: TraceSink>(
     alg: &str,
     graph: &T,
     p_eq: f64,
@@ -169,32 +151,6 @@ fn trial_body_traced<T: Topology, S: TraceSink>(
     };
     let tx = trial.total_transmissions as f64;
     trial.extra("msgs_per_node", tx / n as f64)
-}
-
-/// The CSR-sweep adapter around [`trial_body`]: derives Algorithm 1's
-/// degree estimate from the materialized edge count. When the sweep has
-/// a [`TracePlan`], the first trial of each cell records its `.rtrc`
-/// through [`trial_body_traced`] instead.
-fn scale_trial(cell: &SweepCell, graph: &DiGraph, seed: u64, threads: usize) -> TrialResult {
-    trial_body(&cell.algorithm, graph, p_equiv(cell, graph), seed, threads)
-}
-
-/// The traced twin of [`scale_trial`].
-fn scale_trial_traced<S: TraceSink>(
-    cell: &SweepCell,
-    graph: &DiGraph,
-    seed: u64,
-    threads: usize,
-    sink: &mut S,
-) -> TrialResult {
-    trial_body_traced(
-        &cell.algorithm,
-        graph,
-        p_equiv(cell, graph),
-        seed,
-        threads,
-        sink,
-    )
 }
 
 /// The experiment body at an explicit `log₂ n` range — the smoke test
@@ -237,27 +193,30 @@ pub fn run_scaled(
         }
     }
 
-    // Per-cell execution with wall-clock bookkeeping: `run_cell` uses the
-    // exact seeds and aggregation of `Sweep::run`, so the JSON is
-    // bit-identical to a plain `sweep.run(...)` — the timings ride along
-    // in the markdown only. The runner reads the thread count from the
-    // sweep (single source of truth), as `with_threads_per_run`
-    // prescribes.
+    // Per-cell execution with wall-clock bookkeeping: `run_cell` is the
+    // executor `Sweep::run` loops over, so the JSON is bit-identical to
+    // a plain `sweep.run(...)` — the timings ride along in the markdown
+    // only. The runner reads the thread count from the sweep (single
+    // source of truth), as `with_threads_per_run` prescribes; Algorithm
+    // 1's degree estimate comes from the materialized edge count. With
+    // a `TracePlan`, the first trial of each cell records its `.rtrc`.
     let plan = trace_dir.map(|dir| TracePlan::new(dir, 1));
     let sweep_ref = &sweep;
     let plan_ref = plan.as_ref();
-    let runner = |cell: &SweepCell, graph: &DiGraph, seed: u64| -> TrialResult {
+    let runner = |cell: &SweepCell, seed: u64| -> TrialResult {
         let threads = sweep_ref.run_threads();
-        let cfg = || engine_cfg(&cell.algorithm, cell.n, p_equiv(cell, graph), threads);
-        match plan_ref.and_then(|p| p.open(cell, seed, "v2", &cfg())) {
+        let graph = &cell.graph(seed);
+        let (alg, p_eq) = (cell.algorithm.as_str(), p_equiv_measured(cell, graph));
+        let cfg = engine_cfg(alg, cell.n, p_eq, threads);
+        match plan_ref.and_then(|p| p.open(cell, seed, "v2", &cfg)) {
             Some(mut sink) => {
-                let trial = scale_trial_traced(cell, graph, seed, threads, &mut sink);
+                let trial = scale_trial(alg, graph, p_eq, seed, threads, &mut sink);
                 if let Err(e) = sink.finish(trial.success) {
                     eprintln!("warning: e18 trace footer write failed: {e}");
                 }
                 trial
             }
-            None => scale_trial(cell, graph, seed, threads),
+            None => scale_trial(alg, graph, p_eq, seed, threads, &mut NullSink),
         }
     };
     let mut results = Vec::with_capacity(sweep.cells().len());
@@ -420,7 +379,7 @@ impl ImplicitFamily {
 }
 
 /// A built implicit topology — monomorphized dispatch into the generic
-/// [`trial_body`], one arm per backend.
+/// [`scale_trial`], one arm per backend.
 enum ImplicitBackend {
     Gnp(ImplicitGnp),
     Grid(ImplicitGrid),
@@ -429,14 +388,14 @@ enum ImplicitBackend {
 impl ImplicitBackend {
     fn trial(&self, alg: &str, p_eq: f64, seed: u64, threads: usize) -> TrialResult {
         match self {
-            ImplicitBackend::Gnp(g) => trial_body(alg, g, p_eq, seed, threads),
-            ImplicitBackend::Grid(g) => trial_body(alg, g, p_eq, seed, threads),
+            ImplicitBackend::Gnp(g) => scale_trial(alg, g, p_eq, seed, threads, &mut NullSink),
+            ImplicitBackend::Grid(g) => scale_trial(alg, g, p_eq, seed, threads, &mut NullSink),
         }
     }
 }
 
 /// The implicit-backend scaling section: the same three algorithms and
-/// the same `trial_body`, but the graph is never materialized — the
+/// the same `scale_trial`, but the graph is never materialized — the
 /// engine queries neighbors through the [`Topology`] trait, so the
 /// per-run footprint is O(n) state instead of O(m) CSR. This is what
 /// breaks the CSR memory wall: the materializing sweep is hard-capped at
@@ -500,8 +459,9 @@ pub fn run_implicit_section(
         let d = degree(n);
         for family in [ImplicitFamily::Gnp, ImplicitFamily::Grid] {
             // One graph per (n, backend), shared by all three algorithms
-            // — mirrors `Sweep::run_cell`'s graph reuse. The seed depends
-            // only on (root, exp, backend), not on the algorithm order.
+            // and every trial (a `Sweep` instead builds a fresh graph per
+            // trial). The seed depends only on (root, exp, backend), not
+            // on the algorithm order.
             let gseed = split_seed(root, b"e18i-graph", (u64::from(exp) << 1) | family as u64);
             let graph = family.build(n, d, gseed);
             for alg in ["alg1", "flood", "decay"] {

@@ -12,7 +12,7 @@
 //! scatter's output end to end. e18 is left out: its report records
 //! wall-clock times too, and it runs at n = 2¹⁸–2²¹ by default.
 //!
-//! Ignored by default (about 80 s in release on a 2-vCPU host, most of
+//! Ignored by default (about 37 s in release on a 2-vCPU host, most of
 //! it e1, e14 and e18i; far longer in debug); run with
 //! `cargo test --release -p radio-bench --test paper_fidelity -- --ignored`.
 

@@ -1,7 +1,9 @@
 //! The committed scenario IR reproduces the historical hand-written
 //! e16/e17 sweeps — structurally (cheap, always on) and byte-for-byte
 //! against the committed `results/sweep_*.json` (ignored; run with
-//! `cargo test -p radio-bench --test scenario_fidelity --release -- --ignored`).
+//! `cargo test -p radio-bench --test scenario_fidelity --release -- --ignored`,
+//! about 1.3 s for all four on a 2-vCPU host; CI's `release-lib` suite
+//! runs them).
 
 use radio_bench::experiments::{e16_robustness, e17_energy_lifetime};
 use radio_campaign::{Compiled, Scenario};
@@ -101,7 +103,7 @@ fn assert_byte_identical(spec: &str, committed_path: &str) {
 }
 
 #[test]
-#[ignore = "minutes-long full sweep; run with --ignored in release"]
+#[ignore = "the committed full-size sweep, slow in a debug build; run with --ignored in release"]
 fn e16_mobility_scenario_reproduces_committed_bytes() {
     assert_byte_identical(
         e16_robustness::MOBILITY_SPEC,
@@ -110,7 +112,7 @@ fn e16_mobility_scenario_reproduces_committed_bytes() {
 }
 
 #[test]
-#[ignore = "minutes-long full sweep; run with --ignored in release"]
+#[ignore = "the committed full-size sweep, slow in a debug build; run with --ignored in release"]
 fn e16_crash_scenario_reproduces_committed_bytes() {
     assert_byte_identical(
         e16_robustness::CRASH_SPEC,
@@ -119,7 +121,7 @@ fn e16_crash_scenario_reproduces_committed_bytes() {
 }
 
 #[test]
-#[ignore = "minutes-long full sweep; run with --ignored in release"]
+#[ignore = "the committed full-size sweep, slow in a debug build; run with --ignored in release"]
 fn e17_energy_scenario_reproduces_committed_bytes() {
     assert_byte_identical(
         e17_energy_lifetime::ENERGY_SPEC,
@@ -128,7 +130,7 @@ fn e17_energy_scenario_reproduces_committed_bytes() {
 }
 
 #[test]
-#[ignore = "minutes-long full sweep; run with --ignored in release"]
+#[ignore = "the committed full-size sweep, slow in a debug build; run with --ignored in release"]
 fn e17_lifetime_scenario_reproduces_committed_bytes() {
     assert_byte_identical(
         e17_energy_lifetime::LIFETIME_SPEC,

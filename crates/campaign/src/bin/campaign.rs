@@ -43,11 +43,10 @@ fn cmd_validate(spec_path: &str) -> ExitCode {
     println!("scenario:  {}", scenario.name);
     println!("spec hash: {}", scenario.spec_hash_string());
     println!(
-        "sweep:     base_seed={} trials={} backend={} threads_per_run={}",
+        "sweep:     base_seed={} trials={} backend={}",
         scenario.sweep.base_seed,
         scenario.sweep.trials,
-        scenario.sweep.backend.label(),
-        scenario.sweep.threads_per_run
+        scenario.sweep.backend.label()
     );
     println!("cells:     {}", scenario.cells.len());
     for c in &scenario.cells {

@@ -2,17 +2,18 @@
 //! [`Sweep`] API, with generic dispatch over [`Topology`] backends.
 //!
 //! A compiled campaign owns a [`Sweep`] whose cells are the scenario's
-//! cells verbatim, in order, and a per-cell executor that (1) resolves
-//! the cell's protocol entry, (2) builds the topology the backend
-//! prescribes from the exact RNG stream the sweep machinery would have
-//! used (`derive_rng(trial_seed, b"sweep-graph", 0)`), and (3) invokes
-//! the matching [`kernels`](crate::kernels) function — monomorphized
-//! per backend, so the engine's neighbor-visit loops pay no dispatch
-//! cost. Because seeds, graph streams, and aggregation all go through
-//! `Sweep`, a compiled report is bit-identical to the hand-written
-//! experiment it mirrors — and bit-identical between the CSR and
-//! implicit-grid backends on geometric cells (the grid replays the
-//! same position draws).
+//! cells verbatim, in order, and a trial runner that
+//! [`Sweep::run_cell`] executes for every trial: it (1) resolves the
+//! cell's protocol entry, (2) builds the topology the backend
+//! prescribes from the cell's graph stream ([`SweepCell::graph`] on
+//! CSR, [`SweepCell::graph_rng`] for the implicit grid), and (3)
+//! invokes the matching [`kernels`](crate::kernels) function —
+//! monomorphized per backend, so the engine's neighbor-visit loops pay
+//! no dispatch cost. Because seeds, graph streams, and aggregation all
+//! go through `Sweep`, a compiled report is bit-identical to the
+//! hand-written experiment it mirrors — and bit-identical between the
+//! CSR and implicit-grid backends on geometric cells (the grid replays
+//! the same position draws).
 //!
 //! [`Topology`]: radio_graph::Topology
 
@@ -23,7 +24,6 @@ use crate::kernels::{
 };
 use radio_graph::ImplicitGrid;
 use radio_sim::{CellResults, EngineConfig, Sweep, SweepCell, SweepReport, TracePlan, TrialResult};
-use radio_util::derive_rng;
 
 /// A scenario lowered onto the sweep API.
 #[derive(Debug)]
@@ -40,9 +40,6 @@ impl Compiled {
             scenario.sweep.base_seed,
             scenario.sweep.trials,
         );
-        if scenario.sweep.threads_per_run > 1 {
-            sweep = sweep.with_threads_per_run(scenario.sweep.threads_per_run);
-        }
         for c in &scenario.cells {
             sweep.push(SweepCell::new(c.label.clone(), c.family.clone(), c.n, c.p));
         }
@@ -80,25 +77,23 @@ impl Compiled {
             })
     }
 
-    /// Execute one cell (rayon fan-out over its trials; bit-identical
-    /// to serial). `plan`, when present, captures capped per-trial
-    /// `.rtrc` recordings.
+    /// Execute one cell through [`Sweep::run_cell`] (rayon fan-out over
+    /// its trials; bit-identical to serial). `plan`, when present,
+    /// captures capped per-trial `.rtrc` recordings.
     ///
     /// # Panics
     /// Panics if `cell_index` is out of range.
     pub fn run_cell(&self, cell_index: usize, plan: Option<&TracePlan>) -> CellResults {
         let runner = |cell: &SweepCell, seed: u64| self.one_trial(cell, seed, plan);
-        self.sweep.run_cell_raw_par(cell_index, &runner)
+        self.sweep.run_cell(cell_index, &runner)
     }
 
-    /// Run every cell in order and aggregate — the in-memory
-    /// (checkpoint-free) path the experiment harness uses.
+    /// Run every cell in order and aggregate ([`Sweep::run`]) — the
+    /// in-memory (checkpoint-free) path the experiment harness uses.
     pub fn run_report(&self) -> SweepReport {
         let plan = self.trace_plan();
-        let results: Vec<CellResults> = (0..self.sweep.cells().len())
-            .map(|i| self.run_cell(i, plan.as_ref()))
-            .collect();
-        self.sweep.report(&results)
+        self.sweep
+            .run(|cell, seed| self.one_trial(cell, seed, plan.as_ref()))
     }
 
     fn one_trial(&self, cell: &SweepCell, seed: u64, plan: Option<&TracePlan>) -> TrialResult {
@@ -113,10 +108,8 @@ impl Compiled {
             plan.and_then(|p| p.open(cell, seed, "v1", cfg))
                 .map(|sink| TraceHandle { sink })
         };
-        // The machinery-equivalent graph stream: CSR and implicit arms
-        // both draw from it, so geometric cells see identical positions
-        // on either backend.
-        let graph_rng = || derive_rng(seed, b"sweep-graph", 0);
+        // CSR and implicit arms both draw from the cell's graph stream,
+        // so geometric cells see identical positions on either backend.
         match proto {
             ProtocolSpec::MobileGossip {
                 switch_every,
@@ -141,11 +134,11 @@ impl Compiled {
                     d_hint: *d_hint,
                 };
                 if implicit {
-                    let grid = ImplicitGrid::generate(cell.n, cell.p, &mut graph_rng());
+                    let grid =
+                        ImplicitGrid::generate(cell.n, cell.p, &mut SweepCell::graph_rng(seed));
                     faulty_broadcast_trial(&cfg, cell, &grid, seed, Some(&mut open))
                 } else {
-                    let graph = cell.family.generate(cell.n, cell.p, &mut graph_rng());
-                    faulty_broadcast_trial(&cfg, cell, &graph, seed, Some(&mut open))
+                    faulty_broadcast_trial(&cfg, cell, &cell.graph(seed), seed, Some(&mut open))
                 }
             }
             ProtocolSpec::EnergyCrossover { flood_q, d_hint } => {
@@ -154,8 +147,7 @@ impl Compiled {
                     d_hint: *d_hint,
                 };
                 // CSR-only (validated): the kernel consults the edge count.
-                let graph = cell.family.generate(cell.n, cell.p, &mut graph_rng());
-                energy_crossover_trial(&cfg, cell, &graph, seed, Some(&mut open))
+                energy_crossover_trial(&cfg, cell, &cell.graph(seed), seed, Some(&mut open))
             }
             ProtocolSpec::EnergyLifetime {
                 horizon,
@@ -172,11 +164,11 @@ impl Compiled {
                     d_hint: *d_hint,
                 };
                 if implicit {
-                    let grid = ImplicitGrid::generate(cell.n, cell.p, &mut graph_rng());
+                    let grid =
+                        ImplicitGrid::generate(cell.n, cell.p, &mut SweepCell::graph_rng(seed));
                     energy_lifetime_trial(&cfg, cell, &grid, seed, Some(&mut open))
                 } else {
-                    let graph = cell.family.generate(cell.n, cell.p, &mut graph_rng());
-                    energy_lifetime_trial(&cfg, cell, &graph, seed, Some(&mut open))
+                    energy_lifetime_trial(&cfg, cell, &cell.graph(seed), seed, Some(&mut open))
                 }
             }
         }

@@ -14,6 +14,10 @@
 //!   `n`​``), and parse failures are line-anchored by
 //!   [`Json::parse`] — a hand-edited scenario points its author at the
 //!   offending line.
+//! * **Unknown keys are errors.** Every optional key has a default, so
+//!   a misspelt one (`"crash_rond": 10`) would otherwise validate and
+//!   run at the default; each block accepts exactly its own keys (a
+//!   protocol entry those of its `kind`).
 //! * **The spec hash is canonical.** [`Scenario::spec_hash`] is FNV-1a
 //!   over the *compact re-serialization* of the parsed document, so
 //!   reformatting whitespace or reflowing lines never invalidates a
@@ -54,8 +58,6 @@ pub struct SweepSpec {
     pub trials: usize,
     /// Topology backend every cell runs on.
     pub backend: Backend,
-    /// Intra-run engine threads (1 = trial-level fan-out only).
-    pub threads_per_run: usize,
 }
 
 /// Which topology representation backs the cells.
@@ -155,6 +157,20 @@ impl ProtocolSpec {
             ProtocolSpec::EnergyLifetime { .. } => "energy_lifetime",
         }
     }
+
+    /// The IR keys of this kind's entry, `kind` included.
+    fn keys(&self) -> &'static [&'static str] {
+        match self {
+            ProtocolSpec::MobileGossip { .. } => &["kind", "switch_every", "gamma", "tracked"],
+            ProtocolSpec::FaultyBroadcast { .. } => {
+                &["kind", "crash_round", "spare_source", "d_hint"]
+            }
+            ProtocolSpec::EnergyCrossover { .. } => &["kind", "flood_q", "d_hint"],
+            ProtocolSpec::EnergyLifetime { .. } => {
+                &["kind", "horizon", "capacity", "jitter", "flood_q", "d_hint"]
+            }
+        }
+    }
 }
 
 /// Optional `trace` block: capped per-cell `.rtrc` capture, spec hash
@@ -179,6 +195,21 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Reject the first key of the object `j` (at `path`) that is not in
+/// `known`.
+fn check_keys(j: &Json, known: &[&str], path: &str) -> Result<(), String> {
+    let Json::Obj(pairs) = j else {
+        return Ok(());
+    };
+    match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((key, _)) => Err(format!(
+            "`{path}.{key}`: unknown key (expected one of {})",
+            known.join(", ")
+        )),
+        None => Ok(()),
+    }
 }
 
 fn want_str<'j>(j: &'j Json, key: &str, path: &str) -> Result<&'j str, String> {
@@ -389,6 +420,11 @@ impl Scenario {
     /// Validate an already-parsed document.
     pub fn from_json(doc: &Json) -> Result<Scenario, String> {
         let hash = fnv1a64(doc.to_string_compact().as_bytes());
+        check_keys(
+            doc,
+            &["version", "name", "sweep", "cells", "protocols", "trace"],
+            "spec",
+        )?;
         let version = want_u64(doc, "version", "spec")?;
         if version != 1 {
             return Err(format!("`spec.version`: unsupported version {version}"));
@@ -406,6 +442,7 @@ impl Scenario {
 
         // --- sweep block -------------------------------------------------
         let sw = doc.get_or_err("sweep", "spec")?;
+        check_keys(sw, &["base_seed", "trials", "backend"], "spec.sweep")?;
         let base_seed = match sw.get_or_err("base_seed", "spec.sweep")? {
             Json::Str(s) => s
                 .parse::<u64>()
@@ -440,10 +477,6 @@ impl Scenario {
                 }
             },
         };
-        let threads_per_run = opt_u64(sw, "threads_per_run", "spec.sweep", 1)? as usize;
-        if threads_per_run == 0 {
-            return Err("`spec.sweep.threads_per_run`: must be at least 1".to_string());
-        }
 
         // --- cells -------------------------------------------------------
         let cells_j = doc.get_or_err("cells", "spec")?;
@@ -459,6 +492,7 @@ impl Scenario {
         let mut cells = Vec::with_capacity(cells_arr.len());
         for (i, c) in cells_arr.iter().enumerate() {
             let path = format!("spec.cells[{i}]");
+            check_keys(c, &["label", "family", "n", "p"], &path)?;
             let label = want_str(c, "label", &path)?.to_string();
             let family = parse_family(want_str(c, "family", &path)?, &format!("{path}.family"))?;
             let n = want_u64(c, "n", &path)?;
@@ -507,6 +541,7 @@ impl Scenario {
         let trace = match doc.get("trace") {
             None => None,
             Some(t) => {
+                check_keys(t, &["dir", "per_cell_cap"], "spec.trace")?;
                 let dir = want_str(t, "dir", "spec.trace")?.to_string();
                 let cap = want_u64(t, "per_cell_cap", "spec.trace")? as usize;
                 if cap == 0 {
@@ -525,7 +560,6 @@ impl Scenario {
                 base_seed,
                 trials,
                 backend,
-                threads_per_run,
             },
             cells,
             protocols,
@@ -624,7 +658,7 @@ impl Scenario {
 
 fn parse_protocol(j: &Json, path: &str) -> Result<ProtocolSpec, String> {
     let kind = want_str(j, "kind", path)?;
-    match kind {
+    let spec = match kind {
         "mobile_gossip" => Ok(ProtocolSpec::MobileGossip {
             switch_every: opt_u64_in(j, "switch_every", path, 40, 1..=u64::MAX, "must be ≥ 1")?,
             gamma: opt_f64(j, "gamma", path, 10.0)?,
@@ -676,7 +710,9 @@ fn parse_protocol(j: &Json, path: &str) -> Result<ProtocolSpec, String> {
             d_hint: opt_d_hint(j, path, 8)?,
         }),
         other => Err(format!("`{path}.kind`: unknown kernel `{other}`")),
-    }
+    }?;
+    check_keys(j, spec.keys(), path)?;
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -702,7 +738,6 @@ mod tests {
         assert_eq!(s.name, "smoke");
         assert_eq!(s.sweep.base_seed, 7);
         assert_eq!(s.sweep.backend, Backend::Csr);
-        assert_eq!(s.sweep.threads_per_run, 1);
         assert_eq!(s.cells.len(), 1);
         let (_, proto) = s.resolve_protocol("alg1:f=0.3").expect("prefix match");
         assert_eq!(
@@ -1057,6 +1092,65 @@ mod tests {
             ),
         ]);
         Scenario::parse(&life(r#""horizon": 2147483646"#)).expect("largest legal cap");
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_with_their_path() {
+        let trace = r#", "trace": {"dir": "t", "per_cell_cap": 1}"#;
+        let traced = minimal().replace(
+            r#""protocols": {"alg1": {"kind": "faulty_broadcast"}}"#,
+            &format!(r#""protocols": {{"alg1": {{"kind": "faulty_broadcast"}}}}{trace}"#),
+        );
+        Scenario::parse(&traced).expect("the traced spec validates");
+        let unknown = "unknown key";
+        assert_rejected(&[
+            (
+                minimal().replace("\"trials\": 2", "\"trials\": 2, \"backnd\": \"csr\""),
+                "spec.sweep.backnd",
+                unknown,
+            ),
+            (
+                // Run-level threads are chosen by the kernels, not the IR.
+                minimal().replace("\"trials\": 2", "\"trials\": 2, \"threads_per_run\": 2"),
+                "spec.sweep.threads_per_run",
+                unknown,
+            ),
+            (
+                minimal().replace(
+                    r#""kind": "faulty_broadcast""#,
+                    r#""kind": "faulty_broadcast", "crash_rond": 10"#,
+                ),
+                "spec.protocols.alg1.crash_rond",
+                unknown,
+            ),
+            (
+                // A key of another kind is unknown to this one.
+                minimal().replace(
+                    r#""kind": "faulty_broadcast""#,
+                    r#""kind": "faulty_broadcast", "horizon": 10"#,
+                ),
+                "spec.protocols.alg1.horizon",
+                unknown,
+            ),
+            (
+                traced.replace(
+                    "\"per_cell_cap\": 1",
+                    "\"per_cell_cap\": 1, \"per_cel_cap\": 2",
+                ),
+                "spec.trace.per_cel_cap",
+                unknown,
+            ),
+            (
+                minimal().replace("\"p\": 0.2", "\"p\": 0.2, \"legs\": 3"),
+                "spec.cells[0].legs",
+                unknown,
+            ),
+            (
+                minimal().replace("\"version\": 1", "\"version\": 1, \"trcae\": {}"),
+                "spec.trcae",
+                unknown,
+            ),
+        ]);
     }
 
     #[test]

@@ -305,10 +305,11 @@ pub struct CrossoverCfg {
 }
 
 /// Equivalent `G(n,p)` edge probability for a generated topology, used
-/// to parameterise Algorithm 1 on the geometric family. Measured from
-/// the materialized edge count — the historical e17 estimate, kept
-/// bit-exact (which is why this kernel is CSR-only).
-fn p_equiv_measured(cell: &SweepCell, graph: &DiGraph) -> f64 {
+/// to parameterise Algorithm 1 on families other than `gnp_directed`.
+/// Measured from the materialized edge count — the historical e17
+/// estimate, kept bit-exact (which is why the crossover kernel is
+/// CSR-only); e18 uses it too.
+pub fn p_equiv_measured(cell: &SweepCell, graph: &DiGraph) -> f64 {
     match cell.family {
         GraphFamily::GnpDirected => cell.p,
         _ => (graph.m() as f64 / cell.n as f64) / cell.n as f64,

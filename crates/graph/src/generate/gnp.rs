@@ -60,6 +60,7 @@
 //! skip (even `u64::MAX`) or the slot count.
 
 use crate::generate::edge_capacity;
+use crate::simd::VectorPath;
 use crate::{Csr, DiGraph, NodeId};
 use rand::Rng;
 use rand_chacha::{BLOCK_WORDS, MAX_WIDE_LANES};
@@ -211,36 +212,45 @@ fn approx_skips_avx2(words: &[u64; SKIP_LANES], inv: f64, out: &mut [u64; SKIP_L
     approx_skips(words, inv, out)
 }
 
+/// [`approx_skips`] under `path`'s codegen. A path the host lacks runs
+/// the portable code.
+#[inline(always)]
+fn approx_skips_on(
+    path: VectorPath,
+    words: &[u64; SKIP_LANES],
+    inv: f64,
+    out: &mut [u64; SKIP_LANES],
+) -> u32 {
+    match path {
+        // SAFETY: the guard detected the target features.
+        #[cfg(target_arch = "x86_64")]
+        VectorPath::Avx512 if path.available() => unsafe { approx_skips_avx512(words, inv, out) },
+        // SAFETY: the guard detected the target feature.
+        #[cfg(target_arch = "x86_64")]
+        VectorPath::Avx2 if path.available() => unsafe { approx_skips_avx2(words, inv, out) },
+        _ => approx_skips(words, inv, out),
+    }
+}
+
 /// The exact skip kernel: `out[l] = skip_of_word(words[l], log1mp)` for
 /// every lane `l < lanes`, bit for bit (the argument is in the module
 /// docs), with `inv_log1mp = 1 / log1mp`. Returns the mask of those
 /// lanes that took the scalar fallback; the lanes from `lanes` on (a
 /// short batch's padding) are neither recomputed nor flagged.
 ///
-/// The approximate pass runs under the widest vector codegen the host
-/// has; every path performs the same IEEE operations (no fused
-/// multiply-add), so the approximation does not depend on the host.
+/// The approximate pass runs under `path`'s vector codegen (the walks
+/// use the widest the host has); every path performs the same IEEE
+/// operations (no fused multiply-add), so the approximation does not
+/// depend on the path.
 pub(crate) fn geometric_skips(
+    path: VectorPath,
     words: &[u64; SKIP_LANES],
     lanes: usize,
     log1mp: f64,
     inv_log1mp: f64,
     out: &mut [u64; SKIP_LANES],
 ) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: each call follows the detection of its target features.
-    let mask = if std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512dq")
-        && std::arch::is_x86_feature_detected!("avx512vl")
-    {
-        unsafe { approx_skips_avx512(words, inv_log1mp, out) }
-    } else if std::arch::is_x86_feature_detected!("avx2") {
-        unsafe { approx_skips_avx2(words, inv_log1mp, out) }
-    } else {
-        approx_skips(words, inv_log1mp, out)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let mask = approx_skips(words, inv_log1mp, out);
+    let mask = approx_skips_on(path, words, inv_log1mp, out);
     debug_assert!((1..=SKIP_LANES).contains(&lanes), "{lanes} lanes");
     let mask = mask & (u32::MAX >> (SKIP_LANES - lanes));
     let mut rest = mask;
@@ -259,6 +269,7 @@ const READ_AHEAD: usize = MAX_WIDE_LANES * BLOCK_WORDS / 2;
 /// The geometric-skip walk over `slots` Bernoulli(`p`) slots, fed raw
 /// words a batch at a time (see the module docs).
 pub(crate) struct SkipWalk {
+    path: VectorPath,
     log1mp: f64,
     inv_log1mp: f64,
     slots: u64,
@@ -271,6 +282,7 @@ impl SkipWalk {
     #[inline]
     pub(crate) fn new(log1mp: f64, slots: u64) -> Self {
         SkipWalk {
+            path: VectorPath::detect(),
             log1mp,
             inv_log1mp: 1.0 / log1mp,
             slots,
@@ -287,7 +299,14 @@ impl SkipWalk {
         let mut chunks = words.chunks_exact(SKIP_LANES);
         for (c, chunk) in chunks.by_ref().enumerate() {
             let chunk = chunk.try_into().expect("an exact chunk");
-            geometric_skips(chunk, SKIP_LANES, self.log1mp, self.inv_log1mp, &mut skips);
+            geometric_skips(
+                self.path,
+                chunk,
+                SKIP_LANES,
+                self.log1mp,
+                self.inv_log1mp,
+                &mut skips,
+            );
             if let Some(j) = self.step(&skips, emit) {
                 return Some(c * SKIP_LANES + j);
             }
@@ -298,7 +317,14 @@ impl SkipWalk {
         }
         let (lanes, mut padded) = (tail.len(), [0u64; SKIP_LANES]);
         padded[..lanes].copy_from_slice(tail);
-        geometric_skips(&padded, lanes, self.log1mp, self.inv_log1mp, &mut skips);
+        geometric_skips(
+            self.path,
+            &padded,
+            lanes,
+            self.log1mp,
+            self.inv_log1mp,
+            &mut skips,
+        );
         self.step(&skips[..lanes], emit)
             .map(|j| (words.len() - lanes) + j)
     }
@@ -689,9 +715,11 @@ mod tests {
     }
 
     /// The kernel ≡ the scalar expression on the edge words and on
-    /// random words, over the `p` grid.
+    /// random words, over the `p` grid, on every vector path the host
+    /// runs (the walks take only the widest).
     #[test]
     fn skip_kernel_matches_the_scalar_expression() {
+        let paths = VectorPath::host_paths();
         let edge = [0u64, 1, (1 << 11) - 1, 1 << 11, u64::MAX, u64::MAX >> 1];
         let mut rng = derive_rng(15, b"skip-kernel", 0);
         for n in [2usize, 1 << 10, 1 << 17] {
@@ -707,15 +735,17 @@ mod tests {
                             rng.random::<u64>()
                         };
                     }
-                    let mut out = [0u64; SKIP_LANES];
-                    geometric_skips(&words, SKIP_LANES, log1mp, 1.0 / log1mp, &mut out);
-                    for l in 0..SKIP_LANES {
-                        assert_eq!(
-                            out[l],
-                            skip_of_word(words[l], log1mp),
-                            "p {p} word {:#x}",
-                            words[l]
-                        );
+                    for &path in &paths {
+                        let mut out = [0u64; SKIP_LANES];
+                        geometric_skips(path, &words, SKIP_LANES, log1mp, 1.0 / log1mp, &mut out);
+                        for l in 0..SKIP_LANES {
+                            assert_eq!(
+                                out[l],
+                                skip_of_word(words[l], log1mp),
+                                "{path:?} p {p} word {:#x}",
+                                words[l]
+                            );
+                        }
                     }
                 }
             }
@@ -724,12 +754,14 @@ mod tests {
 
     /// The kernel against the scalar expression on `words` words per `p`
     /// of the grid at `n = 2¹⁷`, drawn through the read-ahead, plus the
-    /// edge words. The approximate pass alone must be exact on every
-    /// lane it does not flag; a flagged lane must be near-integer (its
-    /// approximate skip within one of the exact one) or outside the
-    /// fast range, and the kernel's output — fallback included — must
-    /// equal the scalar expression on every lane.
+    /// edge words, on every vector path the host runs. The approximate
+    /// pass alone must be exact on every lane it does not flag; a
+    /// flagged lane must be near-integer (its approximate skip within
+    /// one of the exact one) or outside the fast range, and the kernel's
+    /// output — fallback included — must equal the scalar expression on
+    /// every lane.
     fn kernel_differential(words: u64) {
+        let paths = VectorPath::host_paths();
         let edge = [0u64, 1, (1 << 11) - 1, u64::MAX];
         for (k, p) in scalar::p_grid(1 << 17).into_iter().enumerate() {
             let log1mp = ln_1mp(p);
@@ -744,33 +776,36 @@ mod tests {
                 if b == 0 {
                     batch[..edge.len()].copy_from_slice(&edge);
                 }
-                let (mut approx, mut exact) = ([0u64; SKIP_LANES], [0u64; SKIP_LANES]);
-                let mask = approx_skips(&batch, inv, &mut approx);
-                geometric_skips(&batch, SKIP_LANES, log1mp, inv, &mut exact);
-                for l in 0..SKIP_LANES {
-                    let scalar = skip_of_word(batch[l], log1mp);
-                    assert_eq!(exact[l], scalar, "p {p:e} word {:#x}", batch[l]);
-                    if mask >> l & 1 == 0 {
-                        assert_eq!(approx[l], scalar, "p {p:e} word {:#x}", batch[l]);
-                        continue;
-                    }
-                    flagged += 1;
-                    if scalar < 1 << 51 {
-                        assert!(
-                            approx[l].abs_diff(scalar) <= 1,
-                            "p {p:e} word {:#x}",
-                            batch[l]
-                        );
-                        near_integer += 1;
+                for &path in &paths {
+                    let (mut approx, mut exact) = ([0u64; SKIP_LANES], [0u64; SKIP_LANES]);
+                    let mask = approx_skips_on(path, &batch, inv, &mut approx);
+                    geometric_skips(path, &batch, SKIP_LANES, log1mp, inv, &mut exact);
+                    for l in 0..SKIP_LANES {
+                        let (word, scalar) = (batch[l], skip_of_word(batch[l], log1mp));
+                        assert_eq!(exact[l], scalar, "{path:?} p {p:e} word {word:#x}");
+                        if mask >> l & 1 == 0 {
+                            assert_eq!(approx[l], scalar, "{path:?} p {p:e} word {word:#x}");
+                            continue;
+                        }
+                        flagged += 1;
+                        if scalar < 1 << 51 {
+                            assert!(
+                                approx[l].abs_diff(scalar) <= 1,
+                                "{path:?} p {p:e} word {word:#x}"
+                            );
+                            near_integer += 1;
+                        }
                     }
                 }
             }
+            let lanes = words * paths.len() as u64;
             if p == scalar::p_grid(1 << 17)[4] {
                 // The paper's p: about one lane in a million falls back.
-                assert!(flagged * 1000 < words, "p {p:e}: {flagged} fallbacks");
+                assert!(flagged * 1000 < lanes, "p {p:e}: {flagged} fallbacks");
             }
             println!(
-                "p {p:e}: {flagged} lanes fell back, {near_integer} of them in the fast range"
+                "p {p:e}: {flagged} of {lanes} lanes on {paths:?} fell back, \
+                 {near_integer} of them in the fast range"
             );
         }
     }
@@ -846,13 +881,15 @@ mod tests {
     #[test]
     fn padding_lanes_take_no_fallback() {
         let log1mp = ln_1mp(0.01);
-        let (words, mut out) = ([0u64; SKIP_LANES], [7u64; SKIP_LANES]);
-        let all = geometric_skips(&words, SKIP_LANES, log1mp, 1.0 / log1mp, &mut out);
-        assert_eq!(all, u32::MAX, "word 0 flags in every lane");
-        let mut out = [7u64; SKIP_LANES];
-        let mask = geometric_skips(&words, 3, log1mp, 1.0 / log1mp, &mut out);
-        assert_eq!(mask, 0b111);
-        assert_eq!(out[..3], [0; 3]);
+        for path in VectorPath::host_paths() {
+            let (words, mut out) = ([0u64; SKIP_LANES], [7u64; SKIP_LANES]);
+            let all = geometric_skips(path, &words, SKIP_LANES, log1mp, 1.0 / log1mp, &mut out);
+            assert_eq!(all, u32::MAX, "{path:?}: word 0 flags in every lane");
+            let mut out = [7u64; SKIP_LANES];
+            let mask = geometric_skips(path, &words, 3, log1mp, 1.0 / log1mp, &mut out);
+            assert_eq!(mask, 0b111, "{path:?}");
+            assert_eq!(out[..3], [0; 3], "{path:?}");
+        }
     }
 
     /// Below `p = 2⁻⁵⁴` the naive `ln(1 − p)` is 0 and every skip was 0,

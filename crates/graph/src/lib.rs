@@ -28,6 +28,7 @@ pub mod builder;
 pub mod components;
 pub mod csr;
 pub mod generate;
+mod simd;
 pub mod topology;
 
 pub use builder::GraphBuilder;

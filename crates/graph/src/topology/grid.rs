@@ -45,6 +45,7 @@
 //! wrapped coordinates instead, so each bucket is visited exactly once
 //! for every `cells`.
 
+use crate::simd::VectorPath;
 use crate::topology::{RangeQueryCost, Topology};
 use crate::{DiGraph, NodeId};
 use rand::{Rng, RngExt};
@@ -112,54 +113,19 @@ fn within_mask_avx2(xs: &[f64], ys: &[f64], p: (f64, f64), r2: f64) -> u64 {
     within_mask_body(xs, ys, p, r2)
 }
 
-#[cfg(target_arch = "x86_64")]
-fn has_avx512() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512dq")
-        && std::arch::is_x86_feature_detected!("avx512vl")
-}
-
-/// The codegen a range scan computes its masks under. Every path
-/// computes the same bits; only speed differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-enum MaskPath {
-    Avx512,
-    Avx2,
-    Portable,
-}
-
-impl MaskPath {
-    /// The widest path this host runs.
-    #[inline]
-    fn detect() -> Self {
+/// The mask of one block (see `within_mask_body`) under `path`'s
+/// codegen; every path computes the same bits. A path the host lacks
+/// runs the portable code.
+#[inline(always)]
+fn within_mask(path: VectorPath, xs: &[f64], ys: &[f64], p: (f64, f64), r2: f64) -> u64 {
+    match path {
+        // SAFETY: the guard detected the target features.
         #[cfg(target_arch = "x86_64")]
-        {
-            if has_avx512() {
-                return MaskPath::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return MaskPath::Avx2;
-            }
-        }
-        MaskPath::Portable
-    }
-
-    /// The mask of one block (see `within_mask_body`). A path the host
-    /// lacks runs the portable code.
-    #[inline(always)]
-    fn mask(self, xs: &[f64], ys: &[f64], p: (f64, f64), r2: f64) -> u64 {
-        match self {
-            // SAFETY: the guard detected the target features.
-            #[cfg(target_arch = "x86_64")]
-            MaskPath::Avx512 if has_avx512() => unsafe { within_mask_avx512(xs, ys, p, r2) },
-            // SAFETY: the guard detected the target feature.
-            #[cfg(target_arch = "x86_64")]
-            MaskPath::Avx2 if std::arch::is_x86_feature_detected!("avx2") => unsafe {
-                within_mask_avx2(xs, ys, p, r2)
-            },
-            _ => within_mask_body(xs, ys, p, r2),
-        }
+        VectorPath::Avx512 if path.available() => unsafe { within_mask_avx512(xs, ys, p, r2) },
+        // SAFETY: the guard detected the target feature.
+        #[cfg(target_arch = "x86_64")]
+        VectorPath::Avx2 if path.available() => unsafe { within_mask_avx2(xs, ys, p, r2) },
+        _ => within_mask_body(xs, ys, p, r2),
     }
 }
 
@@ -314,19 +280,19 @@ impl GridIndex {
     /// neighborhood are missed.
     #[inline]
     pub fn for_each_within<F: FnMut(NodeId)>(&self, p: (f64, f64), r2: f64, f: F) {
-        self.scan(MaskPath::detect(), p, r2, f)
+        self.scan(VectorPath::detect(), p, r2, f)
     }
 
     /// [`Self::for_each_within`] with the mask path chosen.
     #[inline]
-    fn scan<F: FnMut(NodeId)>(&self, path: MaskPath, p: (f64, f64), r2: f64, mut f: F) {
+    fn scan<F: FnMut(NodeId)>(&self, path: VectorPath, p: (f64, f64), r2: f64, mut f: F) {
         self.for_each_span(p, |lo, hi| {
             let blocks = self.xs[lo..hi]
                 .chunks(BLOCK)
                 .zip(self.ys[lo..hi].chunks(BLOCK))
                 .zip(self.nodes[lo..hi].chunks(BLOCK));
             for ((xs, ys), ids) in blocks {
-                let mut mask = path.mask(xs, ys, p, r2);
+                let mut mask = within_mask(path, xs, ys, p, r2);
                 while mask != 0 {
                     f(ids[mask.trailing_zeros() as usize]);
                     mask &= mask - 1;
@@ -562,22 +528,7 @@ mod tests {
             .collect()
     }
 
-    /// Every mask path this host can run, the portable one included.
-    fn paths() -> Vec<MaskPath> {
-        let mut paths = vec![MaskPath::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                paths.push(MaskPath::Avx2);
-            }
-            if has_avx512() {
-                paths.push(MaskPath::Avx512);
-            }
-        }
-        paths
-    }
-
-    fn scan_row(grid: &GridIndex, path: MaskPath, p: (f64, f64), r2: f64) -> Vec<NodeId> {
+    fn scan_row(grid: &GridIndex, path: VectorPath, p: (f64, f64), r2: f64) -> Vec<NodeId> {
         let mut out = Vec::new();
         grid.scan(path, p, r2, |v| out.push(v));
         out
@@ -591,7 +542,7 @@ mod tests {
             let r2 = r * r;
             for (u, &p) in pos.iter().enumerate() {
                 let want = naive_within(pos, grid.cells(), p, r2);
-                for path in paths() {
+                for path in VectorPath::host_paths() {
                     assert_eq!(
                         scan_row(&grid, path, p, r2),
                         want,
@@ -783,8 +734,12 @@ mod tests {
                     let d2 = crate::generate::geometric::torus_dist2(p, (xs[l], ys[l]));
                     m | u64::from(d2 <= r2) << l
                 });
-                for path in paths() {
-                    assert_eq!(path.mask(&xs, &ys, p, r2), want, "len {len} {path:?}");
+                for path in VectorPath::host_paths() {
+                    assert_eq!(
+                        within_mask(path, &xs, &ys, p, r2),
+                        want,
+                        "len {len} {path:?}"
+                    );
                 }
             }
         }
@@ -798,7 +753,7 @@ mod tests {
         let mut rng = derive_rng(51, b"grid-differential", 0);
         let (mut done, mut graphs, mut emitted) = (0u64, 0u64, 0u64);
         let (mut want, mut got) = (Vec::new(), Vec::new());
-        let paths = paths();
+        let paths = VectorPath::host_paths();
         while done < rows {
             let n = (2.0f64 * 8192f64.powf(rng.random::<f64>())) as usize;
             let d = 0.5 * 512f64.powf(rng.random::<f64>());

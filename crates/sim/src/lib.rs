@@ -41,10 +41,12 @@
 //!
 //! [`sweep`] turns the "many seeded trials over a parameter grid"
 //! pattern into a declarative object: cells of
-//! `n × algorithm × graph-family × p`, rayon fan-out with per-trial
-//! ChaCha8 streams, and deterministic JSON reports under `results/`.
-//! [`trials::parallel_trials`] remains as the low-level free-form
-//! fan-out underneath it.
+//! `n × algorithm × graph-family × p`, one trial executor
+//! ([`Sweep::run_cell`]) that fans a cell's trials out over rayon with
+//! per-trial ChaCha8 streams, and deterministic JSON reports under
+//! `results/`. [`trials::parallel_trials`] is a separate, free-form
+//! fan-out for trial loops that are not a cell grid; `Sweep` does not
+//! use it.
 //!
 //! Parallelism also reaches *inside* a single run: the engine's
 //! scatter/collision phase — the dominant cost at scale — fans out over

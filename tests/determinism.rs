@@ -412,9 +412,11 @@ fn run_fused_energy_is_bit_identical_across_thread_counts() {
 #[test]
 fn sweep_json_is_bit_identical_across_thread_counts() {
     // The sweep API's contract: the serialized report is a pure function
-    // of the sweep description. `run` fans out over all available rayon
-    // threads, `run_serial` is the 1-thread reference — the JSON bytes
-    // must match exactly (cell order, float formatting, everything).
+    // of the sweep description. `run` fans each cell's trials out over
+    // all available rayon threads; the same sweep built
+    // `with_threads_per_run(2)` runs them serially, the 1-thread
+    // reference — the JSON bytes must match exactly (cell order, float
+    // formatting, everything).
     use adhoc_radio::graph::GraphFamily;
     use adhoc_radio::sim::{Sweep, SweepCell};
 
@@ -431,12 +433,17 @@ fn sweep_json_is_bit_identical_across_thread_counts() {
         128,
         0.1,
     ));
-    let runner = |cell: &SweepCell, graph: &adhoc_radio::graph::DiGraph, seed: u64| {
-        run_ee_broadcast(graph, 0, &EeBroadcastConfig::for_gnp(cell.n, cell.p), seed).to_trial()
+    let runner = |cell: &SweepCell, seed: u64| {
+        let cfg = EeBroadcastConfig::for_gnp(cell.n, cell.p);
+        run_ee_broadcast(&cell.graph(seed), 0, &cfg, seed).to_trial()
     };
 
     let parallel = sweep.run(runner).to_json_string();
-    let serial = sweep.run_serial(runner).to_json_string();
+    let serial = sweep
+        .clone()
+        .with_threads_per_run(2)
+        .run(runner)
+        .to_json_string();
     assert_eq!(
         parallel, serial,
         "sweep JSON must not depend on the thread count"
