@@ -25,25 +25,24 @@
 //! these bytes relative to the PR-4 file, which consumed the v1 shared
 //! stream.
 //!
-//! Past the CSR memory wall, the **implicit-backend section**
-//! ([`run_implicit_section`]) re-runs the comparison with no stored
-//! graph at all: [`ImplicitGnp`] re-samples rows per query,
-//! [`ImplicitGrid`] answers by torus cell scan, and the engine reaches
-//! both through the [`Topology`] trait — same trial code, O(n) instead
-//! of O(m) memory, valid to `n = 2²⁶`. Its JSON goes to
-//! `sweep_e18_implicit.json` (the CSR sweep's artifact is untouched).
+//! Past the CSR memory wall, **e18i** ([`run_implicit`]) re-runs the
+//! comparison with no stored graph at all: [`ImplicitGnp`] re-samples
+//! rows per query, [`ImplicitGrid`] answers by torus cell scan, and the
+//! engine reaches both through the [`Topology`] trait — same trial code,
+//! O(n) instead of O(m) memory, valid to `n = 2²⁶`. It alone writes
+//! `sweep_e18_implicit.json`; e18 writes only `sweep_e18.json`.
 //!
 //! Env knobs (the examples' scale-shrinking idiom):
 //! `ADHOC_RADIO_E18_MIN_EXP` / `ADHOC_RADIO_E18_MAX_EXP` bound the
-//! `log₂ n` range (defaults 18 / 20; the smoke test runs 9 / 10),
+//! `log₂ n` range of whichever of the two runs (e18: defaults 18 / 20,
+//! at most 24; e18i: defaults 14 / 16, at most 26 — raise to 24–26 for
+//! the past-the-wall columns; the smoke tests run 9 / 10),
 //! `ADHOC_RADIO_E18_THREADS` overrides the per-run worker count
-//! (default: machine parallelism, capped at 8),
-//! `ADHOC_RADIO_E18_IMPLICIT` / `ADHOC_RADIO_E18_IMPLICIT_{MIN,MAX}_EXP`
-//! gate and bound the implicit section (defaults on, 20 / 21; raise to
-//! 24–26 for the past-the-wall columns), and `ADHOC_RADIO_TRACE=dir`
-//! records a per-round `.rtrc` trace of the first trial of every CSR
-//! cell into `dir` (a [`radio_sim::TracePlan`] with cap 1 — capture
-//! only observes, so the sweep JSON is byte-identical either way).
+//! (default: machine parallelism, capped at 8), and
+//! `ADHOC_RADIO_TRACE=dir` records a per-round `.rtrc` trace of the
+//! first trial of every e18 cell into `dir` (a [`radio_sim::TracePlan`]
+//! with cap 1 — capture only observes, so the sweep JSON is
+//! byte-identical either way).
 
 use crate::common::cell_extra;
 use crate::{Ctx, Report};
@@ -53,9 +52,7 @@ use radio_core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadcast};
 use radio_core::broadcast::flood::FloodConfig;
 use radio_core::broadcast::{BroadcastOutcome, WindowedBroadcast};
 use radio_graph::{GraphFamily, ImplicitGnp, ImplicitGrid, Topology};
-use radio_sim::engine::run_protocol_fused_traced;
-use radio_sim::trace::{NullSink, TraceSink};
-use radio_sim::{EngineConfig, Protocol, Sweep, SweepCell, TracePlan, TrialResult};
+use radio_sim::{Engine, EngineConfig, Protocol, Sweep, SweepCell, TracePlan, TrialResult};
 use radio_util::{derive_rng, split_seed, Json, TextTable};
 
 /// Degree factor: expected degree is `DEGREE_C · ln n` for both families
@@ -115,28 +112,36 @@ fn engine_cfg(alg: &str, n: usize, p_eq: f64, threads: usize) -> EngineConfig {
 /// collision count. Pure in `(alg, graph, p_eq, seed)` — the thread
 /// count cannot influence the result (property-tested in
 /// `tests/determinism.rs`, asserted on the JSON bytes by the smoke
-/// test). Generic over [`Topology`] so the implicit-backend section
-/// drives the exact same trial code as the CSR sweep, and over the
-/// [`TraceSink`]: untraced callers pass `&mut NullSink`, and since a
-/// sink only observes (the engine's zero-interference property), traced
-/// and untraced trials report identical `TrialResult`s and the sweep
-/// JSON stays byte-stable whether or not `ADHOC_RADIO_TRACE` is set.
-fn scale_trial<T: Topology, S: TraceSink>(
+/// test). Generic over [`Topology`] so e18i drives the exact same trial
+/// code as the CSR sweep. With `trace`, the trial opens its recording
+/// for `cell` under the plan and finishes it with the run's `completed`
+/// flag; since a sink only observes (the engine's zero-interference
+/// property), traced and untraced trials report identical
+/// `TrialResult`s and the sweep JSON stays byte-stable whether or not
+/// `ADHOC_RADIO_TRACE` is set.
+fn scale_trial<T: Topology>(
     alg: &str,
     graph: &T,
     p_eq: f64,
     seed: u64,
     threads: usize,
-    sink: &mut S,
+    trace: Option<(&TracePlan, &SweepCell)>,
 ) -> TrialResult {
     let n = Topology::n(graph);
     let cfg = engine_cfg(alg, n, p_eq, threads);
-    let trial = match alg {
+    let mut sink = trace.and_then(|(plan, cell)| plan.open(cell, seed, "v2", &cfg));
+    let (trial, completed) = match alg {
         "alg1" => {
             let mut protocol = EeRandomBroadcast::new(n, 0, EeBroadcastConfig::for_gnp(n, p_eq));
-            let run = run_protocol_fused_traced(graph, &mut protocol, cfg, seed, sink);
+            let run = Engine::new(graph, cfg)
+                .run(&mut protocol)
+                .sink(&mut sink)
+                .v2(seed);
             let informed = protocol.informed_count();
-            TrialResult::from_run(&run, informed == n, informed)
+            (
+                TrialResult::from_run(&run, informed == n, informed),
+                run.completed,
+            )
         }
         "flood" | "decay" => {
             let spec = match alg {
@@ -144,11 +149,21 @@ fn scale_trial<T: Topology, S: TraceSink>(
                 _ => DecayConfig::new(n, D_HINT).spec(),
             };
             let mut protocol = WindowedBroadcast::new(n, 0, spec);
-            let run = run_protocol_fused_traced(graph, &mut protocol, cfg, seed, sink);
-            BroadcastOutcome::from_run(n, &protocol, run).to_trial()
+            let run = Engine::new(graph, cfg)
+                .run(&mut protocol)
+                .sink(&mut sink)
+                .v2(seed);
+            let completed = run.completed;
+            (
+                BroadcastOutcome::from_run(n, &protocol, run).to_trial(),
+                completed,
+            )
         }
         other => unreachable!("unknown algorithm {other}"),
     };
+    if let Some((plan, _)) = trace {
+        plan.finish(sink, completed);
+    }
     let tx = trial.total_transmissions as f64;
     trial.extra("msgs_per_node", tx / n as f64)
 }
@@ -204,20 +219,10 @@ pub fn run_scaled(
     let sweep_ref = &sweep;
     let plan_ref = plan.as_ref();
     let runner = |cell: &SweepCell, seed: u64| -> TrialResult {
-        let threads = sweep_ref.run_threads();
         let graph = &cell.graph(seed);
-        let (alg, p_eq) = (cell.algorithm.as_str(), p_equiv_measured(cell, graph));
-        let cfg = engine_cfg(alg, cell.n, p_eq, threads);
-        match plan_ref.and_then(|p| p.open(cell, seed, "v2", &cfg)) {
-            Some(mut sink) => {
-                let trial = scale_trial(alg, graph, p_eq, seed, threads, &mut sink);
-                if let Err(e) = sink.finish(trial.success) {
-                    eprintln!("warning: e18 trace footer write failed: {e}");
-                }
-                trial
-            }
-            None => scale_trial(alg, graph, p_eq, seed, threads, &mut NullSink),
-        }
+        let (p_eq, threads) = (p_equiv_measured(cell, graph), sweep_ref.run_threads());
+        let trace = plan_ref.map(|plan| (plan, cell));
+        scale_trial(&cell.algorithm, graph, p_eq, seed, threads, trace)
     };
     let mut results = Vec::with_capacity(sweep.cells().len());
     let mut wall_per_trial = Vec::with_capacity(sweep.cells().len());
@@ -388,45 +393,43 @@ enum ImplicitBackend {
 impl ImplicitBackend {
     fn trial(&self, alg: &str, p_eq: f64, seed: u64, threads: usize) -> TrialResult {
         match self {
-            ImplicitBackend::Gnp(g) => scale_trial(alg, g, p_eq, seed, threads, &mut NullSink),
-            ImplicitBackend::Grid(g) => scale_trial(alg, g, p_eq, seed, threads, &mut NullSink),
+            ImplicitBackend::Gnp(g) => scale_trial(alg, g, p_eq, seed, threads, None),
+            ImplicitBackend::Grid(g) => scale_trial(alg, g, p_eq, seed, threads, None),
         }
     }
 }
 
-/// The implicit-backend scaling section: the same three algorithms and
-/// the same `scale_trial`, but the graph is never materialized — the
-/// engine queries neighbors through the [`Topology`] trait, so the
-/// per-run footprint is O(n) state instead of O(m) CSR. This is what
-/// breaks the CSR memory wall: the materializing sweep is hard-capped at
-/// `n = 2²⁴` (`MAX_EXP_BOUND`); here `n = 2²⁶` at degree `8 ln n`
-/// (~10¹⁰ virtual edges) fits because those edges are re-derived on
-/// demand.
+/// E18i at an explicit `log₂ n` range — the smoke test calls this
+/// directly; [`run_implicit`] wraps it with the env-derived defaults.
+/// The same three algorithms and the same `scale_trial` as e18, but the
+/// graph is never materialized — the engine queries neighbors through
+/// the [`Topology`] trait, so the per-run footprint is O(n) state
+/// instead of O(m) CSR. This is what breaks the CSR memory wall: the
+/// materializing sweep is hard-capped at `n = 2²⁴` (`MAX_EXP_BOUND`);
+/// here `n = 2²⁶` at degree `8 ln n` (~10¹⁰ virtual edges) fits because
+/// those edges are re-derived on demand.
 ///
 /// Hand-rolled rather than a [`Sweep`] because `SweepCell`'s
 /// [`GraphFamily`] is a materializing enum. Seeds are `split_seed`
 /// fan-outs of `ctx.seed ^ 0x18` (same root as the CSR sweep, disjoint
-/// labels), so the section is a pure function of `(ctx.seed, range)` —
-/// the JSON it writes (`sweep_e18_implicit.json`; the CSR sweep's
-/// `sweep_e18.json` is untouched) must be bit-identical across thread
-/// counts, and the smoke test asserts exactly that.
+/// labels), so the run is a pure function of `(ctx.seed, range)` —
+/// the JSON it writes (`sweep_e18_implicit.json`) must be bit-identical
+/// across thread counts, and the smoke test asserts exactly that.
 ///
 /// Algorithm 1's degree estimate uses the analytic `p = d/n` for both
 /// backends: an implicit topology never learns `m`, and by construction
 /// both families target expected degree `d` (the grid via the clamped
 /// `GeoParams` radius), so the analytic value is what the materialized
 /// `m/n²` estimates.
-pub fn run_implicit_section(
-    ctx: &Ctx,
-    report: &mut Report,
-    min_exp: u32,
-    max_exp: u32,
-    threads: usize,
-) {
+pub fn run_implicit_scaled(ctx: &Ctx, min_exp: u32, max_exp: u32, threads: usize) -> Report {
     assert!(min_exp <= max_exp);
     assert!(
         max_exp < usize::BITS,
         "implicit max_exp {max_exp} would overflow the node-count shift"
+    );
+    let mut report = Report::new(
+        "e18_implicit",
+        "E18i — implicit backends: transmitter-sharded scatter scaling",
     );
     let trials = ctx.trials(2, 1);
     let root = ctx.seed ^ 0x18;
@@ -596,98 +599,65 @@ pub fn run_implicit_section(
         }
         Err(e) => eprintln!("warning: cannot write e18 implicit JSON: {e}"),
     }
+    report
 }
 
-/// Largest accepted `log₂ n`: at the experiment's degree 8·ln n, a
-/// `n = 2²⁵` graph already has ~4.7·10⁹ expected edges — past the CSR
-/// `u32` offset budget (and tens of GB of edge list) — so runs beyond
-/// 2²⁴ are guaranteed to abort after hours of generation. The guard also
-/// keeps an absurd value (say 64) from shift-overflowing into a silent
-/// 1-node "scaling" run.
+/// Largest accepted `log₂ n` for e18: at the experiment's degree
+/// 8·ln n, a `n = 2²⁵` graph already has ~4.7·10⁹ expected edges — past
+/// the CSR `u32` offset budget (and tens of GB of edge list) — so runs
+/// beyond 2²⁴ are guaranteed to abort after hours of generation. The
+/// guard also keeps an absurd value (say 64) from shift-overflowing
+/// into a silent 1-node "scaling" run.
 const MAX_EXP_BOUND: usize = 24;
 
-/// Largest accepted `log₂ n` for the **implicit** section: no CSR, so
-/// the binding constraints are the O(n) per-run state (bit sets, the
-/// grid backend's 24 B/node — ~1.5 GiB at 2²⁶) and wall-clock, not
-/// edge memory.
+/// Largest accepted `log₂ n` for e18i: no CSR, so the binding
+/// constraints are the O(n) per-run state (bit sets, the grid backend's
+/// 24 B/node — ~1.5 GiB at 2²⁶) and wall-clock, not edge memory.
 const IMPLICIT_MAX_EXP_BOUND: usize = 26;
 
-pub fn run(ctx: &Ctx) -> Report {
-    // Range-check in usize before narrowing, so an out-of-range value
-    // fails the assert instead of truncating into it.
-    let min_exp = env_usize("ADHOC_RADIO_E18_MIN_EXP", 18);
-    let max_exp = env_usize("ADHOC_RADIO_E18_MAX_EXP", 20);
+/// The `log₂ n` range from `ADHOC_RADIO_E18_{MIN,MAX}_EXP`, defaulting
+/// to `defaults` and range-checked in usize before narrowing, so an
+/// out-of-range value fails the assert instead of truncating into it.
+fn exp_range(defaults: (usize, usize), bound: usize) -> (u32, u32) {
+    let min_exp = env_usize("ADHOC_RADIO_E18_MIN_EXP", defaults.0);
+    let max_exp = env_usize("ADHOC_RADIO_E18_MAX_EXP", defaults.1);
     assert!(
-        (4..=MAX_EXP_BOUND).contains(&min_exp) && (4..=MAX_EXP_BOUND).contains(&max_exp),
-        "ADHOC_RADIO_E18_MIN_EXP/ADHOC_RADIO_E18_MAX_EXP must lie in 4..={MAX_EXP_BOUND} \
+        (4..=bound).contains(&min_exp) && (4..=bound).contains(&max_exp),
+        "ADHOC_RADIO_E18_MIN_EXP/ADHOC_RADIO_E18_MAX_EXP must lie in 4..={bound} \
          (got {min_exp}/{max_exp})"
     );
     assert!(
         min_exp <= max_exp,
         "ADHOC_RADIO_E18_MIN_EXP ({min_exp}) must be ≤ ADHOC_RADIO_E18_MAX_EXP ({max_exp})"
     );
-    let (min_exp, max_exp) = (min_exp as u32, max_exp as u32);
-    let threads = env_usize(
-        "ADHOC_RADIO_E18_THREADS",
-        std::thread::available_parallelism().map_or(1, |p| p.get().min(8)),
-    );
-    let trace_dir = std::env::var_os("ADHOC_RADIO_TRACE").map(std::path::PathBuf::from);
-    let mut report = run_scaled(ctx, min_exp, max_exp, threads.max(1), trace_dir.as_deref());
-
-    // The implicit-backend rows. Defaults keep the whole experiment
-    // regenerable in reasonable wall-clock; raise
-    // ADHOC_RADIO_E18_IMPLICIT_MAX_EXP to 24–26 for the past-the-wall
-    // columns, or set ADHOC_RADIO_E18_IMPLICIT=0 to skip the section.
-    if env_usize("ADHOC_RADIO_E18_IMPLICIT", 1) != 0 {
-        let imin = env_usize("ADHOC_RADIO_E18_IMPLICIT_MIN_EXP", 20);
-        let imax = env_usize("ADHOC_RADIO_E18_IMPLICIT_MAX_EXP", 21);
-        assert!(
-            (4..=IMPLICIT_MAX_EXP_BOUND).contains(&imin)
-                && (4..=IMPLICIT_MAX_EXP_BOUND).contains(&imax),
-            "ADHOC_RADIO_E18_IMPLICIT_MIN_EXP/MAX_EXP must lie in \
-             4..={IMPLICIT_MAX_EXP_BOUND} (got {imin}/{imax})"
-        );
-        assert!(
-            imin <= imax,
-            "ADHOC_RADIO_E18_IMPLICIT_MIN_EXP ({imin}) must be ≤ \
-             ADHOC_RADIO_E18_IMPLICIT_MAX_EXP ({imax})"
-        );
-        run_implicit_section(ctx, &mut report, imin as u32, imax as u32, threads.max(1));
-    }
-    report
+    (min_exp as u32, max_exp as u32)
 }
 
-/// The implicit-backend section as its own experiment (`e18i`): the
-/// committed scaling artifact for the transmitter-sharded scatter
-/// without re-running E18's CSR sweeps (whose committed JSON must stay
-/// byte-stable). Defaults are sized so `results/e18_implicit.md` +
-/// `sweep_e18_implicit.json` regenerate in minutes on one core; the
-/// same `ADHOC_RADIO_E18_IMPLICIT_{MIN,MAX}_EXP` /
-/// `ADHOC_RADIO_E18_THREADS` knobs scale it up. With > 1 worker the
-/// table carries the `wall 1t` / `speedup` pair — the committed view of
-/// what the sharded path buys (or costs, on a single core).
-pub fn run_implicit_only(ctx: &Ctx) -> Report {
-    let imin = env_usize("ADHOC_RADIO_E18_IMPLICIT_MIN_EXP", 14);
-    let imax = env_usize("ADHOC_RADIO_E18_IMPLICIT_MAX_EXP", 16);
-    assert!(
-        (4..=IMPLICIT_MAX_EXP_BOUND).contains(&imin)
-            && (4..=IMPLICIT_MAX_EXP_BOUND).contains(&imax),
-        "ADHOC_RADIO_E18_IMPLICIT_MIN_EXP/MAX_EXP must lie in \
-         4..={IMPLICIT_MAX_EXP_BOUND} (got {imin}/{imax})"
-    );
-    assert!(
-        imin <= imax,
-        "ADHOC_RADIO_E18_IMPLICIT_MIN_EXP ({imin}) must be ≤ \
-         ADHOC_RADIO_E18_IMPLICIT_MAX_EXP ({imax})"
-    );
-    let threads = env_usize(
+/// The per-run worker count: `ADHOC_RADIO_E18_THREADS`, defaulting to
+/// the machine's parallelism capped at 8, and at least 1.
+fn env_threads() -> usize {
+    env_usize(
         "ADHOC_RADIO_E18_THREADS",
         std::thread::available_parallelism().map_or(1, |p| p.get().min(8)),
-    );
-    let mut report = Report::new(
-        "e18_implicit",
-        "E18i — implicit backends: transmitter-sharded scatter scaling",
-    );
-    run_implicit_section(ctx, &mut report, imin as u32, imax as u32, threads.max(1));
-    report
+    )
+    .max(1)
+}
+
+/// E18 with the env-derived range, threads and trace directory.
+pub fn run(ctx: &Ctx) -> Report {
+    let (min_exp, max_exp) = exp_range((18, 20), MAX_EXP_BOUND);
+    let trace_dir = std::env::var_os("ADHOC_RADIO_TRACE").map(std::path::PathBuf::from);
+    run_scaled(ctx, min_exp, max_exp, env_threads(), trace_dir.as_deref())
+}
+
+/// E18i (`experiments -- e18i`) with the env-derived range and threads:
+/// the committed scaling artifact for the transmitter-sharded scatter,
+/// without re-running E18's CSR sweeps. Defaults are sized so
+/// `results/e18_implicit.md` + `sweep_e18_implicit.json` regenerate in
+/// seconds; with > 1 worker the table carries the `wall 1t` /
+/// `speedup` pair — the committed view of what the sharded path buys
+/// (or costs, on a single core).
+pub fn run_implicit(ctx: &Ctx) -> Report {
+    let (min_exp, max_exp) = exp_range((14, 16), IMPLICIT_MAX_EXP_BOUND);
+    run_implicit_scaled(ctx, min_exp, max_exp, env_threads())
 }

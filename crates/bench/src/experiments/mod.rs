@@ -46,6 +46,6 @@ pub fn registry() -> Vec<(&'static str, Runner)> {
         ("e16", e16_robustness::run),
         ("e17", e17_energy_lifetime::run),
         ("e18", e18_scale::run),
-        ("e18i", e18_scale::run_implicit_only),
+        ("e18i", e18_scale::run_implicit),
     ]
 }

@@ -211,8 +211,9 @@ fn e18_runs_at_smoke_scale_and_emits_deterministic_json() {
 
 /// The `ADHOC_RADIO_TRACE` knob (passed explicitly here — no env
 /// mutation in a multi-threaded test binary): one `.rtrc` per cell, the
-/// recordings are readable, and — zero-interference — the sweep JSON is
-/// byte-identical to an untraced run.
+/// recordings are readable, each footer carries the run's `completed`
+/// flag, and — zero-interference — the sweep JSON is byte-identical to
+/// an untraced run.
 #[test]
 fn e18_trace_knob_records_one_trial_per_cell() {
     use radio_sim::trace::Recording;
@@ -237,6 +238,7 @@ fn e18_trace_knob_records_one_trial_per_cell() {
     rtrc.sort();
     // One recording per cell: 2 sizes × 2 families × 3 algorithms.
     assert_eq!(rtrc.len(), 12, "expected one .rtrc per cell: {rtrc:?}");
+    let mut alg1_gnp = 0;
     for path in &rtrc {
         let rec = Recording::read_from(path).expect("readable recording");
         assert_eq!(rec.header.engine, "v2");
@@ -245,7 +247,18 @@ fn e18_trace_knob_records_one_trial_per_cell() {
             "empty recording at {}",
             path.display()
         );
+        // Algorithm 1 runs its full schedule (no early stop), so the
+        // engine never reports completion — whatever the trial's success.
+        let name = path.file_name().unwrap().to_string_lossy();
+        if name.starts_with("alg1-gnp_directed-") {
+            alg1_gnp += 1;
+            assert!(
+                !rec.footer.expect("footer").completed,
+                "{name}: the footer must carry RunResult::completed"
+            );
+        }
     }
+    assert_eq!(alg1_gnp, 2, "one Algorithm-1 G(n,p) recording per size");
 
     // Capture must not perturb the sweep: byte-compare against an
     // untraced run of the same (seed, range, threads).
@@ -262,15 +275,12 @@ fn e18_trace_knob_records_one_trial_per_cell() {
     let _ = std::fs::remove_dir_all(&dir2);
 }
 
-/// The implicit-backend section at toy scale: runs end to end on both
-/// backends, emits its own JSON artifact (`sweep_e18_implicit.json`,
-/// leaving the CSR sweep's file alone), and — the tentpole contract —
-/// those bytes are identical for any intra-run thread count, because
-/// implicit rows are pure functions of the backend value.
+/// E18i at toy scale: runs end to end on both implicit backends, emits
+/// its own JSON artifact (`sweep_e18_implicit.json`, and not the CSR
+/// sweep's file), and those bytes are identical for any intra-run thread
+/// count, because implicit rows are pure functions of the backend value.
 #[test]
 fn e18_implicit_section_runs_and_is_thread_count_independent() {
-    use radio_bench::Report;
-
     let run_at = |tag: &str, threads: usize| {
         let dir = std::env::temp_dir().join(format!("e18i-{tag}-{}", std::process::id()));
         let ctx = Ctx {
@@ -278,15 +288,15 @@ fn e18_implicit_section_runs_and_is_thread_count_independent() {
             scale: 0.5,
             out_dir: dir.clone(),
         };
-        let mut report = Report::new("e18", "implicit smoke");
-        e18_scale::run_implicit_section(&ctx, &mut report, 9, 10, threads);
+        let report = e18_scale::run_implicit_scaled(&ctx, 9, 10, threads);
+        assert_eq!(report.id, "e18_implicit");
         assert!(report.body.contains("implicit_gnp"));
         assert!(report.body.contains("implicit_grid"));
         let text = std::fs::read_to_string(dir.join("sweep_e18_implicit.json"))
             .expect("implicit JSON written");
         assert!(
             !dir.join("sweep_e18.json").exists(),
-            "the implicit section must not touch the CSR sweep artifact"
+            "e18i must not touch the CSR sweep artifact"
         );
         let _ = std::fs::remove_dir_all(&dir);
         text

@@ -10,7 +10,7 @@
 //! same way except for its report `e18_implicit.md`, which records
 //! wall-clock times: its sweep JSON pins the transmitter-sharded
 //! scatter's output end to end. e18 is left out: its report records
-//! wall-clock times too, and it runs at n = 2¹⁸–2²¹ by default.
+//! wall-clock times too, and it runs at n = 2¹⁸–2²⁰ by default.
 //!
 //! Ignored by default (about 37 s in release on a 2-vCPU host, most of
 //! it e1, e14 and e18i; far longer in debug); run with

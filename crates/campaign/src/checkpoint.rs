@@ -108,7 +108,7 @@ impl Manifest {
         };
         let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         let p = "manifest";
-        let version = num_field(&doc, "version", p)? as u64;
+        let version = doc.get_u64("version", p)?;
         if version != 1 {
             return Err(format!("{p}: unsupported manifest version {version}"));
         }
@@ -126,30 +126,18 @@ impl Manifest {
         completed.sort_unstable();
         completed.dedup();
         Ok(Some(Manifest {
-            scenario: str_field(&doc, "scenario", p)?,
-            spec_hash: str_field(&doc, "spec_hash", p)?,
-            code_version: str_field(&doc, "code_version", p)?,
-            base_seed: str_field(&doc, "base_seed", p)?
+            scenario: doc.get_str("scenario", p)?.to_string(),
+            spec_hash: doc.get_str("spec_hash", p)?.to_string(),
+            code_version: doc.get_str("code_version", p)?.to_string(),
+            base_seed: doc
+                .get_str("base_seed", p)?
                 .parse()
                 .map_err(|_| format!("`{p}.base_seed`: bad u64 string"))?,
-            trials_per_cell: num_field(&doc, "trials_per_cell", p)? as usize,
-            total_cells: num_field(&doc, "total_cells", p)? as usize,
+            trials_per_cell: doc.get_u64("trials_per_cell", p)? as usize,
+            total_cells: doc.get_u64("total_cells", p)? as usize,
             completed,
         }))
     }
-}
-
-fn str_field(j: &Json, key: &str, path: &str) -> Result<String, String> {
-    let v = j.get_or_err(key, path)?;
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{path}.{key}`: expected a string, got {}", v.type_name()))
-}
-
-fn num_field(j: &Json, key: &str, path: &str) -> Result<f64, String> {
-    let v = j.get_or_err(key, path)?;
-    v.as_f64()
-        .ok_or_else(|| format!("`{path}.{key}`: expected a number, got {}", v.type_name()))
 }
 
 /// The raw-results path of cell `idx` under a checkpoint directory.
@@ -186,10 +174,10 @@ pub fn read_cell(dir: &Path, idx: usize, expect: &SweepCell) -> Result<CellResul
     let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     let p = format!("cell[{idx}]");
     let c = doc.get_or_err("cell", &p)?;
-    let algorithm = str_field(c, "algorithm", &p)?;
-    let family = str_field(c, "family", &p)?;
-    let n = num_field(c, "n", &p)? as usize;
-    let cp = num_field(c, "p", &p)?;
+    let algorithm = c.get_str("algorithm", &p)?;
+    let family = c.get_str("family", &p)?;
+    let n = c.get_u64("n", &p)? as usize;
+    let cp = c.get_f64("p", &p)?;
     if algorithm != expect.algorithm
         || family != expect.family.label()
         || n != expect.n
@@ -259,29 +247,19 @@ fn trial_to_json(t: &TrialResult) -> Json {
     ])
 }
 
-fn bool_field(j: &Json, key: &str, path: &str) -> Result<bool, String> {
-    match j.get_or_err(key, path)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!(
-            "`{path}.{key}`: expected a boolean, got {}",
-            other.type_name()
-        )),
-    }
-}
-
 fn trial_from_json(j: &Json, path: &str) -> Result<TrialResult, String> {
     let energy = match j.get_or_err("energy", path)? {
         Json::Null => None,
         e => Some(TrialEnergy {
-            total: num_field(e, "total", path)?,
-            max_per_node: num_field(e, "max_per_node", path)?,
+            total: e.get_f64("total", path)?,
+            max_per_node: e.get_f64("max_per_node", path)?,
             first_depletion_round: match e.get_or_err("first_depletion_round", path)? {
                 Json::Null => None,
                 r => Some(r.as_u64().ok_or_else(|| {
                     format!("`{path}.first_depletion_round`: expected an integer")
                 })?),
             },
-            depleted: num_field(e, "depleted", path)? as usize,
+            depleted: e.get_u64("depleted", path)? as usize,
         }),
     };
     let extras = match j.get_or_err("extras", path)? {
@@ -300,14 +278,17 @@ fn trial_from_json(j: &Json, path: &str) -> Result<TrialResult, String> {
             ))
         }
     };
+    let max_per_node = j.get_u64("max_transmissions_per_node", path)?;
     Ok(TrialResult {
-        completed: bool_field(j, "completed", path)?,
-        success: bool_field(j, "success", path)?,
-        rounds: num_field(j, "rounds", path)? as u64,
-        hit_round_cap: bool_field(j, "hit_round_cap", path)?,
-        total_transmissions: num_field(j, "total_transmissions", path)? as u64,
-        max_transmissions_per_node: num_field(j, "max_transmissions_per_node", path)? as u32,
-        informed: num_field(j, "informed", path)? as usize,
+        completed: j.get_bool("completed", path)?,
+        success: j.get_bool("success", path)?,
+        rounds: j.get_u64("rounds", path)?,
+        hit_round_cap: j.get_bool("hit_round_cap", path)?,
+        total_transmissions: j.get_u64("total_transmissions", path)?,
+        max_transmissions_per_node: u32::try_from(max_per_node).map_err(|_| {
+            format!("`{path}.max_transmissions_per_node`: {max_per_node} exceeds u32")
+        })?,
+        informed: j.get_u64("informed", path)? as usize,
         energy,
         extras,
     })
@@ -394,6 +375,39 @@ mod tests {
         assert_eq!(
             Manifest::load(&dir).expect("load").expect("present"),
             expect
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fractional_counts_are_refused_with_their_path() {
+        let dir = scratch("fractional");
+        write_cell(&dir, 0, &sample_results()).expect("write");
+        let path = cell_path(&dir, 0);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let torn = text.replacen("\"rounds\": 37", "\"rounds\": 37.5", 1);
+        assert_ne!(torn, text, "the sample trial writes `rounds: 37`");
+        std::fs::write(&path, torn).unwrap();
+        let err = read_cell(&dir, 0, &sample_cell()).unwrap_err();
+        assert_eq!(
+            err,
+            "`cell[0].trials[0].rounds`: expected a non-negative integer, got a number"
+        );
+
+        Manifest::fresh("unit", "spec:00ff".into(), 1, 5, 3)
+            .store(&dir)
+            .expect("store");
+        let path = Manifest::path(&dir);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(
+            &path,
+            text.replace("\"trials_per_cell\": 5", "\"trials_per_cell\": 5.5"),
+        )
+        .unwrap();
+        let err = Manifest::load(&dir).unwrap_err();
+        assert_eq!(
+            err,
+            "`manifest.trials_per_cell`: expected a non-negative integer, got a number"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

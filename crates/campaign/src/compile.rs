@@ -15,15 +15,20 @@
 //! CSR and implicit-grid backends on geometric cells (the grid replays
 //! the same position draws).
 //!
+//! The scenario's `trace` block becomes a [`TracePlan`] that the
+//! compiler passes straight to every kernel: each records up to
+//! `per_cell_cap` trials of every cell, and the report bytes are those
+//! of the untraced run.
+//!
 //! [`Topology`]: radio_graph::Topology
 
 use crate::ir::{Backend, ProtocolSpec, Scenario, TraceSpec};
 use crate::kernels::{
     energy_crossover_trial, energy_lifetime_trial, faulty_broadcast_trial, mobile_gossip_trial,
-    CrossoverCfg, FaultyBroadcastCfg, LifetimeCfg, MobileGossipCfg, TraceHandle,
+    CrossoverCfg, FaultyBroadcastCfg, LifetimeCfg, MobileGossipCfg,
 };
 use radio_graph::ImplicitGrid;
-use radio_sim::{CellResults, EngineConfig, Sweep, SweepCell, SweepReport, TracePlan, TrialResult};
+use radio_sim::{CellResults, Sweep, SweepCell, SweepReport, TracePlan, TrialResult};
 
 /// A scenario lowered onto the sweep API.
 #[derive(Debug)]
@@ -102,12 +107,6 @@ impl Compiled {
             .resolve_protocol(&cell.algorithm)
             .expect("validated: every cell label resolves");
         let implicit = self.scenario.sweep.backend == Backend::ImplicitGrid;
-        // All kernels drive v1 engine runs; each hands over the engine
-        // config it runs with, stamped into the recording's header.
-        let mut open = |cfg: &EngineConfig| {
-            plan.and_then(|p| p.open(cell, seed, "v1", cfg))
-                .map(|sink| TraceHandle { sink })
-        };
         // CSR and implicit arms both draw from the cell's graph stream,
         // so geometric cells see identical positions on either backend.
         match proto {
@@ -121,7 +120,7 @@ impl Compiled {
                     gamma: *gamma,
                     tracked: *tracked,
                 };
-                mobile_gossip_trial(&cfg, cell, seed)
+                mobile_gossip_trial(&cfg, cell, seed, plan)
             }
             ProtocolSpec::FaultyBroadcast {
                 crash_round,
@@ -136,9 +135,9 @@ impl Compiled {
                 if implicit {
                     let grid =
                         ImplicitGrid::generate(cell.n, cell.p, &mut SweepCell::graph_rng(seed));
-                    faulty_broadcast_trial(&cfg, cell, &grid, seed, Some(&mut open))
+                    faulty_broadcast_trial(&cfg, cell, &grid, seed, plan)
                 } else {
-                    faulty_broadcast_trial(&cfg, cell, &cell.graph(seed), seed, Some(&mut open))
+                    faulty_broadcast_trial(&cfg, cell, &cell.graph(seed), seed, plan)
                 }
             }
             ProtocolSpec::EnergyCrossover { flood_q, d_hint } => {
@@ -147,7 +146,7 @@ impl Compiled {
                     d_hint: *d_hint,
                 };
                 // CSR-only (validated): the kernel consults the edge count.
-                energy_crossover_trial(&cfg, cell, &cell.graph(seed), seed, Some(&mut open))
+                energy_crossover_trial(&cfg, cell, &cell.graph(seed), seed, plan)
             }
             ProtocolSpec::EnergyLifetime {
                 horizon,
@@ -166,9 +165,9 @@ impl Compiled {
                 if implicit {
                     let grid =
                         ImplicitGrid::generate(cell.n, cell.p, &mut SweepCell::graph_rng(seed));
-                    energy_lifetime_trial(&cfg, cell, &grid, seed, Some(&mut open))
+                    energy_lifetime_trial(&cfg, cell, &grid, seed, plan)
                 } else {
-                    energy_lifetime_trial(&cfg, cell, &cell.graph(seed), seed, Some(&mut open))
+                    energy_lifetime_trial(&cfg, cell, &cell.graph(seed), seed, plan)
                 }
             }
         }

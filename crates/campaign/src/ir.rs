@@ -173,12 +173,10 @@ impl ProtocolSpec {
     }
 }
 
-/// Optional `trace` block: capped per-cell `.rtrc` capture, spec hash
-/// stamped into every recording's `code_version` and the trial's engine
-/// config into its `max_rounds` / `half_duplex`. Only the Algorithm-1
-/// kernel variants record: `faulty_broadcast`'s `alg1` and
-/// `alg1_battery` cells and the `alg1` cells of `energy_crossover` and
-/// `energy_lifetime`. Every other cell runs untraced.
+/// Optional `trace` block: records up to `per_cell_cap` trials of every
+/// cell as `.rtrc` files, spec hash stamped into every recording's
+/// `code_version` and the trial's engine config into its `max_rounds` /
+/// `half_duplex`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Directory the recordings land in.
@@ -212,39 +210,17 @@ fn check_keys(j: &Json, known: &[&str], path: &str) -> Result<(), String> {
     }
 }
 
-fn want_str<'j>(j: &'j Json, key: &str, path: &str) -> Result<&'j str, String> {
-    let v = j.get_or_err(key, path)?;
-    v.as_str()
-        .ok_or_else(|| format!("`{path}.{key}`: expected a string, got {}", v.type_name()))
-}
-
-fn want_u64(j: &Json, key: &str, path: &str) -> Result<u64, String> {
-    let v = j.get_or_err(key, path)?;
-    v.as_u64().ok_or_else(|| {
-        format!(
-            "`{path}.{key}`: expected a non-negative integer, got {}",
-            v.type_name()
-        )
-    })
-}
-
-fn want_f64(j: &Json, key: &str, path: &str) -> Result<f64, String> {
-    let v = j.get_or_err(key, path)?;
-    v.as_f64()
-        .ok_or_else(|| format!("`{path}.{key}`: expected a number, got {}", v.type_name()))
-}
-
 fn opt_u64(j: &Json, key: &str, path: &str, default: u64) -> Result<u64, String> {
     match j.get(key) {
         None => Ok(default),
-        Some(_) => want_u64(j, key, path),
+        Some(_) => j.get_u64(key, path),
     }
 }
 
 fn opt_f64(j: &Json, key: &str, path: &str, default: f64) -> Result<f64, String> {
     match j.get(key) {
         None => Ok(default),
-        Some(_) => want_f64(j, key, path),
+        Some(_) => j.get_f64(key, path),
     }
 }
 
@@ -425,11 +401,11 @@ impl Scenario {
             &["version", "name", "sweep", "cells", "protocols", "trace"],
             "spec",
         )?;
-        let version = want_u64(doc, "version", "spec")?;
+        let version = doc.get_u64("version", "spec")?;
         if version != 1 {
             return Err(format!("`spec.version`: unsupported version {version}"));
         }
-        let name = want_str(doc, "name", "spec")?.to_string();
+        let name = doc.get_str("name", "spec")?.to_string();
         if name.is_empty()
             || !name
                 .bytes()
@@ -454,7 +430,7 @@ impl Scenario {
                 )
             })?,
         };
-        let trials = want_u64(sw, "trials", "spec.sweep")? as usize;
+        let trials = sw.get_u64("trials", "spec.sweep")? as usize;
         if trials == 0 {
             return Err("`spec.sweep.trials`: must be at least 1".to_string());
         }
@@ -493,9 +469,9 @@ impl Scenario {
         for (i, c) in cells_arr.iter().enumerate() {
             let path = format!("spec.cells[{i}]");
             check_keys(c, &["label", "family", "n", "p"], &path)?;
-            let label = want_str(c, "label", &path)?.to_string();
-            let family = parse_family(want_str(c, "family", &path)?, &format!("{path}.family"))?;
-            let n = want_u64(c, "n", &path)?;
+            let label = c.get_str("label", &path)?.to_string();
+            let family = parse_family(c.get_str("family", &path)?, &format!("{path}.family"))?;
+            let n = c.get_u64("n", &path)?;
             if n == 0 || n > u64::from(NodeId::MAX) {
                 return Err(format!(
                     "`{path}.n`: must lie in [1, {}] (node ids are 32-bit), got {n}",
@@ -503,7 +479,7 @@ impl Scenario {
                 ));
             }
             let n = n as usize;
-            let p = want_f64(c, "p", &path)?;
+            let p = c.get_f64("p", &path)?;
             if !p.is_finite() || p < 0.0 {
                 return Err(format!("`{path}.p`: must be finite and non-negative"));
             }
@@ -542,8 +518,8 @@ impl Scenario {
             None => None,
             Some(t) => {
                 check_keys(t, &["dir", "per_cell_cap"], "spec.trace")?;
-                let dir = want_str(t, "dir", "spec.trace")?.to_string();
-                let cap = want_u64(t, "per_cell_cap", "spec.trace")? as usize;
+                let dir = t.get_str("dir", "spec.trace")?.to_string();
+                let cap = t.get_u64("per_cell_cap", "spec.trace")? as usize;
                 if cap == 0 {
                     return Err("`spec.trace.per_cell_cap`: must be at least 1".to_string());
                 }
@@ -657,7 +633,7 @@ impl Scenario {
 }
 
 fn parse_protocol(j: &Json, path: &str) -> Result<ProtocolSpec, String> {
-    let kind = want_str(j, "kind", path)?;
+    let kind = j.get_str("kind", path)?;
     let spec = match kind {
         "mobile_gossip" => Ok(ProtocolSpec::MobileGossip {
             switch_every: opt_u64_in(j, "switch_every", path, 40, 1..=u64::MAX, "must be ≥ 1")?,
@@ -665,7 +641,7 @@ fn parse_protocol(j: &Json, path: &str) -> Result<ProtocolSpec, String> {
             tracked: match j.get("tracked") {
                 None => Some(64),
                 Some(Json::Null) => None,
-                Some(_) => Some(want_u64(j, "tracked", path)? as usize),
+                Some(_) => Some(j.get_u64("tracked", path)? as usize),
             },
         }),
         "faulty_broadcast" => Ok(ProtocolSpec::FaultyBroadcast {
@@ -674,13 +650,7 @@ fn parse_protocol(j: &Json, path: &str) -> Result<ProtocolSpec, String> {
             crash_round: opt_u64_in(j, "crash_round", path, 3, 1..=u64::MAX, "must be ≥ 1")?,
             spare_source: match j.get("spare_source") {
                 None => true,
-                Some(Json::Bool(b)) => *b,
-                Some(other) => {
-                    return Err(format!(
-                        "`{path}.spare_source`: expected a boolean, got {}",
-                        other.type_name()
-                    ))
-                }
+                Some(_) => j.get_bool("spare_source", path)?,
             },
             d_hint: opt_d_hint(j, path, 6)?,
         }),

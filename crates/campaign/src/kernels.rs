@@ -19,21 +19,54 @@
 //! the implicit backends) and [`mobile_gossip_trial`] regenerates CSR
 //! snapshot sequences, so both are CSR-only; the IR validator enforces
 //! this.
+//!
+//! Every kernel takes the campaign's optional [`TracePlan`]. Each arm
+//! opens its trial's recording for the engine config it runs with,
+//! attaches it to its one engine chain with `.sink(&mut trace)` — an
+//! absent recording (no plan, the cell's cap reached, an I/O failure)
+//! is `None` and runs the untraced loop — and hands it back to
+//! [`TracePlan::finish`] with the run's `completed` flag. Recording only
+//! observes, so a traced campaign reports the same bytes.
 
 use radio_core::broadcast::decay::DecayConfig;
 use radio_core::broadcast::ee_general::GeneralBroadcastConfig;
 use radio_core::broadcast::ee_random::{EeBroadcastConfig, EeRandomBroadcast};
 use radio_core::broadcast::flood::FloodConfig;
-use radio_core::broadcast::windowed::{
-    run_windowed_energy, ProbSource, WindowedBroadcast, WindowedSpec,
-};
+use radio_core::broadcast::windowed::{ProbSource, WindowedBroadcast, WindowedSpec};
+use radio_core::broadcast::BroadcastOutcome;
 use radio_core::gossip::{EeGossip, EeGossipConfig};
 use radio_core::seq::SharedSequence;
 use radio_energy::{Battery, EnergySession, LinearRadio};
 use radio_graph::generate::MobileGeometric;
 use radio_graph::{DiGraph, GraphFamily, NodeId, Topology};
-use radio_sim::{CrashPlan, Engine, EngineConfig, Faulty, Protocol, SweepCell, TrialResult};
+use radio_sim::{
+    CrashPlan, Engine, EngineConfig, Faulty, Protocol, SweepCell, TracePlan, TrialResult,
+};
+use radio_trace::RecordingSink;
 use radio_util::{derive_rng, split_seed};
+use std::fs::File;
+use std::io::BufWriter;
+
+/// A trial's open recording, or `None` when it records nothing.
+type Trace = Option<RecordingSink<BufWriter<File>>>;
+
+/// Open the trial's v1 recording under `traces`, stamping the engine
+/// config the arm runs with into its header.
+fn open_trace(
+    traces: Option<&TracePlan>,
+    cell: &SweepCell,
+    seed: u64,
+    cfg: &EngineConfig,
+) -> Trace {
+    traces.and_then(|plan| plan.open(cell, seed, "v1", cfg))
+}
+
+/// Write the trial's footer with the run's `completed` flag.
+fn finish_trace(traces: Option<&TracePlan>, trace: Trace, completed: bool) {
+    if let Some(plan) = traces {
+        plan.finish(trace, completed);
+    }
+}
 
 /// `"alg1:f=0.3"` → `("alg1", 0.3)` — the label convention every
 /// parameterised kernel shares (`:r=` for ratios). The validator calls
@@ -80,7 +113,12 @@ pub struct MobileGossipCfg {
 /// the trial seed (`cell.p` is the connection radius, σ rides in the
 /// label as `gossip:f=σ`), and only the epochs the run reaches are
 /// built.
-pub fn mobile_gossip_trial(cfg: &MobileGossipCfg, cell: &SweepCell, seed: u64) -> TrialResult {
+pub fn mobile_gossip_trial(
+    cfg: &MobileGossipCfg,
+    cell: &SweepCell,
+    seed: u64,
+    traces: Option<&TracePlan>,
+) -> TrialResult {
     let n = cell.n;
     let (_, sigma) = parse_label(&cell.algorithm, ":f=");
     let gossip_cfg = EeGossipConfig {
@@ -95,13 +133,14 @@ pub fn mobile_gossip_trial(cfg: &MobileGossipCfg, cell: &SweepCell, seed: u64) -
     let first = snapshots.next().expect("the mobility stream is endless");
     let mut protocol = EeGossip::new(gossip_cfg);
     let mut rng = derive_rng(seed, b"engine", 0);
-    let run = Engine::new(
-        &first,
-        EngineConfig::with_max_rounds(gossip_cfg.schedule_rounds() + 1),
-    )
-    .run(&mut protocol)
-    .schedule(snapshots, cfg.switch_every)
-    .v1(&mut rng);
+    let engine_cfg = EngineConfig::with_max_rounds(gossip_cfg.schedule_rounds() + 1);
+    let mut trace = open_trace(traces, cell, seed, &engine_cfg);
+    let run = Engine::new(&first, engine_cfg)
+        .run(&mut protocol)
+        .sink(&mut trace)
+        .schedule(snapshots, cfg.switch_every)
+        .v1(&mut rng);
+    finish_trace(traces, trace, run.completed);
     let time = protocol.gossip_time();
     let mut t = TrialResult::from_run(&run, time.is_some(), protocol.informed_count()).extra(
         "mean_msgs_per_node",
@@ -134,7 +173,7 @@ pub fn faulty_broadcast_trial<T: Topology>(
     cell: &SweepCell,
     graph: &T,
     seed: u64,
-    mut trace: Option<OpenTrace<'_>>,
+    traces: Option<&TracePlan>,
 ) -> TrialResult {
     let n = cell.n;
     let (variant, frac) = parse_label(&cell.algorithm, ":f=");
@@ -181,23 +220,17 @@ pub fn faulty_broadcast_trial<T: Topology>(
             .count();
         known as f64 / survivors.len().max(1) as f64
     };
-    let mut open_trace = || trace.as_mut().and_then(|f| f(&engine_cfg));
 
     let (trial, frac_informed, failed) = match variant {
         "alg1" => {
             let mut p = Faulty::new(EeRandomBroadcast::new(n, 0, a_cfg), plan.clone());
             let mut rng = derive_rng(seed, b"engine", 0);
-            let run = match open_trace() {
-                Some(mut sink) => {
-                    let run = Engine::new(graph, engine_cfg)
-                        .run(&mut p)
-                        .sink(&mut sink.sink)
-                        .v1(&mut rng);
-                    sink.finish(run.completed);
-                    run
-                }
-                None => Engine::new(graph, engine_cfg).run(&mut p).v1(&mut rng),
-            };
+            let mut trace = open_trace(traces, cell, seed, &engine_cfg);
+            let run = Engine::new(graph, engine_cfg)
+                .run(&mut p)
+                .sink(&mut trace)
+                .v1(&mut rng);
+            finish_trace(traces, trace, run.completed);
             let fi = survivor_frac(p.inner());
             let failed = plan.failed_by(run.rounds, &[]);
             (
@@ -211,21 +244,13 @@ pub fn faulty_broadcast_trial<T: Topology>(
             let mut p = EeRandomBroadcast::new(n, 0, a_cfg);
             let mut rng = derive_rng(seed, b"engine", 0);
             let mut s = session();
-            let run = match open_trace() {
-                Some(mut sink) => {
-                    let run = Engine::new(graph, engine_cfg)
-                        .run(&mut p)
-                        .energy(&mut s)
-                        .sink(&mut sink.sink)
-                        .v1(&mut rng);
-                    sink.finish(run.run.completed);
-                    run
-                }
-                None => Engine::new(graph, engine_cfg)
-                    .run(&mut p)
-                    .energy(&mut s)
-                    .v1(&mut rng),
-            };
+            let mut trace = open_trace(traces, cell, seed, &engine_cfg);
+            let run = Engine::new(graph, engine_cfg)
+                .run(&mut p)
+                .energy(&mut s)
+                .sink(&mut trace)
+                .v1(&mut rng);
+            finish_trace(traces, trace, run.run.completed);
             let fi = survivor_frac(&p);
             let failed = CrashPlan::none(n).failed_by(run.run.rounds, &run.energy.depleted_at);
             let informed = p.informed_count();
@@ -242,10 +267,13 @@ pub fn faulty_broadcast_trial<T: Topology>(
             let mut p = Faulty::new(EeRandomBroadcast::new(n, 0, a_cfg), plan.clone());
             let mut rng = derive_rng(seed, b"engine", 0);
             let mut s = session();
+            let mut trace = open_trace(traces, cell, seed, &engine_cfg);
             let run = Engine::new(graph, engine_cfg)
                 .run(&mut p)
                 .energy(&mut s)
+                .sink(&mut trace)
                 .v1(&mut rng);
+            finish_trace(traces, trace, run.run.completed);
             let fi = survivor_frac(p.inner());
             let failed = plan.failed_by(run.run.rounds, &run.energy.depleted_at);
             assert!(
@@ -273,9 +301,13 @@ pub fn faulty_broadcast_trial<T: Topology>(
             };
             let mut p = Faulty::new(WindowedBroadcast::new(n, 0, spec), plan.clone());
             let mut rng = derive_rng(seed, b"engine3", 0);
-            let run = Engine::new(graph, EngineConfig::with_max_rounds(g_cfg.max_rounds()))
+            let engine_cfg = EngineConfig::with_max_rounds(g_cfg.max_rounds());
+            let mut trace = open_trace(traces, cell, seed, &engine_cfg);
+            let run = Engine::new(graph, engine_cfg)
                 .run(&mut p)
+                .sink(&mut trace)
                 .v1(&mut rng);
+            finish_trace(traces, trace, run.completed);
             let fi = survivors
                 .iter()
                 .filter(|&&v| p.inner().informed_round(v) != u64::MAX)
@@ -324,7 +356,7 @@ pub fn energy_crossover_trial(
     cell: &SweepCell,
     graph: &DiGraph,
     seed: u64,
-    mut trace: Option<OpenTrace<'_>>,
+    traces: Option<&TracePlan>,
 ) -> TrialResult {
     let n = cell.n;
     let (alg, ratio) = parse_label(&cell.algorithm, ":r=");
@@ -337,27 +369,19 @@ pub fn energy_crossover_trial(
         split_seed(seed, b"e17-energy", 0),
     )
     .with_charge_to_cap(true);
-    let out = match alg {
+    let mut rng = derive_rng(seed, b"engine", 0);
+    let (spec, max_rounds) = match alg {
         "alg1" => {
             let cfg1 = EeBroadcastConfig::for_gnp(n, p_equiv_measured(cell, graph));
             let mut protocol = EeRandomBroadcast::new(n, 0, cfg1);
-            let mut rng = derive_rng(seed, b"engine", 0);
             let engine_cfg = EngineConfig::with_max_rounds(cfg1.schedule_end() + 2);
-            let run = match trace.as_mut().and_then(|f| f(&engine_cfg)) {
-                Some(mut sink) => {
-                    let run = Engine::new(graph, engine_cfg)
-                        .run(&mut protocol)
-                        .energy(&mut session)
-                        .sink(&mut sink.sink)
-                        .v1(&mut rng);
-                    sink.finish(run.run.completed);
-                    run
-                }
-                None => Engine::new(graph, engine_cfg)
-                    .run(&mut protocol)
-                    .energy(&mut session)
-                    .v1(&mut rng),
-            };
+            let mut trace = open_trace(traces, cell, seed, &engine_cfg);
+            let run = Engine::new(graph, engine_cfg)
+                .run(&mut protocol)
+                .energy(&mut session)
+                .sink(&mut trace)
+                .v1(&mut rng);
+            finish_trace(traces, trace, run.run.completed);
             let informed = protocol.informed_count();
             return TrialResult::from_energy_run(&run, informed == n, informed)
                 .extra("energy_per_node", run.energy.mean_energy_per_node());
@@ -367,33 +391,27 @@ pub fn energy_crossover_trial(
             // accounting for the baseline.
             let fcfg =
                 FloodConfig::with_prob(cfg.flood_q, DecayConfig::new(n, cfg.d_hint).max_rounds());
-            run_windowed_energy(
-                graph,
-                0,
-                fcfg.spec(),
-                EngineConfig::with_max_rounds(fcfg.max_rounds),
-                seed,
-                &mut session,
-            )
+            (fcfg.spec(), fcfg.max_rounds)
         }
         "decay" => {
             let dcfg = DecayConfig::new(n, cfg.d_hint); // early-stops
-            run_windowed_energy(
-                graph,
-                0,
-                dcfg.spec(),
-                EngineConfig::with_max_rounds(dcfg.max_rounds()),
-                seed,
-                &mut session,
-            )
+            (dcfg.spec(), dcfg.max_rounds())
         }
         other => panic!("energy_crossover: unknown algorithm `{other}`"),
     };
-    let energy_per_node = out
-        .energy
-        .as_ref()
-        .map_or(0.0, |e| e.mean_energy_per_node());
-    out.to_trial().extra("energy_per_node", energy_per_node)
+    let mut protocol = WindowedBroadcast::new(n, 0, spec);
+    let engine_cfg = EngineConfig::with_max_rounds(max_rounds);
+    let mut trace = open_trace(traces, cell, seed, &engine_cfg);
+    let run = Engine::new(graph, engine_cfg)
+        .run(&mut protocol)
+        .energy(&mut session)
+        .sink(&mut trace)
+        .v1(&mut rng);
+    finish_trace(traces, trace, run.run.completed);
+    let energy_per_node = run.energy.mean_energy_per_node();
+    BroadcastOutcome::from_energy_run(n, &protocol, run)
+        .to_trial()
+        .extra("energy_per_node", energy_per_node)
 }
 
 /// Fixed parameters of the network-lifetime kernel.
@@ -419,7 +437,7 @@ pub fn energy_lifetime_trial<T: Topology>(
     cell: &SweepCell,
     graph: &T,
     seed: u64,
-    mut trace: Option<OpenTrace<'_>>,
+    traces: Option<&TracePlan>,
 ) -> TrialResult {
     let n = cell.n;
     let battery = Battery::jittered(
@@ -438,44 +456,45 @@ pub fn energy_lifetime_trial<T: Topology>(
     .with_battery(battery)
     .with_charge_to_cap(true);
     let engine_cfg = EngineConfig::with_max_rounds(cfg.horizon);
+    let mut rng = derive_rng(seed, b"engine", 0);
+    let mut trace = open_trace(traces, cell, seed, &engine_cfg);
     let trial = match cell.algorithm.as_str() {
         "alg1" => {
             let cfg1 = EeBroadcastConfig::for_gnp(n, p_gnp(&cell.family, cell.p));
             let mut protocol = EeRandomBroadcast::new(n, 0, cfg1);
-            let mut rng = derive_rng(seed, b"engine", 0);
-            let run = match trace.as_mut().and_then(|f| f(&engine_cfg)) {
-                Some(mut sink) => {
-                    let run = Engine::new(graph, engine_cfg)
-                        .run(&mut protocol)
-                        .energy(&mut session)
-                        .sink(&mut sink.sink)
-                        .v1(&mut rng);
-                    sink.finish(run.run.completed);
-                    run
-                }
-                None => Engine::new(graph, engine_cfg)
-                    .run(&mut protocol)
-                    .energy(&mut session)
-                    .v1(&mut rng),
-            };
+            let run = Engine::new(graph, engine_cfg)
+                .run(&mut protocol)
+                .energy(&mut session)
+                .sink(&mut trace)
+                .v1(&mut rng);
+            finish_trace(traces, trace, run.run.completed);
             let informed = protocol.informed_count();
             TrialResult::from_energy_run(&run, informed == n, informed)
         }
-        "flood" => {
+        alg @ ("flood" | "decay") => {
             // No early stop, no retirement: the classic always-listening
-            // flood burns its batteries for the whole horizon.
-            let fcfg = FloodConfig {
-                early_stop: false,
-                ..FloodConfig::with_prob(cfg.flood_q, cfg.horizon)
+            // baselines burn their batteries for the whole horizon.
+            let spec = if alg == "flood" {
+                FloodConfig {
+                    early_stop: false,
+                    ..FloodConfig::with_prob(cfg.flood_q, cfg.horizon)
+                }
+                .spec()
+            } else {
+                DecayConfig {
+                    early_stop: false,
+                    ..DecayConfig::new(n, cfg.d_hint)
+                }
+                .spec()
             };
-            run_windowed_energy(graph, 0, fcfg.spec(), engine_cfg, seed, &mut session).to_trial()
-        }
-        "decay" => {
-            let dcfg = DecayConfig {
-                early_stop: false,
-                ..DecayConfig::new(n, cfg.d_hint)
-            };
-            run_windowed_energy(graph, 0, dcfg.spec(), engine_cfg, seed, &mut session).to_trial()
+            let mut protocol = WindowedBroadcast::new(n, 0, spec);
+            let run = Engine::new(graph, engine_cfg)
+                .run(&mut protocol)
+                .energy(&mut session)
+                .sink(&mut trace)
+                .v1(&mut rng);
+            finish_trace(traces, trace, run.run.completed);
+            BroadcastOutcome::from_energy_run(n, &protocol, run).to_trial()
         }
         other => panic!("energy_lifetime: unknown algorithm `{other}`"),
     };
@@ -484,27 +503,4 @@ pub fn energy_lifetime_trial<T: Topology>(
         .as_ref()
         .map_or(0.0, |e| e.depleted as f64 / n as f64);
     trial.extra("depleted_frac", depleted_frac)
-}
-
-/// A kernel's recording hook: opens the trial's `.rtrc` for the engine
-/// config the kernel runs with (stamped into the header), or yields
-/// `None` — no slot left under the cell cap, or an I/O failure.
-pub type OpenTrace<'a> = &'a mut dyn FnMut(&EngineConfig) -> Option<TraceHandle>;
-
-/// An opened per-trial recording: the sink plus a finisher that
-/// surfaces footer-write failures as a stderr warning instead of
-/// failing the trial (trace capture degrades, never aborts — same
-/// contract as `TracePlan::open`).
-pub struct TraceHandle {
-    /// The open `.rtrc` sink the kernel drives.
-    pub sink: radio_trace::RecordingSink<std::io::BufWriter<std::fs::File>>,
-}
-
-impl TraceHandle {
-    /// Write the footer; a failed footer is a warning, not an error.
-    pub fn finish(self, completed: bool) {
-        if let Err(e) = self.sink.finish(completed) {
-            eprintln!("radio-campaign: warning: trace footer write failed: {e}");
-        }
-    }
 }

@@ -44,14 +44,6 @@ impl EgBroadcastConfig {
         }
     }
 
-    /// Same, stopping at completion.
-    pub fn for_gnp_timed(n: usize, p: f64) -> Self {
-        EgBroadcastConfig {
-            early_stop: true,
-            ..Self::for_gnp(n, p)
-        }
-    }
-
     /// `D̂ = ⌈log n / log d⌉`, the phase-1 horizon.
     pub fn d_hat(&self) -> u64 {
         let p = self.params;

@@ -36,9 +36,7 @@ pub mod epoch;
 pub mod flood;
 pub mod windowed;
 
-pub use windowed::{
-    run_windowed_energy, run_windowed_fused, ProbSource, WindowedBroadcast, WindowedSpec,
-};
+pub use windowed::{run_windowed_fused, ProbSource, WindowedBroadcast, WindowedSpec};
 
 use radio_graph::Topology;
 use radio_sim::{
@@ -93,7 +91,7 @@ pub struct BroadcastOutcome {
     /// Energy accounting (per-node and total transmission counts).
     pub metrics: Metrics,
     /// Model-based energy accounting, when the run used an energy overlay
-    /// (e.g. [`windowed::run_windowed_energy`]).
+    /// ([`BroadcastOutcome::from_energy_run`]).
     pub energy: Option<EnergyMetrics>,
 }
 
@@ -116,11 +114,7 @@ impl BroadcastOutcome {
     }
 
     /// As [`BroadcastOutcome::from_run`], from an energy-overlay run.
-    pub(crate) fn from_energy_run<P: Broadcast>(
-        n: usize,
-        protocol: &P,
-        run: EnergyRunResult,
-    ) -> Self {
+    pub fn from_energy_run<P: Broadcast>(n: usize, protocol: &P, run: EnergyRunResult) -> Self {
         let mut out = Self::from_run(n, protocol, run.run);
         out.energy = Some(run.energy);
         out

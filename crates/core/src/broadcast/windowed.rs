@@ -262,29 +262,6 @@ impl Broadcast for WindowedBroadcast {
     }
 }
 
-/// A v1 windowed broadcast (the stream [`super::run_v1`] uses) under an
-/// energy overlay: duties are charged to `session` (model costs, optional
-/// batteries) and the outcome carries the
-/// [`EnergyMetrics`](radio_sim::EnergyMetrics) report. With no battery
-/// attached the run itself is bit-identical to the same run without the
-/// overlay — the overlay never touches protocol randomness.
-pub fn run_windowed_energy<T: Topology>(
-    graph: &T,
-    source: NodeId,
-    spec: WindowedSpec,
-    engine_cfg: EngineConfig,
-    seed: u64,
-    session: &mut radio_sim::EnergySession,
-) -> BroadcastOutcome {
-    let mut protocol = WindowedBroadcast::new(graph.n(), source, spec);
-    let mut rng = radio_util::derive_rng(seed, b"engine", 0);
-    let run = radio_sim::Engine::new(graph, engine_cfg)
-        .run(&mut protocol)
-        .energy(session)
-        .v1(&mut rng);
-    BroadcastOutcome::from_energy_run(graph.n(), &protocol, run)
-}
-
 /// A windowed broadcast under the **v2 determinism contract**
 /// ([`radio_sim::Run::v2`]): every node's coin flips come from
 /// its own counter-based stream derived from `(run_seed, node)`, so the

@@ -304,11 +304,6 @@ impl EnergyMetrics {
         }
     }
 
-    /// Did `node` run out of battery?
-    pub fn is_depleted(&self, node: NodeId) -> bool {
-        self.depleted_round(node).is_some()
-    }
-
     /// Number of depleted nodes.
     pub fn depleted_count(&self) -> usize {
         self.depleted_at
@@ -385,7 +380,7 @@ mod tests {
         assert_eq!(s.depleted_count(), 1);
         let m = s.finalize(&[0, 0]);
         assert_eq!(m.depleted_round(0), Some(2));
-        assert!(!m.is_depleted(1));
+        assert_eq!(m.depleted_round(1), None);
         assert_eq!(m.residual_charge(0), Some(0.0));
         assert_eq!(m.spent[0], 2.0, "dead nodes stop paying");
         assert_eq!(m.spent[1], 4.0);

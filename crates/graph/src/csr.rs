@@ -78,8 +78,8 @@ impl Csr {
     /// Build from per-row neighbor lists (each row is sorted on insert).
     ///
     /// Rows that are already sorted — the common case: the generators
-    /// emit neighbors in ascending order, and `to_adj_lists` round-trips
-    /// sorted rows — are copied straight into the flat array; only
+    /// emit neighbors in ascending order — are copied straight into the
+    /// flat array; only
     /// unsorted rows pay the clone + sort. The sortedness check is one
     /// linear scan of data the copy touches anyway.
     pub fn from_adj_lists(lists: &[Vec<NodeId>]) -> Self {
@@ -102,14 +102,6 @@ impl Csr {
             offsets.push(neighbors.len() as u32);
         }
         Csr { offsets, neighbors }
-    }
-
-    /// Explode back into per-row `Vec`s (the pointer-chasing layout the
-    /// CSR backend replaces; kept for differential tests and benches).
-    pub fn to_adj_lists(&self) -> Vec<Vec<NodeId>> {
-        (0..self.n() as NodeId)
-            .map(|u| self.row(u).to_vec())
-            .collect()
     }
 
     /// Number of rows (nodes).
@@ -210,10 +202,8 @@ mod tests {
 
     #[test]
     fn adj_list_round_trip() {
-        let c = sample();
-        let lists = c.to_adj_lists();
-        assert_eq!(lists, vec![vec![1, 2], vec![3], vec![3], vec![]]);
-        assert_eq!(Csr::from_adj_lists(&lists), c);
+        let lists = vec![vec![1, 2], vec![3], vec![3], vec![]];
+        assert_eq!(Csr::from_adj_lists(&lists), sample());
     }
 
     #[test]

@@ -1072,7 +1072,9 @@ impl<'r, 'g, T: Topology, P: Protocol, E, G> Run<'r, 'g, T, P, E, NullSink, G> {
     /// the recording sinks and replay verification. A recording sink
     /// costs one buffered push per event on the serial side of the
     /// round, so the stream is identical for every thread count: record
-    /// once, replay at any thread count.
+    /// once, replay at any thread count. A sink whose
+    /// [`records`](TraceSink::records) is false — an `Option` that is
+    /// `None` — runs the untraced loop.
     pub fn sink<'k, K: TraceSink>(self, sink: &'k mut K) -> Run<'r, 'g, T, P, E, &'k mut K, G> {
         let Run {
             engine,
@@ -1176,7 +1178,14 @@ where
             schedule,
         } = self;
         energy.begin(engine.graph.n());
-        let (run, halted) = engine.run_loop(schedule, protocol, contract, &mut energy, &mut sink);
+        // A sink that records nothing on this run (an empty `Option`)
+        // runs the untraced loop; for `NullSink` the test is
+        // constant-false and this is the only call.
+        let (run, halted) = if sink.records() {
+            engine.run_loop(schedule, protocol, contract, &mut energy, &mut sink)
+        } else {
+            engine.run_loop(schedule, protocol, contract, &mut energy, &mut NullSink)
+        };
         energy.finish(run, halted)
     }
 }

@@ -547,21 +547,18 @@ impl SweepReport {
 ///
 /// The plan is deliberately *not* wired into the runner signature —
 /// `(cell, seed) → TrialResult` stays untouched, sweeps that
-/// don't trace pay nothing. A runner that wants capture holds a plan
-/// and asks it per trial:
+/// don't trace pay nothing. A runner that wants capture holds a plan,
+/// opens each trial's sink, attaches it (an `Option` is a sink: `None`
+/// runs the untraced loop) and hands it back with the run's
+/// `completed` flag:
 ///
 /// ```ignore
 /// let plan = TracePlan::new("results/traces", 2);
 /// sweep.run(|cell, seed| {
 ///     let graph = cell.graph(seed);
-///     let mut sink = plan.open(cell, seed, "v2", &cfg);
-///     let run = match sink.as_mut() {
-///         Some(sink) => run_protocol_fused_traced(&graph, &mut proto, cfg, seed, sink),
-///         None => run_protocol_fused(&graph, &mut proto, cfg, seed),
-///     };
-///     if let Some(sink) = sink {
-///         let _ = sink.finish(run.completed); // runner owns the footer
-///     }
+///     let mut trace = plan.open(cell, seed, "v2", &cfg);
+///     let run = Engine::new(&graph, cfg).run(&mut proto).sink(&mut trace).v2(seed);
+///     plan.finish(trace, run.completed);
 ///     TrialResult::from_run(&run, run.completed, informed)
 /// });
 /// ```
@@ -569,10 +566,11 @@ impl SweepReport {
 /// `open` is thread-safe (sweeps fan trials out over rayon); the cap
 /// check and the slot claim are one atomic step, so concurrent trials
 /// of the same cell never over-record. I/O failures degrade, never
-/// fail: `open` warns once per plan on stderr, counts the failure in
-/// [`degraded`](TracePlan::degraded), releases the claimed slot (a
-/// later trial may succeed and use the budget), and yields `None` — a
-/// broken trace directory turns a sweep untraced, it never aborts it.
+/// fail: a recording that cannot be created or finished warns once per
+/// plan on stderr and counts in [`degraded`](TracePlan::degraded); a
+/// failed `open` also releases the claimed slot (a later trial may
+/// succeed and use the budget) and yields `None` — a broken trace
+/// directory turns a sweep untraced, it never aborts it.
 #[derive(Debug)]
 pub struct TracePlan {
     dir: PathBuf,
@@ -615,9 +613,10 @@ impl TracePlan {
         self.counts.lock().expect("trace-plan lock").values().sum()
     }
 
-    /// Recordings that failed to open on I/O errors (capture degraded
-    /// to untraced for those trials). Non-zero means the warning was
-    /// printed and some traces are missing.
+    /// Recordings lost to I/O errors: those that failed to open (the
+    /// trial ran untraced) and those whose footer failed to write.
+    /// Non-zero means the warning was printed and some traces are
+    /// missing or unreadable.
     pub fn degraded(&self) -> usize {
         self.degraded.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -628,8 +627,8 @@ impl TracePlan {
     /// (`"v1"` / `"v2"`) and `cfg` the engine config of the run; both
     /// are stamped into the header (the round cap and half-duplex flag
     /// via [`RunHeader::with_config`](radio_trace::RunHeader::with_config))
-    /// so replay tooling knows how to re-drive the run. The caller must
-    /// call [`finish`](radio_trace::RecordingSink::finish) after the run.
+    /// so replay tooling knows how to re-drive the run. Hand the sink
+    /// back to [`finish`](TracePlan::finish) after the run.
     pub fn open(
         &self,
         cell: &SweepCell,
@@ -676,19 +675,39 @@ impl TracePlan {
                         *slot = slot.saturating_sub(1);
                     }
                 }
-                let prior = self
-                    .degraded
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if prior == 0 {
-                    eprintln!(
-                        "radio-sim: warning: trace capture degraded — cannot create \
-                         recording under {}: {e} (further failures suppressed; \
-                         affected trials run untraced)",
-                        self.dir.display()
-                    );
-                }
+                self.degrade("create", e);
                 None
             }
+        }
+    }
+
+    /// Write the footer of a recording [`open`](TracePlan::open)
+    /// returned, with the run's `completed` flag
+    /// ([`RunResult::completed`](crate::RunResult::completed)); `None`
+    /// (nothing was recorded) does nothing. A failed footer counts in
+    /// [`degraded`](TracePlan::degraded) and never fails the trial.
+    pub fn finish(
+        &self,
+        sink: Option<radio_trace::RecordingSink<io::BufWriter<std::fs::File>>>,
+        completed: bool,
+    ) {
+        if let Some(Err(e)) = sink.map(|s| s.finish(completed)) {
+            self.degrade("finish", e);
+        }
+    }
+
+    /// Count a lost recording; the first one prints the plan's warning.
+    fn degrade(&self, what: &str, e: io::Error) {
+        let prior = self
+            .degraded
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if prior == 0 {
+            eprintln!(
+                "radio-sim: warning: trace capture degraded — cannot {what} a \
+                 recording under {}: {e} (further failures suppressed; affected \
+                 recordings are missing or unreadable)",
+                self.dir.display()
+            );
         }
     }
 }
@@ -961,6 +980,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn trace_plan_counts_a_failed_footer_as_degraded() {
+        let dir = std::env::temp_dir().join(format!("sweep-footer-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        // The recording's file is a link to /dev/full: the header sits in
+        // the sink's buffer, so `open` succeeds and the footer's flush fails.
+        std::os::unix::fs::symlink("/dev/full", dir.join("flood-gnp_directed-n16-p0.2-s5.rtrc"))
+            .expect("symlink");
+        let plan = TracePlan::new(&dir, 2);
+        let cell = SweepCell::new("flood", GraphFamily::GnpDirected, 16, 0.2);
+        let sink = plan.open(&cell, 5, "v1", &EngineConfig::default());
+        assert!(sink.is_some());
+        plan.finish(sink, true);
+        assert_eq!(plan.degraded(), 1, "the failed footer is counted");
+        plan.finish(None, true);
+        assert_eq!(plan.degraded(), 1, "an absent recording has no footer");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn trace_plan_caps_recordings_per_cell() {
         let dir = std::env::temp_dir().join(format!("sweep-traces-{}", std::process::id()));
@@ -1014,22 +1053,23 @@ mod tests {
             let mut proto = P3Flood::new(graph.n());
             let mut rng = derive_rng(seed, b"plan", 0);
             let cfg = EngineConfig::with_max_rounds(60);
-            let run = match plan.open(cell, seed, "v1", &cfg) {
-                Some(mut sink) => {
-                    let run = Engine::new(graph, cfg)
-                        .run(&mut proto)
-                        .sink(&mut sink)
-                        .v1(&mut rng);
-                    sink.finish(run.completed).expect("footer");
-                    run
-                }
-                None => Engine::new(graph, cfg).run(&mut proto).v1(&mut rng),
-            };
+            let mut trace = plan.open(cell, seed, "v1", &cfg);
+            let run = Engine::new(graph, cfg)
+                .run(&mut proto)
+                .sink(&mut trace)
+                .v1(&mut rng);
+            plan.finish(trace, run.completed);
             TrialResult::from_run(&run, run.completed, proto.n_informed)
         });
         // One recording per cell, and traced trials report identically
         // to untraced ones (the sweep report can't tell them apart).
         assert_eq!(plan.recorded(), sw.cells().len());
+        assert_eq!(plan.degraded(), 0);
+        for entry in std::fs::read_dir(&dir).expect("trace dir") {
+            let rec = radio_trace::Recording::read_from(entry.expect("entry").path())
+                .expect("a finished recording reads strictly");
+            assert!(!rec.rounds.is_empty());
+        }
         let untraced = sw.run(|cell, seed| {
             let graph = &cell.graph(seed);
             let mut proto = P3Flood::new(graph.n());

@@ -59,11 +59,6 @@ impl LinearFit {
             r2,
         }
     }
-
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
 }
 
 /// Fit `y` against a transformed predictor `f(x)` — e.g.
@@ -102,7 +97,6 @@ mod tests {
         assert!((f.slope - 3.0).abs() < 1e-12);
         assert!((f.intercept + 1.0).abs() < 1e-12);
         assert!((f.r2 - 1.0).abs() < 1e-12);
-        assert!((f.predict(10.0) - 29.0).abs() < 1e-12);
     }
 
     #[test]

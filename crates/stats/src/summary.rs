@@ -76,12 +76,6 @@ impl SummaryStats {
         }
     }
 
-    /// Summarise integer-valued samples (round counts, message counts).
-    pub fn from_ints<I: IntoIterator<Item = u64>>(xs: I) -> Self {
-        let v: Vec<f64> = xs.into_iter().map(|x| x as f64).collect();
-        Self::from_slice(&v)
-    }
-
     /// Half-width of the normal-approximation 95 % CI for the mean.
     pub fn ci95_half_width(&self) -> f64 {
         if self.n < 2 {
@@ -134,12 +128,6 @@ mod tests {
         assert_eq!(s.var, 0.0);
         assert_eq!(s.ci95_half_width(), 0.0);
         assert_eq!(s.median, 3.0);
-    }
-
-    #[test]
-    fn from_ints_matches() {
-        let s = SummaryStats::from_ints([1u64, 2, 3]);
-        assert!((s.mean - 2.0).abs() < 1e-12);
     }
 
     #[test]

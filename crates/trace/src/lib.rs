@@ -20,7 +20,9 @@
 //! * [`TraceSink`] — the monomorphized engine hook (the pattern the
 //!   energy hook proved): [`NullSink`] compiles every emission site
 //!   out of the plain path, [`RecordingSink`] streams the binary
-//!   format, [`RingSink`] retains the last *k* rounds in memory.
+//!   format, [`RingSink`] retains the last *k* rounds in memory, and
+//!   an `Option` of a sink records when `Some` and runs the plain path
+//!   when `None`.
 //! * [`Recording`] — the compact length-prefixed binary format
 //!   (`.rtrc`), with a self-describing [`RunHeader`] (seed, engine,
 //!   config, topology spec, code version) designed as the provenance

@@ -1,13 +1,17 @@
-//! The engine-facing hook: [`TraceSink`] and its three implementations.
+//! The engine-facing hook: [`TraceSink`] and its three sinks.
 //!
 //! Same zero-cost contract as the engine's energy hook: the engine's
 //! round loops are generic over `S: TraceSink` and gate every emission
 //! site on `S::ACTIVE`, so with [`NullSink`] the compiler deletes the
 //! sites entirely — the plain path is today's codegen, not today's
-//! codegen plus dead branches. When a sink *is* active, `emit` must
-//! stay cheap: the engine calls it from the serial side of the round
-//! loop, so every nanosecond is on the critical path. Both real sinks
-//! therefore buffer the raw [`TraceEvent`] (a 16-byte `Copy` value)
+//! codegen plus dead branches. A sink that may be absent is an
+//! `Option<K>`: the engine asks [`TraceSink::records`] once per run and
+//! runs the [`NullSink`] loop when it is `None`, so a trial that records
+//! only sometimes is one engine call either way.
+//!
+//! When a sink *is* active, `emit` must stay cheap: the engine calls it
+//! from the serial side of the round loop, so every nanosecond is on
+//! the critical path. Both real sinks therefore buffer the raw [`TraceEvent`] (a 16-byte `Copy` value)
 //! per round and do their heavier work — binary encoding, block
 //! flushing, ring rotation — once per `RoundEnd`.
 
@@ -27,6 +31,14 @@ pub trait TraceSink {
     /// `false` compiles every emission site out of the engine.
     const ACTIVE: bool;
 
+    /// Whether this sink records anything on this run — checked once per
+    /// run, before the first round. `false` makes the engine run its
+    /// untraced loop, as for [`NullSink`]. Defaults to [`Self::ACTIVE`].
+    #[inline(always)]
+    fn records(&self) -> bool {
+        Self::ACTIVE
+    }
+
     /// One event, in deterministic serial order.
     fn emit(&mut self, ev: TraceEvent);
 }
@@ -37,8 +49,33 @@ impl<K: TraceSink> TraceSink for &mut K {
     const ACTIVE: bool = K::ACTIVE;
 
     #[inline(always)]
+    fn records(&self) -> bool {
+        K::records(self)
+    }
+
+    #[inline(always)]
     fn emit(&mut self, ev: TraceEvent) {
         K::emit(self, ev);
+    }
+}
+
+/// A sink that may be absent: `Some` records through the inner sink,
+/// `None` records nothing and runs the engine's untraced loop — so a
+/// trial whose recording a cap or an I/O failure skipped is the same
+/// engine call as one that records.
+impl<K: TraceSink> TraceSink for Option<K> {
+    const ACTIVE: bool = K::ACTIVE;
+
+    #[inline(always)]
+    fn records(&self) -> bool {
+        self.as_ref().is_some_and(K::records)
+    }
+
+    #[inline(always)]
+    fn emit(&mut self, ev: TraceEvent) {
+        if let Some(sink) = self {
+            sink.emit(ev);
+        }
     }
 }
 
@@ -274,6 +311,23 @@ mod tests {
     #[test]
     fn null_sink_emit_is_a_no_op() {
         NullSink.emit(TraceEvent::RoundStart { round: 1 }); // no-op, no panic
+    }
+
+    #[test]
+    fn an_absent_sink_records_nothing_and_a_present_one_forwards() {
+        // The engine attaches sinks by `&mut`; that impl must forward.
+        fn borrowed_records<S: TraceSink>(sink: S) -> bool {
+            sink.records()
+        }
+        assert!(!NullSink.records());
+        let mut none: Option<RingSink> = None;
+        assert!(!none.records() && !borrowed_records(&mut none));
+        drive(&mut none, 2);
+        let mut some = Some(RingSink::new(4));
+        assert!(some.records() && borrowed_records(&mut some));
+        drive(&mut some, 2);
+        assert_eq!(some.expect("present").rounds().count(), 2);
+        assert!(!Some(NullSink).records());
     }
 
     #[test]

@@ -151,15 +151,6 @@ impl BitSet {
         added
     }
 
-    /// Number of keys present in both sets.
-    pub fn intersection_len(&self, other: &BitSet) -> usize {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// True if every key of `self` is also in `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
         assert_eq!(self.capacity, other.capacity);
@@ -289,7 +280,6 @@ mod tests {
         b.insert(3);
         assert!(b.is_subset(&a));
         assert!(!a.is_subset(&b));
-        assert_eq!(a.intersection_len(&b), 2);
     }
 
     #[test]

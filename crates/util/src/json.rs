@@ -14,15 +14,20 @@
 //!   with [`Json::parse`], so the format is round-trippable in-tree.
 //!
 //! Two output paths share one recursive writer (so they are
-//! byte-compatible by construction): [`Json::to_string_pretty`] builds
-//! the document in memory, and [`Json::write_pretty_to`] /
-//! [`Json::write_compact_to`] stream it straight into an
+//! byte-compatible by construction): [`Json::to_string_pretty`] and
+//! [`Json::to_string_compact`] build the document in memory, and
+//! [`Json::write_compact_to`] streams it straight into an
 //! [`std::io::Write`] — the path for multi-GB artifacts (trace JSONL
-//! exports, campaign logs) where materializing the full `String`
-//! alongside the tree would double peak RSS.
+//! exports) where materializing the full `String` alongside the tree
+//! would double peak RSS.
+//!
+//! Readers of untrusted documents (scenarios, checkpoints) go through
+//! the path-anchored typed getters — [`Json::get_str`],
+//! [`Json::get_u64`], [`Json::get_f64`], [`Json::get_bool`] — so a
+//! wrong type names its JSON path and a count never silently truncates.
 
 use std::fmt;
-use std::io::{self, Write as _};
+use std::io;
 
 /// A JSON value. Objects preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,6 +80,38 @@ impl Json {
                 other.type_name()
             )),
         }
+    }
+
+    /// `self[key]` as a string, or a path-anchored error.
+    pub fn get_str(&self, key: &str, path: &str) -> Result<&str, String> {
+        let v = self.get_or_err(key, path)?;
+        v.as_str().ok_or_else(|| v.expected("a string", key, path))
+    }
+
+    /// `self[key]` as an exact unsigned integer ([`Json::as_u64`]), or a
+    /// path-anchored error: a fractional, negative or inexact number is
+    /// refused, never truncated.
+    pub fn get_u64(&self, key: &str, path: &str) -> Result<u64, String> {
+        let v = self.get_or_err(key, path)?;
+        v.as_u64()
+            .ok_or_else(|| v.expected("a non-negative integer", key, path))
+    }
+
+    /// `self[key]` as a number, or a path-anchored error.
+    pub fn get_f64(&self, key: &str, path: &str) -> Result<f64, String> {
+        let v = self.get_or_err(key, path)?;
+        v.as_f64().ok_or_else(|| v.expected("a number", key, path))
+    }
+
+    /// `self[key]` as a boolean, or a path-anchored error.
+    pub fn get_bool(&self, key: &str, path: &str) -> Result<bool, String> {
+        let v = self.get_or_err(key, path)?;
+        v.as_bool()
+            .ok_or_else(|| v.expected("a boolean", key, path))
+    }
+
+    fn expected(&self, what: &str, key: &str, path: &str) -> String {
+        format!("`{path}.{key}`: expected {what}, got {}", self.type_name())
     }
 
     /// The JSON type name, for error messages.
@@ -150,19 +187,6 @@ impl Json {
         let mut out = String::new();
         let _ = self.write(&mut out, 0, false);
         out
-    }
-
-    /// Stream the pretty form (identical bytes to
-    /// [`Json::to_string_pretty`], trailing newline included) into `w`
-    /// through an internal [`io::BufWriter`], flushing before return.
-    /// Peak memory is the tree plus one 8 KiB buffer, not the tree plus
-    /// the full rendered document.
-    pub fn write_pretty_to<W: io::Write>(&self, w: W) -> io::Result<()> {
-        let mut out = IoFmt::new(io::BufWriter::new(w));
-        self.write(&mut out, 0, true).map_err(|_| out.take_err())?;
-        let mut w = out.into_inner()?;
-        w.write_all(b"\n")?;
-        w.flush()
     }
 
     /// Stream the compact single-line form (identical bytes to
@@ -304,13 +328,6 @@ impl<W: io::Write> IoFmt<W> {
         self.err
             .take()
             .unwrap_or_else(|| io::Error::other("formatter error"))
-    }
-
-    fn into_inner(self) -> io::Result<W> {
-        match self.err {
-            Some(e) => Err(e),
-            None => Ok(self.inner),
-        }
     }
 }
 
@@ -589,18 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_pretty_matches_in_memory_bytes() {
-        // The contract `SweepReport::write_json` and the trace JSONL
-        // exporter rely on: streaming produces the exact bytes of the
-        // in-memory renderer, so swapping paths never perturbs committed
-        // artifacts.
-        let j = sample();
-        let mut buf = Vec::new();
-        j.write_pretty_to(&mut buf).unwrap();
-        assert_eq!(buf, j.to_string_pretty().into_bytes());
-    }
-
-    #[test]
     fn streamed_compact_matches_and_round_trips() {
         let j = sample();
         let mut buf = Vec::new();
@@ -704,6 +709,35 @@ mod tests {
         assert_eq!(j.get_or_err("seed", "spec").unwrap().as_f64(), Some(42.0));
         let err = j.get_or_err("nope", "spec.cells[3]").unwrap_err();
         assert_eq!(err, "`spec.cells[3]`: missing required key `nope`");
+    }
+
+    #[test]
+    fn typed_getters_refuse_the_wrong_type_with_the_path() {
+        let j = Json::parse(r#"{"s": "x", "n": 3, "f": 3.5, "b": true}"#).unwrap();
+        assert_eq!(j.get_str("s", "doc"), Ok("x"));
+        assert_eq!(j.get_u64("n", "doc"), Ok(3));
+        assert_eq!(j.get_f64("f", "doc"), Ok(3.5));
+        assert_eq!(j.get_bool("b", "doc"), Ok(true));
+        assert_eq!(
+            j.get_u64("f", "doc.cells[2]").unwrap_err(),
+            "`doc.cells[2].f`: expected a non-negative integer, got a number"
+        );
+        assert_eq!(
+            j.get_str("n", "doc").unwrap_err(),
+            "`doc.n`: expected a string, got a number"
+        );
+        assert_eq!(
+            j.get_f64("b", "doc").unwrap_err(),
+            "`doc.b`: expected a number, got a boolean"
+        );
+        assert_eq!(
+            j.get_bool("s", "doc").unwrap_err(),
+            "`doc.s`: expected a boolean, got a string"
+        );
+        assert_eq!(
+            j.get_bool("nope", "doc").unwrap_err(),
+            "`doc`: missing required key `nope`"
+        );
     }
 
     #[test]

@@ -200,11 +200,6 @@ impl Criterion {
         self
     }
 
-    /// Where JSON results should be written, if requested.
-    pub fn json_path(&self) -> Option<&str> {
-        self.save_json.as_deref()
-    }
-
     /// Whether the filter (if any) selects `group/id`.
     fn selects(&self, group: &str, id: &str) -> bool {
         self.filter
